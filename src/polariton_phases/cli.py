@@ -192,10 +192,13 @@ def cmd_nlse(cfg: RunConfig, out: Path, fmt: str) -> None:
 def cmd_ed(cfg: RunConfig, out: Path, fmt: str) -> None:
     ed = cfg.ed
     rows = []
+    n_max = int(ed["n_max"])
     for L in ed["sizes"]:
+        bases = bh_ed.unit_filling_bases(int(L), n_max)
         for r in ed["ratios"]:
-            res = bh_ed.diagnostics(int(L), int(ed["n_max"]), float(r),
-                                    periodic=bool(ed["periodic"]))
+            res = bh_ed.diagnostics(int(L), n_max, float(r),
+                                    periodic=bool(ed["periodic"]),
+                                    bases=bases)
             rows.append([res.sites, res.bosons, res.n_max, res.u_over_j,
                          res.e0, res.gap, res.var_n])
     _write_csv(out / "ed.csv",

@@ -38,7 +38,9 @@ class RegimeFlags:
     sign_warning: bool
 
     def __post_init__(self):
-        assert not (self.sg_valid and self.bh_valid)
+        if self.sg_valid and self.bh_valid:
+            raise DomainError("the sine-Gordon and Bose-Hubbard validity "
+                              "windows cannot both hold")
 
     def label(self) -> str:
         names = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DomainError, ModulationWarning, PoleError, SingularMass
@@ -19,6 +20,8 @@ from .errors import DomainError, ModulationWarning, PoleError, SingularMass
 EPS_POLE = 1e-9
 # Threshold below which the real effective mass counts as singular (s/m^2).
 EPS_MASS = 1e-30
+# Rates, densities and lengths of OpticalConfig, which must be positive.
+POSITIVE_FIELDS = ("gamma_total", "n0", "n_ph", "v", "fiber_length")
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,11 @@ class OpticalConfig:
     fiber_length: float = 0.01        # fiber length (m)
 
 
+# Every field of an OpticalConfig as a tuple.  Read by attribute: vars(cfg)
+# would give the instance a dict and slow every later attribute read on it.
+_field_values = attrgetter(*(f.name for f in fields(OpticalConfig)))
+
+
 @dataclass(frozen=True)
 class ValidatedConfig:
     """An OpticalConfig that has passed validate_config."""
@@ -57,20 +65,20 @@ class ValidatedConfig:
 def validate_config(cfg: OpticalConfig) -> ValidatedConfig:
     """Check all invariants of OpticalConfig and tag it valid.
 
-    Raises DomainError for non-positive rates/densities, PoleError when the
-    parameters sit within EPS_POLE of a pole of the Lambda or Xi dressing
-    factor.  Emits ModulationWarning (non-fatal) for n1/n0 > 0.5.
+    Raises DomainError for a field that is not a finite number and for
+    non-positive rates/densities, PoleError when the parameters sit within
+    EPS_POLE of a pole of the Lambda or Xi dressing factor.  Emits
+    ModulationWarning (non-fatal) for n1/n0 > 0.5.
     """
-    positive = {
-        "gamma_total": cfg.gamma_total,
-        "n0": cfg.n0,
-        "n_ph": cfg.n_ph,
-        "v": cfg.v,
-        "fiber_length": cfg.fiber_length,
-    }
-    for name, value in positive.items():
-        if not (value > 0) or not math.isfinite(value):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+    try:
+        finite = all(map(math.isfinite, _field_values(cfg)))
+    except TypeError:
+        finite = False
+    if not finite:
+        raise DomainError(f"every field must be a finite number: {cfg}")
+    if not min(cfg.gamma_total, cfg.n0, cfg.n_ph, cfg.v, cfg.fiber_length) > 0:
+        bad = [name for name in POSITIVE_FIELDS if not getattr(cfg, name) > 0]
+        raise DomainError(f"{', '.join(bad)} must be positive: {cfg}")
     if not (0 < cfg.gamma_1d_ratio <= 1):
         raise DomainError(
             f"gamma_1d_ratio must lie in (0, 1], got {cfg.gamma_1d_ratio}"

@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     EmptyBoundary,
     NoBracket,
+    NoConvergence,
     PoleError,
     RegimeError,
 )
@@ -144,7 +145,11 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
         )
     root = _bisect(f, lo, hi, f_lo, f_hi)
     residual = abs(_uj_at(base, delta_p, root) - many_body.UJ_CRITICAL)
-    assert residual <= RESIDUAL_TOL, residual
+    if not residual <= RESIDUAL_TOL:
+        raise NoConvergence(
+            f"|U/J - {many_body.UJ_CRITICAL}| = {residual} at Omega = {root} "
+            f"exceeds {RESIDUAL_TOL}"
+        )
     return root
 
 
@@ -241,65 +246,63 @@ def _marching_squares(xs: np.ndarray, ys: np.ndarray,
                       f: np.ndarray) -> list[list[tuple[float, float]]]:
     """Zero-level contour of f sampled on the (xs, ys) grid.
 
-    Cells with any NaN corner are skipped.  Segments are linearly
-    interpolated along cell edges and chained into polylines.
+    Cells with any non-finite corner are skipped.  Each crossed grid edge is
+    named by (axis, i, j), its lower-index node, and interpolated once from
+    that node, so the two cells sharing an edge share its crossing exactly.
+    Segments join two crossings and chain into polylines by edge name.
     """
-    def interp(pa, pb, fa, fb):
-        t = fa / (fa - fb)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+    neg = f < 0
+    fin = np.isfinite(f)
+    cells = fin[:-1, :-1] & fin[1:, :-1] & fin[1:, 1:] & fin[:-1, 1:]
+    n_neg = (neg[:-1, :-1].astype(int) + neg[1:, :-1] + neg[1:, 1:]
+             + neg[:-1, 1:])
 
     segments = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [
-                ((xs[i], ys[j]), f[i, j]),
-                ((xs[i + 1], ys[j]), f[i + 1, j]),
-                ((xs[i + 1], ys[j + 1]), f[i + 1, j + 1]),
-                ((xs[i], ys[j + 1]), f[i, j + 1]),
-            ]
-            if any(not np.isfinite(v) for _, v in corners):
-                continue
-            pts = []
-            for (pa, fa), (pb, fb) in zip(corners, corners[1:] + corners[:1]):
-                if (fa < 0) != (fb < 0):
-                    pts.append(interp(pa, pb, fa, fb))
-            # ambiguous saddle cells yield 4 points; pair them as-is
-            for a, b in zip(pts[0::2], pts[1::2]):
-                segments.append((a, b))
+    for i, j in np.argwhere(cells & (n_neg > 0) & (n_neg < 4)).tolist():
+        # cell edges in corner order (i,j) (i+1,j) (i+1,j+1) (i,j+1)
+        edges = (((0, i, j), neg[i, j], neg[i + 1, j]),
+                 ((1, i + 1, j), neg[i + 1, j], neg[i + 1, j + 1]),
+                 ((0, i, j + 1), neg[i + 1, j + 1], neg[i, j + 1]),
+                 ((1, i, j), neg[i, j + 1], neg[i, j]))
+        pts = [edge for edge, a, b in edges if a != b]
+        # ambiguous saddle cells yield 4 points; pair them as-is
+        segments.extend(zip(pts[0::2], pts[1::2]))
 
-    # chain segments into polylines by matching endpoints
-    def key(p):
-        return (round(p[0], 12), round(p[1], 12))
+    def point(edge):
+        axis, i, j = edge
+        if axis == 0:
+            t = f[i, j] / (f[i, j] - f[i + 1, j])
+            return (xs[i] + t * (xs[i + 1] - xs[i]), ys[j])
+        t = f[i, j] / (f[i, j] - f[i, j + 1])
+        return (xs[i], ys[j] + t * (ys[j + 1] - ys[j]))
 
-    unused = list(range(len(segments)))
-    by_end: dict[tuple, list[int]] = {}
+    by_edge: dict[tuple, list[int]] = {}
     for idx, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(idx)
-        by_end.setdefault(key(b), []).append(idx)
+        by_edge.setdefault(a, []).append(idx)
+        by_edge.setdefault(b, []).append(idx)
 
     used = set()
     polylines = []
-    for start in unused:
+    for start in range(len(segments)):
         if start in used:
             continue
         used.add(start)
-        a, b = segments[start]
-        chain = [a, b]
+        chain = list(segments[start])
         for grow_front in (False, True):
             while True:
                 end = chain[0] if grow_front else chain[-1]
-                cands = [i for i in by_end.get(key(end), []) if i not in used]
+                cands = [i for i in by_edge[end] if i not in used]
                 if not cands:
                     break
                 idx = cands[0]
                 used.add(idx)
-                pa, pb = segments[idx]
-                nxt = pb if key(pa) == key(end) else pa
+                a, b = segments[idx]
+                nxt = b if a == end else a
                 if grow_front:
                     chain.insert(0, nxt)
                 else:
                     chain.append(nxt)
-        polylines.append(chain)
+        polylines.append([point(edge) for edge in chain])
     return polylines
 
 

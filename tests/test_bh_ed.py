@@ -47,6 +47,22 @@ class TestBasis:
         with pytest.raises(DimensionOverflow):
             FockBasis.build(10, 10, 4, cap=100)
 
+    def test_codes_rank_every_hop(self):
+        basis = FockBasis.build(5, 5, 3)
+        base = basis.n_max + 1
+        assert np.all(np.diff(basis.codes) > 0)
+        for src, dst in [(0, 1), (1, 0), (4, 0), (2, 4)]:
+            rows, cols, amp = basis.hop(src, dst)
+            moved = basis.occ[cols].copy()
+            moved[:, src] -= 1
+            moved[:, dst] += 1
+            assert np.array_equal(basis.occ[rows], moved)
+            want = np.sqrt(basis.occ[cols, src] * (basis.occ[cols, dst] + 1))
+            assert np.array_equal(amp, want)
+            assert np.array_equal(
+                basis.codes[rows],
+                basis.codes[cols] + base ** (4 - dst) - base ** (4 - src))
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             FockBasis.build(0, 2, 2)
@@ -95,6 +111,15 @@ class TestHamiltonian:
                                                         False))
             assert e_per <= e_open + 1e-12
 
+    def test_tables_reused_linearly(self):
+        # H(J, U) = J H(1, 0) + U H(0, 1) entry by entry, from one table
+        basis = FockBasis.build(5, 5, 3)
+        h = build_hamiltonian(basis, 1.3, 2.7).toarray()
+        t = build_hamiltonian(basis, 1.0, 0.0).toarray()
+        d = build_hamiltonian(basis, 0.0, 1.0).toarray()
+        assert np.array_equal(h, 1.3 * t + 2.7 * d)
+        assert np.array_equal(h, build_hamiltonian(basis, 1.3, 2.7).toarray())
+
     def test_negative_couplings_rejected(self):
         basis = FockBasis.build(2, 2, 2)
         with pytest.raises(DomainError):
@@ -121,10 +146,32 @@ class TestGroundEnergy:
         res = np.linalg.norm(h @ vec - e0 * vec)
         assert res <= 1e-10 * abs(e0)
 
+    def test_diagonal_matrix_read_off(self):
+        # a diagonal H above the dense cutoff: the lowest entry, not an
+        # eigenvalue a Lanczos run happens to land on
+        diag = np.full(3000, 2.0)
+        diag[1234] = -1.5
+        e0, vec = ground_energy(scipy.sparse.diags(diag).tocsr())
+        assert e0 == -1.5
+        assert vec[1234] == 1.0 and np.count_nonzero(vec) == 1
+
+    def test_lanczos_values_match_frozen(self):
+        # L = 8 bases (dims 3144-8800) take the Lanczos path; the values were
+        # computed by a per-state Hamiltonian build and full ARPACK solves
+        for periodic, uj, want in [
+            (True, 3.3, (-8.510932073950983, 0.41160619157933453,
+                         0.4019865694746449)),
+            (False, 1.0, (-11.67054510253686, 0.12384619376959805,
+                          0.5883726129621778)),
+        ]:
+            res = diagnostics(8, 4, uj, periodic=periodic)
+            got = (res.e0, res.gap, res.var_n)
+            assert got == pytest.approx(want, rel=1e-10)
+
 
 class TestChargeGap:
     def test_atomic_limit_gap_is_u(self):
-        for L, u in [(4, 3.0), (6, 5.0)]:
+        for L, u in [(4, 3.0), (6, 5.0), (8, 3.0)]:
             assert charge_gap(L, 4, 0.0, u) == pytest.approx(u, abs=1e-12)
 
     def test_mott_plateau(self):
@@ -159,6 +206,39 @@ class TestDiagnostics:
         assert res.var_n >= 0
         assert res.gap >= -1e-10
         assert res.corr[0] == pytest.approx(1.0, rel=1e-12)  # unit filling
+
+    def test_correlations_match_per_state_sum(self):
+        res = diagnostics(4, 3, 2.5)
+        basis = FockBasis.build(4, 4, 3)
+        _, vec = ground_energy(build_hamiltonian(basis, 1.0, 2.5))
+        index = {s: i for i, s in enumerate(basis.states)}
+        for d in range(1, 4):
+            total = 0.0
+            for i, state in enumerate(basis.states):
+                if state[d] > 0 and state[0] < 3:
+                    new = list(state)
+                    new[d] -= 1
+                    new[0] += 1
+                    total += (vec[index[tuple(new)]] * vec[i]
+                              * math.sqrt(state[d] * (state[0] + 1)))
+            assert res.corr[d] == pytest.approx(total, abs=1e-12)
+
+    def test_three_solves_per_point(self, monkeypatch):
+        calls = []
+        solve = bh_ed.ground_energy
+        monkeypatch.setattr(bh_ed, "ground_energy",
+                            lambda h: calls.append(h.shape) or solve(h))
+        res = diagnostics(4, 4, 3.0)
+        assert len(calls) == 3
+        assert res.gap == pytest.approx(charge_gap(4, 4, 1.0, 3.0),
+                                        abs=1e-12)
+
+    def test_shared_bases(self):
+        bases = bh_ed.unit_filling_bases(4, 4)
+        assert sorted(bases) == [3, 4, 5]
+        for uj in (1.0, 3.0):
+            shared = diagnostics(4, 4, uj, bases=bases)
+            assert shared == diagnostics(4, 4, uj)
 
     def test_mott_suppresses_fluctuations(self):
         weak = diagnostics(4, 4, 1.0)

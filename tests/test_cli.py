@@ -148,6 +148,12 @@ class TestSubcommands:
         code, _ = run(tmp_path, "map", {"optics": {"n_ph": 0.0}})
         assert code == 2
 
+    def test_non_finite_optics_exit_code(self, tmp_path):
+        # json writes NaN and Infinity tokens, which the config reader accepts
+        for value in (math.nan, math.inf):
+            code, _ = run(tmp_path, "map", {"optics": {"delta_p": value}})
+            assert code == 2
+
     def test_plot_script_emission(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg["output"] = {"emit_plot_script": True}
@@ -173,3 +179,16 @@ class TestDeterminism:
                 p.name: p.read_bytes() for p in sorted(out.iterdir())
             })
         assert snapshots[0] == snapshots[1]
+
+    def test_ed_lanczos_rerun_byte_identical(self, tmp_path):
+        # L = 8 bases are solved by Lanczos; a fixed start vector keeps
+        # every digit of ed.csv the same from run to run
+        cfg_path = write_config(tmp_path, {
+            "ed": {"sizes": [8], "ratios": [2.0, 3.5], "n_max": 4}})
+        blobs = []
+        for rep in ("a", "b"):
+            out = tmp_path / rep
+            assert main(["ed", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            blobs.append((out / "ed.csv").read_bytes())
+        assert blobs[0] == blobs[1]

@@ -132,6 +132,11 @@ class TestClassification:
                                  10 ** rng.uniform(-2, 2))
             assert not (flags.sg_valid and flags.bh_valid)
 
+    def test_overlapping_flags_rejected(self):
+        with pytest.raises(DomainError):
+            many_body.RegimeFlags(sg_valid=True, bh_valid=True,
+                                  k_formula_valid=True, sign_warning=False)
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             make_point(-0.5, 1.0)

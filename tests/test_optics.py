@@ -53,6 +53,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             validate_config(with_(baseline, **{field: value}))
 
+    @pytest.mark.parametrize("field", [
+        "delta_p", "omega", "delta0", "delta_small", "delta_omega",
+        "gamma_total", "n0",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, baseline, field, value):
+        with pytest.raises(DomainError):
+            validate_config(with_(baseline, **{field: value}))
+
     def test_large_modulation_warns(self, baseline):
         with pytest.warns(ModulationWarning):
             validate_config(with_(baseline, n1_fraction=0.6))

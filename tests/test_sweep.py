@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from polariton_phases import many_body, optics
+from polariton_phases import many_body, optics, sweep
 from polariton_phases.errors import (
     ConfigError,
     EmptyBoundary,
     NoBracket,
+    NoConvergence,
     PoleError,
     RegimeError,
 )
@@ -100,6 +101,12 @@ class TestMottCrossing:
         with pytest.raises(PoleError):
             find_mott_crossing(baseline, 50.0, (0.1, 0.2))
 
+    def test_large_residual_raises(self, baseline, monkeypatch):
+        # a root that misses the critical ratio is refused, also under -O
+        monkeypatch.setattr(sweep, "_bisect", lambda f, lo, hi, *_: lo)
+        with pytest.raises(NoConvergence):
+            find_mott_crossing(baseline, 50.0, (0.9, 1.2))
+
 
 class TestPinningCrossing:
     def test_crossing_above_gamma(self, baseline):
@@ -173,6 +180,16 @@ class TestPhaseBoundaries:
         pb = [b for b in phase_boundaries(fine) if b.model == "BH"]
         dist = _normalized_hausdorff(pa, pb, coarse)
         assert dist <= 1.0 / (n - 1)   # one coarse cell, normalized units
+
+    def test_shared_edge_crossing_joins_contour(self, baseline):
+        # two cells interpolating their shared edge from opposite ends gave
+        # crossings a last bit apart here, which split the SG contour in two
+        dp0, om0 = 0.2590084917154736, 0.0685257992964537
+        spec = GridSpec((2.0 + dp0, 100.0 + dp0, 20),
+                        (0.5 + om0, 3.0 + om0, 20), baseline)
+        sg = [b for b in phase_boundaries(spec) if b.model == "SG"]
+        assert len(sg) == 1
+        assert len(sg[0].vertices) == 8
 
     def test_polylines_tagged_and_ordered(self, baseline):
         spec = GridSpec((20.0, 100.0, 15), (0.8, 1.5, 15), baseline)
