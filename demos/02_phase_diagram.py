@@ -17,7 +17,7 @@ def main():
 
     counts = {}
     for r in records:
-        key = r.point.phase.value if r.point else "POLE"
+        key = r.point.phase.value if r.point else r.error.split(":")[0]
         counts[key] = counts.get(key, 0) + 1
     print("grid composition:")
     for key, n in sorted(counts.items()):

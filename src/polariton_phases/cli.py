@@ -38,12 +38,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_lines(path: Path, header: list[str], lines, cfg_hash: str) -> None:
+    text = "\n".join([f"# config_hash={cfg_hash}", ",".join(header), *lines])
+    path.write_text(text + "\n", newline="\n")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list],
                cfg_hash: str) -> None:
-    lines = [f"# config_hash={cfg_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, header, (",".join(_fmt(x) for x in row)
+                                for row in rows), cfg_hash)
 
 
 def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
@@ -52,27 +55,29 @@ def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
                     newline="\n")
 
 
-def _sweep_rows(records) -> list[list]:
-    rows = []
-    for rec in records:
-        if rec.error is not None or rec.point is None:
-            rows.append([rec.delta_p, rec.omega] + [math.nan] * 9
-                        + ["", "POLE"])
-            continue
-        p = rec.point
-        rows.append([
-            rec.delta_p, rec.omega, rec.gamma_signed, p.gamma_abs,
-            p.v1_over_er, p.k_luttinger, p.j_over_er, p.u_over_er,
-            p.u_over_j, rec.v_g, rec.kappa, p.phase.value, p.flags.label(),
-        ])
-    return rows
-
-
 SWEEP_HEADER = [
     "delta_p_over_gamma", "omega_over_gamma", "gamma_signed", "gamma_abs",
     "v1_over_er", "k_luttinger", "j_over_er", "u_over_er", "u_over_j",
     "v_g_m_per_s", "kappa_per_s", "phase", "flags",
 ]
+# One SWEEP_HEADER row; "%.17g" writes what _fmt writes, nan included.
+SWEEP_ROW = ",".join(["%.17g"] * 11 + ["%s", "%s"])
+
+
+def _write_grid(path: Path, nodes: sweep_mod.NodeFields,
+                cfg_hash: str) -> None:
+    """One SWEEP_HEADER row per node, row-major in (Delta_p, Omega).
+
+    A POLE or DOMAIN node has NaN fields, an empty phase and its status
+    in the flags column.
+    """
+    columns = [np.ravel(a).tolist() for a in (
+        nodes.delta_p, nodes.omega, nodes.gamma_signed, nodes.gamma_abs,
+        nodes.v1_over_er, nodes.k_luttinger, nodes.j_over_er,
+        nodes.u_over_er, nodes.u_over_j, nodes.v_g, nodes.kappa)]
+    rows = zip(*columns, *nodes.labels())
+    _write_lines(path, SWEEP_HEADER, [SWEEP_ROW % row for row in rows],
+                 cfg_hash)
 
 
 def _grid_spec(cfg: RunConfig) -> sweep_mod.GridSpec:
@@ -83,7 +88,7 @@ def _grid_spec(cfg: RunConfig) -> sweep_mod.GridSpec:
     )
 
 
-def cmd_map(cfg: RunConfig, out: Path, fmt: str) -> None:
+def cmd_map(cfg: RunConfig, out: Path) -> None:
     vc = optics.validate_config(cfg.optics)
     params = optics.effective_params(vc)
     gam = optics.lieb_liniger_gamma(vc)
@@ -97,20 +102,18 @@ def cmd_map(cfg: RunConfig, out: Path, fmt: str) -> None:
     }, cfg.hash())
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
-    records = sweep_mod.sweep_grid(_grid_spec(cfg))
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, _sweep_rows(records),
-               cfg.hash())
+def cmd_sweep(cfg: RunConfig, out: Path) -> None:
+    nodes = sweep_mod.evaluate_grid(_grid_spec(cfg))
+    _write_grid(out / "sweep.csv", nodes, cfg.hash())
     if cfg.output["emit_plot_script"]:
         _emit_plot_script(out, "sweep")
 
 
-def cmd_phase(cfg: RunConfig, out: Path, fmt: str) -> None:
+def cmd_phase(cfg: RunConfig, out: Path) -> None:
     spec = _grid_spec(cfg)
-    records = sweep_mod.sweep_grid(spec)
-    _write_csv(out / "phase_grid.csv", SWEEP_HEADER, _sweep_rows(records),
-               cfg.hash())
-    boundaries = sweep_mod.phase_boundaries(spec)
+    nodes = sweep_mod.evaluate_grid(spec)
+    _write_grid(out / "phase_grid.csv", nodes, cfg.hash())
+    boundaries = sweep_mod.phase_boundaries(spec, nodes)
     _write_json(out / "phase_boundaries.json", {
         "boundaries": [
             {"model": b.model, "vertices": [[x, y] for x, y in b.vertices]}
@@ -119,19 +122,12 @@ def cmd_phase(cfg: RunConfig, out: Path, fmt: str) -> None:
     }, cfg.hash())
 
 
-def cmd_crossing(cfg: RunConfig, out: Path, fmt: str) -> None:
+def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     lo, hi, count = cfg.sweep["omega_range"]
     base = cfg.optics
-    omegas = np.linspace(lo, hi, int(count))
-    rows = []
-    for om in omegas:
-        import dataclasses
-        c = dataclasses.replace(base, omega=float(om))
-        vc = optics.validate_config(c)
-        gam = optics.lieb_liniger_gamma(vc)
-        depth = optics.lattice_depth_ratio(vc)
-        j, u, uj = many_body.bh_params(depth, gam.magnitude)
-        rows.append([float(om), j, u, uj])
+    table = sweep_mod.evaluate(base, base.delta_p, np.linspace(lo, hi, count))
+    rows = zip(*(a.tolist() for a in (table.omega, table.j_over_er,
+                                       table.u_over_er, table.u_over_j)))
     root = sweep_mod.find_mott_crossing(base, base.delta_p, (lo, hi))
     uj_root = sweep_mod._uj_at(base, base.delta_p, root)
     _write_csv(out / "crossing.csv",
@@ -146,7 +142,7 @@ def cmd_crossing(cfg: RunConfig, out: Path, fmt: str) -> None:
         _emit_plot_script(out, "crossing")
 
 
-def cmd_nlse(cfg: RunConfig, out: Path, fmt: str) -> None:
+def cmd_nlse(cfg: RunConfig, out: Path) -> None:
     nl = dict(cfg.nlse)
     if nl["v1_over_er"] is None or nl["g_int"] is None:
         vc = optics.validate_config(cfg.optics)
@@ -189,7 +185,7 @@ def cmd_nlse(cfg: RunConfig, out: Path, fmt: str) -> None:
     }, cfg.hash())
 
 
-def cmd_ed(cfg: RunConfig, out: Path, fmt: str) -> None:
+def cmd_ed(cfg: RunConfig, out: Path) -> None:
     ed = cfg.ed
     rows = []
     n_max = int(ed["n_max"])
@@ -245,9 +241,6 @@ def main(argv: list[str] | None = None) -> int:
                              "for missing fields)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (overrides config)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; no stochastic paths yet")
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
@@ -256,8 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         out = Path(args.out) if args.out else Path(cfg.output["directory"])
         out.mkdir(parents=True, exist_ok=True)
-        fmt = args.format or cfg.output["formats"][0]
-        COMMANDS[args.subcommand](cfg, out, fmt)
+        COMMANDS[args.subcommand](cfg, out)
     except CONVERGENCE_ERRORS as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 3

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownKey, DomainError, PoleError
@@ -36,8 +37,73 @@ ED_DEFAULTS = {
 }
 OUTPUT_DEFAULTS = {
     "directory": "out",
-    "formats": ["csv", "json"],
     "emit_plot_script": False,
+}
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number (bool is not one)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_of(check, length=None):
+    def is_list(x):
+        return (isinstance(x, list) and (length is None or len(x) == length)
+                and all(map(check, x)))
+    return is_list
+
+
+def _is_range(x) -> bool:
+    return (isinstance(x, list) and len(x) == 3 and _is_number(x[0])
+            and _is_number(x[1]) and _is_int(x[2]) and x[2] >= 2)
+
+
+def _is_optional_number(x) -> bool:
+    return x is None or _is_number(x)
+
+
+# (check, description) of the value of every key.
+_NUMBER = (_is_number, "a finite number")
+_INT = (_is_int, "an integer")
+_BOOL = (lambda x: isinstance(x, bool), "true or false")
+VALUE_TYPES = {
+    "optics": {f.name: _NUMBER for f in dataclasses.fields(OpticalConfig)},
+    "sweep": {
+        "delta_p_range": (_is_range, "[min, max, integer count >= 2]"),
+        "omega_range": (_is_range, "[min, max, integer count >= 2]"),
+    },
+    "nlse": {
+        "v1_over_er": (_is_optional_number, "a finite number or null"),
+        "g_int": (_is_optional_number, "a finite number or null"),
+        "kappa_dimless": _NUMBER,
+        "n_periods": _INT,
+        "grid_points": _INT,
+        "schedule": (_list_of(_list_of(_is_number, 4)),
+                     "a list of [tau, v1_over_er, g_int, kappa] entries"),
+        "dt": _NUMBER,
+        "steps": _INT,
+        "record_every": (lambda x: _is_int(x) and x >= 1,
+                         "an integer >= 1"),
+    },
+    "ed": {
+        "sizes": (_list_of(_is_int), "a list of integers"),
+        "ratios": (_list_of(_is_number), "a list of finite numbers"),
+        "n_max": _INT,
+        "periodic": _BOOL,
+    },
+    "output": {
+        "directory": (lambda x: isinstance(x, str), "a string"),
+        "emit_plot_script": _BOOL,
+    },
 }
 
 
@@ -64,7 +130,9 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _merge_section(name: str, given: dict, defaults: dict) -> dict:
+def _merge_section(name: str, given, defaults: dict) -> dict:
+    if not isinstance(given, dict):
+        raise ParseError(f"section '{name}' must be a JSON object")
     unknown = set(given) - set(defaults)
     if unknown:
         raise UnknownKey(f"unknown key(s) in section '{name}': {sorted(unknown)}")
@@ -74,6 +142,10 @@ def _merge_section(name: str, given: dict, defaults: dict) -> dict:
             merged[key] = given[key]
         else:
             log.info("config: %s.%s defaulted to %r", name, key, default)
+    for key, (check, kind) in VALUE_TYPES[name].items():
+        if key in given and not check(given[key]):
+            raise ParseError(f"{name}.{key} must be {kind}, "
+                             f"got {given[key]!r}")
     return merged
 
 

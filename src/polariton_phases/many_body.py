@@ -17,7 +17,7 @@ from .errors import DomainError
 
 # Mott critical ratio of the 1D Bose-Hubbard chain at unit filling.
 UJ_CRITICAL = 3.85
-# Validity windows (see RegimeFlags).
+# Validity windows (see regime_flags).
 GAMMA_K_MAX = 10.0
 SG_GAMMA_MIN, SG_GAMMA_MAX, SG_DEPTH_MAX = 1.0, 5.0, 3.0
 BH_GAMMA_MAX, BH_DEPTH_MIN = 1.0, 3.0
@@ -105,8 +105,7 @@ def sg_critical_depth(gamma_abs: float) -> float:
     max(0, 2 pi / sqrt(g - g^{3/2}/(2 pi)) - 4), identically max(0, 2(K-2)):
     for K < 2 an arbitrarily shallow lattice pins the gas.
     """
-    k = luttinger_k(gamma_abs)
-    return max(0.0, 2 * math.pi / math.sqrt(_k_radicand(gamma_abs)) - 4)
+    return max(0.0, 2 * luttinger_k(gamma_abs) - 4)
 
 
 def bh_params(v1_over_er: float, gamma_abs: float) -> BhParams:
@@ -121,6 +120,8 @@ def bh_params(v1_over_er: float, gamma_abs: float) -> BhParams:
         raise DomainError(f"gamma_abs must be non-negative, got {gamma_abs}")
     s = v1_over_er
     j = 4 * s**0.75 * math.exp(-2 * math.sqrt(s)) / math.sqrt(math.pi)
+    if j == 0:
+        raise DomainError(f"J/E_R underflows to 0 at V1/E_R = {s}")
     u = math.sqrt(2 / math.pi**3) * s**0.25 * gamma_abs
     return BhParams(j, u, u / j)
 
@@ -135,7 +136,12 @@ def uj_closed_form(v1_over_er: float, gamma_abs: float) -> float:
 
 def regime_flags(gamma_abs: float, v1_over_er: float,
                  sign_warning: bool = False) -> RegimeFlags:
-    sg = SG_GAMMA_MIN <= gamma_abs <= SG_GAMMA_MAX and v1_over_er <= SG_DEPTH_MAX
+    """Validity windows at (|gamma|, V1/E_R).
+
+    The sine-Gordon depth bound is strict: at the corner |gamma| = 1,
+    V1/E_R = 3 both windows would hold, and the corner is Bose-Hubbard's.
+    """
+    sg = SG_GAMMA_MIN <= gamma_abs <= SG_GAMMA_MAX and v1_over_er < SG_DEPTH_MAX
     bh = gamma_abs <= BH_GAMMA_MAX and v1_over_er >= BH_DEPTH_MIN
     return RegimeFlags(
         sg_valid=sg,
@@ -152,6 +158,9 @@ def make_point(gamma_abs: float, v1_over_er: float,
     Negative gamma is rejected here; the optics layer supplies the magnitude
     together with the sign flag.
     """
+    if not (math.isfinite(gamma_abs) and math.isfinite(v1_over_er)):
+        raise DomainError(f"non-finite coordinates ({gamma_abs}, "
+                          f"{v1_over_er})")
     if gamma_abs < 0:
         raise DomainError("gamma_abs must be non-negative; pass |gamma| "
                           "with sign_warning set")

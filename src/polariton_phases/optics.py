@@ -47,9 +47,14 @@ class OpticalConfig:
     fiber_length: float = 0.01        # fiber length (m)
 
 
-# Every field of an OpticalConfig as a tuple.  Read by attribute: vars(cfg)
-# would give the instance a dict and slow every later attribute read on it.
+# The coordinates of a sweep node, which the sweep evaluator checks per node.
+NODE_FIELDS = ("delta_p", "omega")
+# Every field of an OpticalConfig, and every field but the node coordinates,
+# as a tuple.  Read by attribute: vars(cfg) would give the instance a dict
+# and slow every later attribute read on it.
 _field_values = attrgetter(*(f.name for f in fields(OpticalConfig)))
+_base_values = attrgetter(*(f.name for f in fields(OpticalConfig)
+                            if f.name not in NODE_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -62,17 +67,22 @@ class ValidatedConfig:
         return getattr(self.cfg, name)
 
 
-def validate_config(cfg: OpticalConfig) -> ValidatedConfig:
+def validate_config(cfg: OpticalConfig, *,
+                    node: bool = True) -> ValidatedConfig:
     """Check all invariants of OpticalConfig and tag it valid.
 
     Raises DomainError for a field that is not a finite number and for
     non-positive rates/densities, PoleError when the parameters sit within
     EPS_POLE of a pole of the Lambda or Xi dressing factor.  Emits
-    ModulationWarning (non-fatal) for n1/n0 > 0.5.
+    ModulationWarning (non-fatal) for n1/n0 > 0.5.  With node=False the
+    node coordinates (NODE_FIELDS) and the poles, which depend on them, are
+    not checked and the tag does not cover them: the sweep evaluator checks
+    those at every node.
     """
     try:
-        finite = all(map(math.isfinite, _field_values(cfg)))
-    except TypeError:
+        values = (_field_values if node else _base_values)(cfg)
+        finite = all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
         finite = False
     if not finite:
         raise DomainError(f"every field must be a finite number: {cfg}")
@@ -94,6 +104,8 @@ def validate_config(cfg: OpticalConfig) -> ValidatedConfig:
             ModulationWarning,
             stacklevel=2,
         )
+    if not node:
+        return ValidatedConfig(cfg)
     lam_denom = cfg.omega**2 - cfg.delta_small * cfg.delta0 / 2
     if abs(lam_denom) <= EPS_POLE:
         raise PoleError(

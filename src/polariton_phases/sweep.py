@@ -2,13 +2,15 @@
 
 Produces the data behind the gamma / lattice-depth maps, the phase diagram
 boundary polylines (marching squares on the classifier's decision functions)
-and the critical control-field strengths of the two transitions.
+and the critical control-field strengths of the two transitions.  Every
+consumer reads the optics -> many-body chain from one array evaluator,
+evaluate(), which marks a bad node instead of raising.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -63,71 +65,265 @@ class SweepRecord:
     point: many_body.ManyBodyPoint | None
     v_g: float
     kappa: float
-    error: str | None = None   # set for pole-adjacent nodes, never dropped
+    error: str | None = None   # set for POLE and DOMAIN nodes, never dropped
 
 
-def _evaluate_node(base: optics.OpticalConfig, delta_p: float,
-                   omega: float) -> SweepRecord:
-    cfg = replace(base, delta_p=delta_p, omega=omega)
+# Status codes of the optics -> many-body chain at one node.
+OK, POLE, DOMAIN = 0, 1, 2
+STATUS_NAMES = ("OK", "POLE", "DOMAIN")
+STATUS_ERRORS = {
+    POLE: "POLE: within EPS_POLE of the Lambda or Xi pole",
+    DOMAIN: "DOMAIN: v_g outside (0, v), |Re m| < EPS_MASS, V1/E_R < 0, "
+            "J/E_R = 0 or a non-finite value",
+}
+# Phase codes of NodeFields.phase index this tuple.
+PHASES = (many_body.Phase.SUPERFLUID, many_body.Phase.MOTT_PINNED_SG,
+          many_body.Phase.MOTT_BH, many_body.Phase.INDETERMINATE)
+_SF, _MOTT_SG, _MOTT_BH, _INDETERMINATE = range(4)
+# RegimeFlags by flag code sg + 2 bh + 4 k_formula + 8 sign (None where
+# both windows would hold, which the evaluator never reports).
+_FLAGS = [None if code & 3 == 3 else many_body.RegimeFlags(
+    *(bool(code >> bit & 1) for bit in range(4))) for code in range(16)]
+
+
+def _where(cond, a, b):
+    """np.where, or a plain conditional on one node, where np.where would
+    cost more than the rest of the chain."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _finite(x):
+    """isfinite for arrays and numpy scalars alike: x - x is 0 unless x is
+    inf or NaN, and on a scalar two operations cost less than one ufunc."""
+    return x - x == 0
+
+
+# Not frozen: a frozen dataclass sets its 19 fields through
+# object.__setattr__, ~5 us a call here, a quarter of a one-node evaluate.
+@dataclass(slots=True)
+class NodeFields:
+    """The optics -> many-body chain on a grid of nodes, one array per field.
+
+    Every array has the broadcast shape of (delta_p, omega); a single node
+    gives numpy scalars.  Where status is not OK the float fields are NaN,
+    the flags False and the phase INDETERMINATE.
+    """
+
+    delta_p: np.ndarray
+    omega: np.ndarray
+    status: np.ndarray          # OK, POLE or DOMAIN
+    gamma_signed: np.ndarray
+    gamma_abs: np.ndarray
+    v1_over_er: np.ndarray
+    k_luttinger: np.ndarray     # NaN outside the K-formula domain
+    j_over_er: np.ndarray
+    u_over_er: np.ndarray
+    u_over_j: np.ndarray
+    v_g: np.ndarray             # m/s
+    kappa: np.ndarray           # 1/s
+    sg_valid: np.ndarray
+    bh_valid: np.ndarray
+    k_formula_valid: np.ndarray
+    sign_warning: np.ndarray
+    phase: np.ndarray           # index into PHASES
+    f_bh: np.ndarray            # U/J - UJ_CRITICAL where bh_valid, else NaN
+    f_sg: np.ndarray            # V1/E_R - sG critical depth where sg_valid
+
+    def flag_codes(self) -> np.ndarray:
+        """sg + 2 bh + 4 k_formula + 8 sign per node: an index into _FLAGS."""
+        return (self.sg_valid * 1 + self.bh_valid * 2
+                + self.k_formula_valid * 4 + self.sign_warning * 8)
+
+    def labels(self) -> tuple[list[str], list[str]]:
+        """(phase, flags) label per node in row-major order.
+
+        A node that is not OK has an empty phase and its status name as
+        flags.
+        """
+        phase_names = [p.value for p in PHASES]
+        flag_names = [f.label() if f else "" for f in _FLAGS]
+        phases, flags = [], []
+        for st, ph, fc in zip(np.ravel(self.status).tolist(),
+                              np.ravel(self.phase).tolist(),
+                              np.ravel(self.flag_codes()).tolist()):
+            if st == OK:
+                phases.append(phase_names[ph])
+                flags.append(flag_names[fc])
+            else:
+                phases.append("")
+                flags.append(STATUS_NAMES[st])
+        return phases, flags
+
+    def require_ok(self) -> None:
+        """Raise the scalar chain's error for the first node not OK."""
+        status = np.ravel(self.status)
+        bad = np.flatnonzero(status != OK)
+        if bad.size:
+            i = bad[0]
+            cls = PoleError if status[i] == POLE else DomainError
+            raise cls(f"{STATUS_ERRORS[status[i]]} at Delta_p = "
+                      f"{np.ravel(self.delta_p)[i]}, "
+                      f"Omega = {np.ravel(self.omega)[i]}")
+
+
+def evaluate(base: optics.OpticalConfig, delta_p, omega) -> NodeFields:
+    """The optics -> many-body chain at every node of (delta_p, omega).
+
+    delta_p and omega are floats or arrays that broadcast together; the
+    other knobs come from base.  The fields of base that do not depend on
+    the node are validated once (DomainError if one is bad, one
+    ModulationWarning per call).  Each node is then evaluated in numpy and
+    given a status: POLE within EPS_POLE of the Lambda or Xi pole, DOMAIN
+    where v_g lies outside (0, v), |Re m| < EPS_MASS, V1/E_R < 0, J/E_R
+    underflows to 0 or the node is not finite, else OK.  A bad node is
+    marked, never raised.  The values agree with the scalar chain
+    (optics.validate_config -> effective_params -> lieb_liniger_gamma,
+    lattice_depth_ratio -> many_body.make_point) to rounding.
+    """
+    optics.validate_config(base, node=False)
+    c = base
+    # a float or 0-d array becomes a numpy scalar, on which arithmetic is
+    # ten times cheaper than on a 0-d array; any other input an array
+    dp = np.float64(delta_p)
+    om = np.float64(omega)
+    gamma = c.gamma_total
+    gamma_1d = c.gamma_1d_ratio * gamma
+    g1d_sq = c.gamma_1d_ratio**2
+    n1 = c.n1_fraction * c.n0
+    mb = many_body
+    with np.errstate(all="ignore"):
+        # optics: the closed forms of optics.py, in the same operation order
+        om_sq = om**2
+        lam_denom = om_sq - c.delta_small * c.delta0 / 2
+        xi_denom = dp - c.delta_small
+        lam = om_sq / lam_denom
+        xi = (dp - c.delta_small / 2) / xi_denom
+        gamma_signed = -(lam**2 * xi / 8) * (g1d_sq / (c.delta0 * dp)) \
+            * (c.n0 / c.n_ph)
+        s = ((lam / (8 * math.pi**2)) * (g1d_sq / om_sq)
+             * (c.delta_small / c.delta0) * (c.n0 * n1 / c.n_ph**2))
+        v_g = 4 * (om * gamma)**2 / (gamma_1d * c.n0)
+        m_real = -c.delta_omega / (2 * c.v * v_g) - gamma_1d * c.n0 / (
+            4 * (c.delta0 * gamma) * v_g)
+        kappa = c.n_ph**2 * v_g * gamma / (c.n0 * gamma_1d)
+
+        # many-body: the closed forms of many_body.py
+        g = abs(gamma_signed)
+        lattice = s > 0
+        # J and U are 0 at s = 0 as written, and U/J is 0 there as in
+        # make_point; s < 0 is a DOMAIN node
+        j = 4 * s**0.75 * np.exp(-2 * np.sqrt(s)) / math.sqrt(math.pi)
+        u = math.sqrt(2 / math.pi**3) * s**0.25 * g
+        uj = _where(lattice, u / j, 0.0)
+        rad = g - g**1.5 / (2 * math.pi)
+        k_valid = (0 < g) & (g <= mb.GAMMA_K_MAX) & (rad > 0)
+        k = _where(k_valid, math.pi / np.sqrt(rad), math.nan)
+
+        finite_node = _finite(dp) & _finite(om)
+        pole = finite_node & ((abs(lam_denom) <= optics.EPS_POLE)
+                              | (abs(xi_denom) <= optics.EPS_POLE))
+        # NaN fails every comparison; an infinite s makes U/J NaN
+        in_domain = finite_node & (0 < v_g) & (v_g < c.v) \
+            & (abs(m_real) >= optics.EPS_MASS) & (s >= 0) \
+            & _finite(gamma_signed) & _finite(uj)
+        ok = in_domain & ~pole
+        status = POLE * pole + DOMAIN * ~(in_domain | pole)
+
+        sg = ok & (g >= mb.SG_GAMMA_MIN) & (g <= mb.SG_GAMMA_MAX) \
+            & (s < mb.SG_DEPTH_MAX)
+        bh = ok & (g <= mb.BH_GAMMA_MAX) & (s >= mb.BH_DEPTH_MIN)
+        # max(0, 2K - 4); K is defined wherever sg holds
+        sg_crit = _where(k > 2, 2 * k - 4, 0.0)
+        phase = _where(
+            bh, _where(uj >= mb.UJ_CRITICAL, _MOTT_BH, _SF),
+            _where(sg, _where(lattice & (s >= sg_crit), _MOTT_SG, _SF),
+                   _INDETERMINATE))
+        if isinstance(ok, np.ndarray):
+            dp, om = np.broadcast_arrays(dp, om)
+
+        keep = _where(ok, 1.0, math.nan)   # x * keep is x, or NaN if bad
+        return NodeFields(
+            delta_p=dp, omega=om, status=status,
+            gamma_signed=gamma_signed * keep, gamma_abs=g * keep,
+            v1_over_er=s * keep, k_luttinger=k * keep, j_over_er=j * keep,
+            u_over_er=u * keep, u_over_j=uj * keep, v_g=v_g * keep,
+            kappa=kappa * keep, sg_valid=sg, bh_valid=bh,
+            k_formula_valid=ok & k_valid, sign_warning=ok & (gamma_signed < 0),
+            phase=phase,
+            f_bh=_where(bh, uj - mb.UJ_CRITICAL, math.nan),
+            f_sg=_where(sg, s - sg_crit, math.nan),
+        )
+
+
+def evaluate_grid(spec: GridSpec) -> NodeFields:
+    """evaluate() on the grid of spec, indexed [delta_p, omega].
+
+    Raises ConfigError when a node-independent field of spec.base is bad.
+    """
     try:
-        vc = optics.validate_config(cfg)
-        params = optics.effective_params(vc)
-        gam = optics.lieb_liniger_gamma(vc)
-        depth = optics.lattice_depth_ratio(vc)
-    except PoleError as exc:
-        return SweepRecord(delta_p, omega, math.nan, None, math.nan,
-                           math.nan, error=str(exc))
-    point = many_body.make_point(gam.magnitude, depth,
-                                 sign_warning=gam.negative)
-    return SweepRecord(delta_p, omega, gam.signed, point,
-                       params.v_g, params.kappa)
+        return evaluate(spec.base, spec.delta_p_values()[:, None],
+                        spec.omega_values()[None, :])
+    except DomainError as exc:
+        raise ConfigError(f"invalid base config: {exc}") from exc
 
 
 def sweep_grid(spec: GridSpec) -> list[SweepRecord]:
     """Evaluate the full pipeline at every grid node, row-major in (Delta_p, Omega).
 
-    Pole-adjacent nodes are emitted as records with an error marker.
+    POLE and DOMAIN nodes are emitted as records with an error marker.
     """
-    try:
-        optics.validate_config(replace(spec.base, delta_p=spec.delta_p_range[0],
-                                       omega=spec.omega_range[1]))
-    except PoleError:
-        pass  # individual nodes will carry the marker
-    except DomainError as exc:
-        raise ConfigError(f"invalid base config: {exc}") from exc
+    nodes = evaluate_grid(spec)
+    columns = (nodes.delta_p, nodes.omega, nodes.status, nodes.gamma_signed,
+               nodes.gamma_abs, nodes.v1_over_er, nodes.k_luttinger,
+               nodes.j_over_er, nodes.u_over_er, nodes.u_over_j, nodes.v_g,
+               nodes.kappa, nodes.phase, nodes.flag_codes())
     records = []
-    for dp in spec.delta_p_values():
-        for om in spec.omega_values():
-            records.append(_evaluate_node(spec.base, float(dp), float(om)))
+    for dp, om, st, gs, g, s, k, j, u, uj, v_g, kappa, ph, fc in zip(
+            *(np.ravel(a).tolist() for a in columns)):
+        if st != OK:
+            records.append(SweepRecord(dp, om, math.nan, None, math.nan,
+                                       math.nan, error=STATUS_ERRORS[st]))
+            continue
+        flags = _FLAGS[fc]
+        # the math.nan object, as make_point gives, keeps equal records equal
+        k = k if flags.k_formula_valid else math.nan
+        point = many_body.ManyBodyPoint(g, s, k, j, u, uj, PHASES[ph], flags)
+        records.append(SweepRecord(dp, om, gs, point, v_g, kappa))
     return records
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
             f_lo: float, f_hi: float) -> float:
-    """Bracketed bisection with a secant acceleration attempt per iteration."""
+    """Bracketed root of f by false position with the Illinois rule.
+
+    An end kept twice in a row has its value halved, so both ends close in
+    on the root; a step that does not fall inside the bracket bisects.
+    """
+    kept = 0    # -1: lo moved last, so hi was kept; +1: the reverse
     while hi - lo > ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        # secant candidate, kept only if it falls safely inside the bracket
-        if f_hi != f_lo:
-            sec = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if lo + 0.1 * (hi - lo) < sec < hi - 0.1 * (hi - lo):
-                mid = sec
+        mid = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid == 0:
             return mid
         if (f_lo < 0) == (f_mid < 0):
             lo, f_lo = mid, f_mid
+            if kept < 0:
+                f_hi /= 2
+            kept = -1
         else:
             hi, f_hi = mid, f_mid
+            if kept > 0:
+                f_lo /= 2
+            kept = 1
     return 0.5 * (lo + hi)
 
 
 def _uj_at(base: optics.OpticalConfig, delta_p: float, omega: float) -> float:
-    cfg = replace(base, delta_p=delta_p, omega=omega)
-    vc = optics.validate_config(cfg)
-    gam = optics.lieb_liniger_gamma(vc)
-    depth = optics.lattice_depth_ratio(vc)
-    return many_body.uj_closed_form(depth, gam.magnitude)
+    return float(evaluate(base, delta_p, omega).u_over_j)
 
 
 def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
@@ -137,13 +333,21 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
     if not (hi > lo):
         raise NoBracket(f"degenerate bracket {bracket}")
     _check_pole_free(base, lo, hi)
-    f = lambda om: _uj_at(base, delta_p, om) - many_body.UJ_CRITICAL
-    f_lo, f_hi = f(lo), f(hi)
-    if (f_lo < 0) == (f_hi < 0):
+    ends = [evaluate(base, delta_p, om) for om in (lo, hi)]  # two scalar
+    for end in ends:                   # calls cost less than a 2-node array
+        end.require_ok()
+    uj_lo, uj_hi = (float(end.u_over_j) for end in ends)
+    # U/J is 0 without a lattice, and 0 at one end means 0 at both
+    if not (uj_lo > 0 and (uj_lo < many_body.UJ_CRITICAL)
+            != (uj_hi < many_body.UJ_CRITICAL)):
         raise NoBracket(
             f"U/J - {many_body.UJ_CRITICAL} has no sign change over {bracket}"
         )
-    root = _bisect(f, lo, hi, f_lo, f_hi)
+    # U/J grows like exp(2 sqrt(V1/E_R)); false position on its log, which
+    # is near linear in Omega, takes about half the steps
+    f = lambda om: math.log(_uj_at(base, delta_p, om) / many_body.UJ_CRITICAL)
+    root = _bisect(f, lo, hi, math.log(uj_lo / many_body.UJ_CRITICAL),
+                   math.log(uj_hi / many_body.UJ_CRITICAL))
     residual = abs(_uj_at(base, delta_p, root) - many_body.UJ_CRITICAL)
     if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
@@ -151,20 +355,6 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
             f"exceeds {RESIDUAL_TOL}"
         )
     return root
-
-
-def _sg_excess(base: optics.OpticalConfig, delta_p: float,
-               omega: float) -> tuple[float, bool, float, float]:
-    """(V1/E_R - critical depth, in-sG-window, gamma, depth) at one point."""
-    cfg = replace(base, delta_p=delta_p, omega=omega)
-    vc = optics.validate_config(cfg)
-    gam = optics.lieb_liniger_gamma(vc)
-    depth = optics.lattice_depth_ratio(vc)
-    flags = many_body.regime_flags(gam.magnitude, depth)
-    if not flags.sg_valid:
-        return math.nan, False, gam.magnitude, depth
-    return depth - many_body.sg_critical_depth(gam.magnitude), True, \
-        gam.magnitude, depth
 
 
 def find_pinning_crossing(
@@ -181,27 +371,27 @@ def find_pinning_crossing(
     if not (hi > lo):
         raise NoBracket(f"degenerate bracket {bracket}")
     _check_pole_free(base, lo, hi)
-    omegas = np.linspace(lo, hi, scan_points)
-    vals = [_sg_excess(base, delta_p, float(om)) for om in omegas]
-    valid_idx = [i for i, v in enumerate(vals) if v[1]]
-    if not valid_idx:
+    scan = evaluate(base, delta_p, np.linspace(lo, hi, scan_points))
+    scan.require_ok()
+    if not scan.sg_valid.any():
         raise RegimeError(
             f"bracket {bracket} at Delta_p = {delta_p} lies entirely outside "
             "the sine-Gordon validity window"
         )
-    for i, j in zip(valid_idx[:-1], valid_idx[1:]):
-        if j != i + 1:
-            continue
-        f_i, f_j = vals[i][0], vals[j][0]
-        if (f_i < 0) != (f_j < 0):
-            f = lambda om: _sg_excess(base, delta_p, om)[0]
-            root = _bisect(f, float(omegas[i]), float(omegas[j]), f_i, f_j)
-            _, _, gamma_abs, depth = _sg_excess(base, delta_p, root)
-            return root, gamma_abs, depth
-    raise NoBracket(
-        f"no sign change of the pinning criterion over {bracket} "
-        f"at Delta_p = {delta_p}"
-    )
+    f_scan, valid = scan.f_sg, scan.sg_valid
+    changes = np.flatnonzero(valid[:-1] & valid[1:]
+                             & ((f_scan[:-1] < 0) != (f_scan[1:] < 0)))
+    if not changes.size:
+        raise NoBracket(
+            f"no sign change of the pinning criterion over {bracket} "
+            f"at Delta_p = {delta_p}"
+        )
+    i = changes[0]
+    f = lambda om: float(evaluate(base, delta_p, om).f_sg)
+    root = _bisect(f, float(scan.omega[i]), float(scan.omega[i + 1]),
+                   float(f_scan[i]), float(f_scan[i + 1]))
+    at = evaluate(base, delta_p, root)
+    return root, float(at.gamma_abs), float(at.v1_over_er)
 
 
 def _check_pole_free(base: optics.OpticalConfig, lo: float, hi: float):
@@ -219,27 +409,6 @@ def _check_pole_free(base: optics.OpticalConfig, lo: float, hi: float):
 class BoundaryPolyline:
     model: str                     # "BH" or "SG"
     vertices: list[tuple[float, float]]   # (delta_p, omega) pairs, ordered
-
-
-def _decision_fields(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(f_bh, f_sg) on the grid; NaN where the node is outside the window."""
-    dps = spec.delta_p_values()
-    oms = spec.omega_values()
-    f_bh = np.full((dps.size, oms.size), np.nan)
-    f_sg = np.full((dps.size, oms.size), np.nan)
-    for i, dp in enumerate(dps):
-        for j, om in enumerate(oms):
-            rec = _evaluate_node(spec.base, float(dp), float(om))
-            if rec.error is not None or rec.point is None:
-                continue
-            p = rec.point
-            if p.flags.bh_valid:
-                f_bh[i, j] = p.u_over_j - many_body.UJ_CRITICAL
-            if p.flags.sg_valid:
-                f_sg[i, j] = p.v1_over_er - many_body.sg_critical_depth(
-                    p.gamma_abs
-                )
-    return f_bh, f_sg
 
 
 def _marching_squares(xs: np.ndarray, ys: np.ndarray,
@@ -306,13 +475,18 @@ def _marching_squares(xs: np.ndarray, ys: np.ndarray,
     return polylines
 
 
-def phase_boundaries(spec: GridSpec) -> list[BoundaryPolyline]:
-    """Zero contours of both decision functions, tagged by model of origin."""
+def phase_boundaries(spec: GridSpec,
+                     nodes: NodeFields | None = None) -> list[BoundaryPolyline]:
+    """Zero contours of both decision functions, tagged by model of origin.
+
+    nodes, when given, is evaluate_grid(spec), already computed.
+    """
     dps = spec.delta_p_values()
     oms = spec.omega_values()
-    f_bh, f_sg = _decision_fields(spec)
+    if nodes is None:
+        nodes = evaluate_grid(spec)
     out = []
-    for model, f in (("BH", f_bh), ("SG", f_sg)):
+    for model, f in (("BH", nodes.f_bh), ("SG", nodes.f_sg)):
         for chain in _marching_squares(dps, oms, f):
             out.append(BoundaryPolyline(model, [(float(x), float(y))
                                                 for x, y in chain]))

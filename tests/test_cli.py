@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polariton_phases import sweep
 from polariton_phases.cli import main
-from polariton_phases.config import default_config, from_dict, load_config
-from polariton_phases.errors import ParseError, UnknownKey
+from polariton_phases.config import (
+    RunConfig,
+    default_config,
+    from_dict,
+    load_config,
+)
+from polariton_phases.errors import ParseError, PolaritonError, UnknownKey
 
 
 SMALL_CONFIG = {
@@ -74,6 +81,55 @@ class TestConfigParsing:
             default_config().hash()
 
 
+    @pytest.mark.parametrize("doc", [
+        {"sweep": {"delta_p_range": [2.0, 100.0]}},
+        {"sweep": {"omega_range": [0.5, 3.0, 2.5]}},
+        {"sweep": {"omega_range": [0.5, 3.0, -1]}},
+        {"nlse": {"record_every": 0}},
+        {"sweep": {"omega_range": "0.5-3"}},
+        {"ed": {"sizes": 4}},
+        {"ed": {"ratios": [1.0, "2"]}},
+        {"ed": {"n_max": 4.0}},
+        {"ed": {"periodic": 1}},
+        {"nlse": {"grid_points": "abc"}},
+        {"nlse": {"steps": True}},
+        {"nlse": {"dt": math.nan}},
+        {"nlse": {"schedule": [[0.0, 1.0]]}},
+        {"optics": {"n0": "1e7"}},
+        {"optics": {"n0": True}},
+        {"output": {"emit_plot_script": "yes"}},
+        {"ed": [4, 6]},
+    ])
+    def test_wrong_value_types_rejected(self, doc):
+        with pytest.raises(ParseError):
+            from_dict(doc)
+
+
+# JSON-like documents over the schema's section and key names
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+_KEYS = {name: sorted(section) for name, section in default_config()
+         .resolved().items()}
+_sections = st.fixed_dictionaries({}, optional={
+    name: st.dictionaries(st.sampled_from(keys), _json, max_size=4) | _json
+    for name, keys in _KEYS.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_sections, _json))
+def test_from_dict_returns_config_or_package_error(doc):
+    try:
+        cfg = from_dict(doc)
+    except PolaritonError:
+        return
+    assert isinstance(cfg, RunConfig)
+    cfg.hash()
+
+
 class TestSubcommands:
     def test_map(self, tmp_path):
         code, out = run(tmp_path, "map")
@@ -100,6 +156,31 @@ class TestSubcommands:
             "v1_over_er,k_luttinger,j_over_er,u_over_er,u_over_j,"
             "v_g_m_per_s,kappa_per_s,phase,flags")
         assert len(lines) == 2 + 8 * 8
+
+    def test_sweep_marks_out_of_domain_nodes(self, tmp_path):
+        # at n0 = 5 /m the group velocity exceeds v above Omega ~ 1.94
+        code, out = run(tmp_path, "sweep", {
+            "optics": {"n0": 5.0},
+            "sweep": {"delta_p_range": [20.0, 100.0, 4],
+                      "omega_range": [0.5, 3.0, 6]}})
+        assert code == 0
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 24
+        domain = [r for r in rows if r[12] == "DOMAIN"]
+        assert {float(r[1]) for r in domain} == {2.0, 2.5, 3.0}
+        for r in domain:
+            assert r[2:11] == ["nan"] * 9 and r[11] == ""
+        assert all(r[11] for r in rows if r[12] != "DOMAIN")
+
+    def test_phase_evaluates_grid_once(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate = sweep.evaluate
+        monkeypatch.setattr(sweep, "evaluate",
+                            lambda *a: calls.append(a) or evaluate(*a))
+        code, _ = run(tmp_path, "phase", SMALL_CONFIG)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_crossing_root_file(self, tmp_path):
         code, out = run(tmp_path, "crossing", {
@@ -146,6 +227,10 @@ class TestSubcommands:
 
     def test_invalid_config_exit_code(self, tmp_path):
         code, _ = run(tmp_path, "map", {"optics": {"n_ph": 0.0}})
+        assert code == 2
+        code, _ = run(tmp_path, "ed", {"ed": {"sizes": 4}})
+        assert code == 2
+        code, _ = run(tmp_path, "nlse", {"nlse": {"grid_points": "abc"}})
         assert code == 2
 
     def test_non_finite_optics_exit_code(self, tmp_path):

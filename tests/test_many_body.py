@@ -90,6 +90,8 @@ class TestBhParams:
             bh_params(-1.0, 0.5)
         with pytest.raises(DomainError):
             bh_params(1.0, -0.5)
+        with pytest.raises(DomainError):    # J/E_R underflows to 0
+            bh_params(2e5, 0.5)
 
     def test_uj_matches_closed_form(self, rng):
         for _ in range(10_000):
@@ -131,6 +133,18 @@ class TestClassification:
             flags = regime_flags(10 ** rng.uniform(-3, 1),
                                  10 ** rng.uniform(-2, 2))
             assert not (flags.sg_valid and flags.bh_valid)
+
+    def test_corner_belongs_to_bh(self):
+        # at |gamma| = 1, V1/E_R = 3 both windows would hold
+        p = make_point(1.0, 3.0)
+        assert p.flags.bh_valid and not p.flags.sg_valid
+        assert p.phase is Phase.SUPERFLUID
+        assert regime_flags(1.0, math.nextafter(3.0, 0.0)).sg_valid
+
+    def test_non_finite_coordinates_rejected(self):
+        for gamma_abs, depth in ((math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                make_point(gamma_abs, depth)
 
     def test_overlapping_flags_rejected(self):
         with pytest.raises(DomainError):

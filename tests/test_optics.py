@@ -57,10 +57,21 @@ class TestValidation:
         "delta_p", "omega", "delta0", "delta_small", "delta_omega",
         "gamma_total", "n0",
     ])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, pytest.param(10**400, id="int1e400")])
     def test_non_finite_fields_rejected(self, baseline, field, value):
         with pytest.raises(DomainError):
             validate_config(with_(baseline, **{field: value}))
+
+    def test_node_fields_left_to_the_node(self, baseline):
+        # node=False checks every field but delta_p and omega, and no pole
+        for node_kw in ({"delta_p": math.nan},
+                        {"delta_p": baseline.delta_small},
+                        {"omega": math.sqrt(baseline.delta_small
+                                            * baseline.delta0 / 2)}):
+            validate_config(with_(baseline, **node_kw), node=False)
+        with pytest.raises(DomainError):
+            validate_config(with_(baseline, n0=math.nan), node=False)
 
     def test_large_modulation_warns(self, baseline):
         with pytest.warns(ModulationWarning):

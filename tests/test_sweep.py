@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from polariton_phases import many_body, optics, sweep
 from polariton_phases.errors import (
     ConfigError,
+    DomainError,
     EmptyBoundary,
+    ModulationWarning,
     NoBracket,
     NoConvergence,
     PoleError,
@@ -20,7 +23,7 @@ from polariton_phases.sweep import (
     sweep_grid,
 )
 
-from conftest import with_
+from conftest import random_valid_config, with_
 
 
 def _grid(baseline, dp=(2.0, 100.0, 20), om=(0.5, 3.0, 20), **kw):
@@ -77,6 +80,121 @@ class TestSweepGrid:
     def test_determinism(self, baseline):
         spec = _grid(baseline, dp=(10.0, 60.0, 5), om=(0.8, 2.0, 5))
         assert sweep_grid(spec) == sweep_grid(spec)
+
+
+def _scalar_chain(base, delta_p, omega):
+    """(status, gamma_signed, point, v_g, kappa) from the scalar public API."""
+    try:
+        vc = optics.validate_config(with_(base, delta_p=delta_p, omega=omega))
+        params = optics.effective_params(vc)
+        gam = optics.lieb_liniger_gamma(vc)
+        depth = optics.lattice_depth_ratio(vc)
+        point = many_body.make_point(gam.magnitude, depth,
+                                     sign_warning=gam.negative)
+    except PoleError:
+        return sweep.POLE, None, None, None, None
+    except DomainError:
+        return sweep.DOMAIN, None, None, None, None
+    return sweep.OK, gam.signed, point, params.v_g, params.kappa
+
+
+# A node where |gamma| = 1 and V1/E_R = 3 exactly, the corner of both windows
+CORNER = dict(n1_fraction=0.028868592873186362, delta_p=10.524397511341714,
+              omega=1.0)
+
+
+class TestEvaluate:
+    FIELDS = ("gamma_abs", "v1_over_er", "k_luttinger", "j_over_er",
+              "u_over_er", "u_over_j")
+
+    def _assert_matches_scalar(self, nodes, idx, base):
+        dp, om = float(nodes.delta_p[idx]), float(nodes.omega[idx])
+        status, signed, point, v_g, kappa = _scalar_chain(base, dp, om)
+        assert nodes.status[idx] == status, (dp, om)
+        if status != sweep.OK:
+            assert math.isnan(nodes.gamma_abs[idx])
+            assert not (nodes.sg_valid[idx] or nodes.bh_valid[idx])
+            return
+        assert sweep.PHASES[nodes.phase[idx]] is point.phase
+        assert sweep._FLAGS[nodes.flag_codes()[idx]] == point.flags
+        pairs = [(nodes.gamma_signed[idx], signed), (nodes.v_g[idx], v_g),
+                 (nodes.kappa[idx], kappa)]
+        pairs += [(getattr(nodes, f)[idx], getattr(point, f))
+                  for f in self.FIELDS]
+        for got, want in pairs:
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_matches_scalar_chain(self, rng):
+        # random configs; the grid holds both poles, nodes within and just
+        # outside EPS_POLE of the Lambda pole, nodes below it (negative
+        # depth) and Omega = 0 (v_g = 0)
+        for _ in range(12):
+            base = random_valid_config(rng)
+            pole = math.sqrt(base.delta_small * base.delta0 / 2)
+            dps = np.concatenate([[base.delta_small, -20.0],
+                                  rng.uniform(0.5, 100.0, 8)])
+            oms = np.concatenate([[0.0, pole, pole + 1e-12, pole - 1e-12,
+                                   pole + 1e-3, pole - 1e-3],
+                                  rng.uniform(0.3, 3.0, 8)])
+            nodes = sweep.evaluate(base, dps[:, None], oms[None, :])
+            assert nodes.status.shape == (dps.size, oms.size)
+            for idx in np.ndindex(nodes.status.shape):
+                self._assert_matches_scalar(nodes, idx, base)
+            assert {sweep.POLE, sweep.DOMAIN, sweep.OK} <= set(
+                nodes.status.ravel().tolist())
+
+    def test_scalar_node_matches_scalar_chain(self, rng):
+        for _ in range(50):
+            base = random_valid_config(rng)
+            node = sweep.evaluate(base, base.delta_p, base.omega)
+            assert np.ndim(node.u_over_j) == 0
+            as_grid = sweep.NodeFields(*(np.atleast_1d(getattr(node, f))
+                                         for f in node.__slots__))
+            self._assert_matches_scalar(as_grid, 0, base)
+
+    def test_bad_base_raises_once(self, baseline):
+        with pytest.raises(DomainError):
+            sweep.evaluate(with_(baseline, n_ph=0.0), 50.0, 1.0)
+        # the base's own node may sit on a pole: only the grid nodes count
+        at_pole = with_(baseline, delta_p=baseline.delta_small)
+        assert sweep.evaluate(at_pole, 50.0, 1.0).status == sweep.OK
+
+    def test_out_of_domain_nodes_marked_not_raised(self, baseline):
+        # at n0 = 5 /m the group velocity exceeds v above Omega ~ 1.94
+        spec = _grid(baseline, dp=(2.0, 100.0, 5), om=(0.5, 3.0, 11), n0=5.0)
+        recs = sweep_grid(spec)
+        assert len(recs) == 55
+        for rec in recs:
+            status = _scalar_chain(spec.base, rec.delta_p, rec.omega)[0]
+            if status == sweep.DOMAIN:
+                assert rec.point is None and rec.error.startswith("DOMAIN")
+                assert math.isnan(rec.v_g)
+            else:
+                assert rec.point is not None and rec.error is None
+        domain = {rec.omega for rec in recs if rec.point is None}
+        assert domain == {om for om in spec.omega_values() if om > 1.94}
+
+    def test_one_modulation_warning_per_sweep(self, baseline):
+        spec = _grid(baseline, dp=(2.0, 100.0, 10), om=(0.5, 3.0, 10),
+                     n1_fraction=0.6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep_grid(spec)
+        assert [w.category for w in caught] == [ModulationWarning]
+
+    def test_regime_corner_node(self, baseline):
+        base = with_(baseline, n1_fraction=CORNER["n1_fraction"])
+        dp, om = CORNER["delta_p"], CORNER["omega"]
+        spec = GridSpec((dp, dp + 10.0, 3), (om, om + 0.5, 3), base)
+        rec = sweep_grid(spec)[0]
+        assert (rec.delta_p, rec.omega) == (dp, om)
+        assert (rec.point.gamma_abs, rec.point.v1_over_er) == (1.0, 3.0)
+        assert rec.point.flags.bh_valid and not rec.point.flags.sg_valid
+        assert rec.point.phase is many_body.Phase.SUPERFLUID
+        assert rec.point == _scalar_chain(base, dp, om)[2]
 
 
 class TestMottCrossing:
