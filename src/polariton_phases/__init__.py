@@ -9,7 +9,6 @@ diagonalization (bh_ed).
 
 from .optics import (
     OpticalConfig,
-    ValidatedConfig,
     EffectiveParams,
     validate_config,
     effective_params,
@@ -37,7 +36,7 @@ from .sweep import (
 from . import bh_ed, nlse, errors
 
 __all__ = [
-    "OpticalConfig", "ValidatedConfig", "EffectiveParams",
+    "OpticalConfig", "EffectiveParams",
     "validate_config", "effective_params", "lieb_liniger_gamma",
     "lattice_depth_ratio",
     "ManyBodyPoint", "Phase", "RegimeFlags", "bh_params", "classify",

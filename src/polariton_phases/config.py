@@ -14,32 +14,6 @@ from .optics import OpticalConfig, validate_config
 
 log = logging.getLogger("polariton_phases")
 
-SWEEP_DEFAULTS = {
-    "delta_p_range": [2.0, 100.0, 50],
-    "omega_range": [0.5, 3.0, 50],
-}
-NLSE_DEFAULTS = {
-    "v1_over_er": None,       # None: derive from the optics map
-    "g_int": None,
-    "kappa_dimless": 0.0,
-    "n_periods": 8,
-    "grid_points": 256,
-    "schedule": [],
-    "dt": 1e-3,
-    "steps": 2000,
-    "record_every": 10,
-}
-ED_DEFAULTS = {
-    "sizes": [4, 6],
-    "ratios": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
-    "n_max": 4,
-    "periodic": True,
-}
-OUTPUT_DEFAULTS = {
-    "directory": "out",
-    "emit_plot_script": False,
-}
-
 
 def _is_number(x) -> bool:
     """A finite JSON number (bool is not one)."""
@@ -67,42 +41,45 @@ def _is_range(x) -> bool:
             and _is_number(x[1]) and _is_int(x[2]) and x[2] >= 2)
 
 
-def _is_optional_number(x) -> bool:
-    return x is None or _is_number(x)
-
-
-# (check, description) of the value of every key.
+# (check, description) of a valid value.
 _NUMBER = (_is_number, "a finite number")
+_OPTIONAL_NUMBER = (lambda x: x is None or _is_number(x),
+                    "a finite number or null")
 _INT = (_is_int, "an integer")
 _BOOL = (lambda x: isinstance(x, bool), "true or false")
-VALUE_TYPES = {
-    "optics": {f.name: _NUMBER for f in dataclasses.fields(OpticalConfig)},
+_RANGE = (_is_range, "[min, max, integer count >= 2]")
+# Every key of every section: (default, check, description of a valid value).
+SECTIONS = {
+    "optics": {f.name: (f.default, *_NUMBER)
+               for f in dataclasses.fields(OpticalConfig)},
     "sweep": {
-        "delta_p_range": (_is_range, "[min, max, integer count >= 2]"),
-        "omega_range": (_is_range, "[min, max, integer count >= 2]"),
+        "delta_p_range": ([2.0, 100.0, 50], *_RANGE),
+        "omega_range": ([0.5, 3.0, 50], *_RANGE),
     },
     "nlse": {
-        "v1_over_er": (_is_optional_number, "a finite number or null"),
-        "g_int": (_is_optional_number, "a finite number or null"),
-        "kappa_dimless": _NUMBER,
-        "n_periods": _INT,
-        "grid_points": _INT,
-        "schedule": (_list_of(_list_of(_is_number, 4)),
+        # None: derive from the optics map
+        "v1_over_er": (None, *_OPTIONAL_NUMBER),
+        "g_int": (None, *_OPTIONAL_NUMBER),
+        "kappa_dimless": (0.0, *_NUMBER),
+        "n_periods": (8, *_INT),
+        "grid_points": (256, *_INT),
+        "schedule": ([], _list_of(_list_of(_is_number, 4)),
                      "a list of [tau, v1_over_er, g_int, kappa] entries"),
-        "dt": _NUMBER,
-        "steps": _INT,
-        "record_every": (lambda x: _is_int(x) and x >= 1,
+        "dt": (1e-3, *_NUMBER),
+        "steps": (2000, *_INT),
+        "record_every": (10, lambda x: _is_int(x) and x >= 1,
                          "an integer >= 1"),
     },
     "ed": {
-        "sizes": (_list_of(_is_int), "a list of integers"),
-        "ratios": (_list_of(_is_number), "a list of finite numbers"),
-        "n_max": _INT,
-        "periodic": _BOOL,
+        "sizes": ([4, 6], _list_of(_is_int), "a list of integers"),
+        "ratios": ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+                   _list_of(_is_number), "a list of finite numbers"),
+        "n_max": (4, *_INT),
+        "periodic": (True, *_BOOL),
     },
     "output": {
-        "directory": (lambda x: isinstance(x, str), "a string"),
-        "emit_plot_script": _BOOL,
+        "directory": ("out", lambda x: isinstance(x, str), "a string"),
+        "emit_plot_script": (False, *_BOOL),
     },
 }
 
@@ -130,19 +107,22 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _merge_section(name: str, given, defaults: dict) -> dict:
+def _merge_section(doc: dict, name: str) -> dict:
+    given = doc.get(name, {})
     if not isinstance(given, dict):
         raise ParseError(f"section '{name}' must be a JSON object")
-    unknown = set(given) - set(defaults)
+    keys = SECTIONS[name]
+    unknown = set(given) - set(keys)
     if unknown:
         raise UnknownKey(f"unknown key(s) in section '{name}': {sorted(unknown)}")
-    merged = dict(defaults)
-    for key, default in defaults.items():
+    merged = {}
+    for key, (default, _, _) in keys.items():
         if key in given:
             merged[key] = given[key]
         else:
+            merged[key] = default
             log.info("config: %s.%s defaulted to %r", name, key, default)
-    for key, (check, kind) in VALUE_TYPES[name].items():
+    for key, (_, check, kind) in keys.items():
         if key in given and not check(given[key]):
             raise ParseError(f"{name}.{key} must be {kind}, "
                              f"got {given[key]!r}")
@@ -167,14 +147,11 @@ def load_config(path) -> RunConfig:
 def from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
-    known_sections = {"optics", "sweep", "nlse", "ed", "output"}
-    unknown = set(doc) - known_sections
+    unknown = set(doc) - set(SECTIONS)
     if unknown:
         raise UnknownKey(f"unknown top-level section(s): {sorted(unknown)}")
 
-    optics_defaults = dataclasses.asdict(OpticalConfig())
-    optics_fields = _merge_section("optics", doc.get("optics", {}),
-                                   optics_defaults)
+    optics_fields = _merge_section(doc, "optics")
     try:
         optics = OpticalConfig(**optics_fields)
         validate_config(optics)
@@ -183,11 +160,10 @@ def from_dict(doc: dict) -> RunConfig:
 
     return RunConfig(
         optics=optics,
-        sweep=_merge_section("sweep", doc.get("sweep", {}), SWEEP_DEFAULTS),
-        nlse=_merge_section("nlse", doc.get("nlse", {}), NLSE_DEFAULTS),
-        ed=_merge_section("ed", doc.get("ed", {}), ED_DEFAULTS),
-        output=_merge_section("output", doc.get("output", {}),
-                              OUTPUT_DEFAULTS),
+        sweep=_merge_section(doc, "sweep"),
+        nlse=_merge_section(doc, "nlse"),
+        ed=_merge_section(doc, "ed"),
+        output=_merge_section(doc, "output"),
     )
 
 

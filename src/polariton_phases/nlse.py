@@ -19,6 +19,10 @@ import numpy as np
 from .errors import BlowUp, ConfigError, DomainError, NoConvergence, NonFinite
 
 BLOWUP_FACTOR = 1e6
+# First imaginary-time step of ground_state; each later stage quarters it.
+GROUND_DT = 5e-3
+# Imaginary-time steps ground_state may take over all four stages.
+GROUND_MAX_STEPS = 200_000
 
 
 def interaction_strength(gamma_abs: float) -> float:
@@ -52,19 +56,14 @@ class NlseParams:
         """(s, g, kappa) at time tau, from the schedule if one is set."""
         if not self.schedule:
             return self.v1_over_er, self.g_int, self.kappa_dimless
-        ts = np.array([p[0] for p in self.schedule])
-        cols = np.array([p[1:] for p in self.schedule])
-        s, g, kap = (np.interp(tau, ts, cols[:, i]) for i in range(3))
-        return float(s), float(g), float(kap)
+        ts, *cols = zip(*self.schedule)
+        return tuple(float(np.interp(tau, ts, col)) for col in cols)
 
 
 @dataclass
 class FieldState:
     psi: np.ndarray            # complex amplitudes, unit-mean |psi|^2 convention
     time: float = 0.0
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.psi.copy(), self.time)
 
 
 @dataclass
@@ -81,26 +80,32 @@ def grid(params: NlseParams) -> np.ndarray:
     return np.arange(n) * (math.pi * params.n_periods / n)
 
 
-def _wavenumbers(params: NlseParams) -> np.ndarray:
+def _box(params: NlseParams) -> tuple[np.ndarray, np.ndarray]:
+    """k^2 of the FFT modes and cos^2(xi) on the grid of the periodic box."""
     n = params.grid_points
-    dx = math.pi * params.n_periods / n
-    return 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * params.n_periods / n)
+    return k**2, np.cos(grid(params)) ** 2
 
 
 def norm_of(psi: np.ndarray) -> float:
     return float(np.mean(np.abs(psi) ** 2))
 
 
+def _energy(spectrum: np.ndarray, psi: np.ndarray, k2: np.ndarray,
+            cos2: np.ndarray, s: float, g: float) -> float:
+    """Mean energy density of psi, whose FFT is spectrum.
+
+    The kinetic term mean|d psi|^2 is sum k^2 |spectrum|^2 / n^2 (Parseval).
+    """
+    dens = np.abs(psi) ** 2
+    kin = np.dot(k2, np.abs(spectrum) ** 2) / psi.size**2
+    return float(kin + np.mean((s * cos2 + 0.5 * g * dens) * dens))
+
+
 def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
     """Mean energy density: |d psi|^2 + s cos^2 |psi|^2 + (g/2)|psi|^4."""
     s, g, _ = params.coefficients(tau)
-    k = _wavenumbers(params)
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi))
-    xi = grid(params)
-    kin = np.mean(np.abs(dpsi) ** 2)
-    pot = np.mean(s * np.cos(xi) ** 2 * np.abs(psi) ** 2)
-    inter = 0.5 * g * np.mean(np.abs(psi) ** 4)
-    return float(kin + pot + inter)
+    return _energy(np.fft.fft(psi), psi, *_box(params), s, g)
 
 
 def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
@@ -126,30 +131,24 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     if norm_of(state.psi) <= 0:
         raise DomainError("initial state has zero norm")
     psi = np.asarray(state.psi, dtype=complex).copy()
-    xi = grid(params)
-    k2 = _wavenumbers(params) ** 2
+    k2, cos2 = _box(params)
     half_kin = np.exp(-1j * k2 * dt / 2)
-    cos2 = np.cos(xi) ** 2
     guard = BLOWUP_FACTOR * np.abs(psi).max()
 
     taus, norms, energies, contrasts = [], [], [], []
 
     def record(tau):
+        s, g, _ = params.coefficients(tau)
         taus.append(tau)
         norms.append(norm_of(psi))
-        energies.append(energy_of(psi, params, tau))
+        energies.append(_energy(np.fft.fft(psi), psi, k2, cos2, s, g))
         contrasts.append(contrast_of(psi, params))
 
     tau = state.time
     record(tau)
-    static = not params.schedule
-    if static:
-        s, g, kap = params.coefficients(tau)
-        loss = math.exp(-kap * dt / 2)
     for step in range(steps):
-        if not static:
-            s, g, kap = params.coefficients(tau + dt / 2)
-            loss = math.exp(-kap * dt / 2)
+        s, g, kap = params.coefficients(tau + dt / 2)
+        loss = math.exp(-kap * dt / 2)
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
         psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt) * loss
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
@@ -166,47 +165,46 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     return FieldState(psi, tau), obs
 
 
-def ground_state(params: NlseParams, tol: float = 1e-12, dt: float = 5e-3,
-                 max_iter: int = 200_000) -> FieldState:
+def ground_state(params: NlseParams, tol: float = 1e-12) -> FieldState:
     """Imaginary-time relaxation to the mean-field ground state.
 
     Renormalizes |psi|^2 back to unit spatial mean after every step and stops
     when the relative energy change per step drops below tol.  The time step
     is reduced in stages after each converged pass, removing the O(dt^2)
     splitting bias so the returned state is stationary under real-time
-    evolution.
+    evolution.  Each step starts from the spectrum the previous one ended
+    on, which also gives the energy: three FFTs per step.
     """
     if params.kappa_dimless != 0 or any(p[3] != 0 for p in params.schedule):
         raise DomainError("ground_state requires kappa = 0")
-    n = params.grid_points
     xi = grid(params)
-    k2 = _wavenumbers(params) ** 2
+    k2, cos2 = _box(params)
     s, g, _ = params.coefficients(0.0)
-    cos2 = np.cos(xi) ** 2
 
     # small symmetry-breaking seed so the lattice minima are found quickly
-    psi = np.ones(n, dtype=complex) + 0.05 * np.sin(xi) ** 2
+    psi = np.ones(params.grid_points, dtype=complex) + 0.05 * np.sin(xi) ** 2
     psi /= math.sqrt(norm_of(psi))
-    e_prev = energy_of(psi, params)
-    budget = max_iter
-    for stage_dt in (dt, dt / 4, dt / 16, dt / 64):
+    spectrum = np.fft.fft(psi)
+    e = _energy(spectrum, psi, k2, cos2, s, g)
+    budget = GROUND_MAX_STEPS
+    for stage_dt in (GROUND_DT, GROUND_DT / 4, GROUND_DT / 16, GROUND_DT / 64):
         half_kin = np.exp(-k2 * stage_dt / 2)
-        converged = False
-        while budget > 0:
+        e_prev = math.inf
+        # "not <=": a NaN energy never counts as converged
+        while not abs(e - e_prev) <= tol * max(abs(e), 1.0):
+            if budget == 0:
+                raise NoConvergence(
+                    f"imaginary time did not converge in {GROUND_MAX_STEPS} "
+                    "steps")
             budget -= 1
-            psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+            psi = np.fft.ifft(half_kin * spectrum)
             psi *= np.exp(-(s * cos2 + g * np.abs(psi) ** 2) * stage_dt)
-            psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-            psi /= math.sqrt(norm_of(psi))
-            e = energy_of(psi, params)
-            if abs(e - e_prev) <= tol * max(abs(e), 1.0):
-                converged = True
-                e_prev = e
-                break
-            e_prev = e
-        if not converged:
-            raise NoConvergence(
-                f"imaginary time did not converge in {max_iter} steps")
+            spectrum = half_kin * np.fft.fft(psi)
+            psi = np.fft.ifft(spectrum)
+            scale = math.sqrt(norm_of(psi))
+            psi /= scale
+            spectrum /= scale
+            e_prev, e = e, _energy(spectrum, psi, k2, cos2, s, g)
     return FieldState(psi, 0.0)
 
 

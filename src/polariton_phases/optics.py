@@ -3,7 +3,9 @@
 All detunings and Rabi frequencies are carried dimensionless, in units of the
 total upper-level decay rate Gamma.  Densities are in 1/m, speeds in m/s.
 Internally hbar = 1, so energies are rates; the derived potential and recoil
-energies are reported in units of hbar*Gamma.
+energies are reported in units of hbar*Gamma.  The closed forms
+(effective_params, lieb_liniger_gamma, lattice_depth_ratio) expect a config
+that has passed validate_config.
 """
 
 from __future__ import annotations
@@ -57,27 +59,16 @@ _base_values = attrgetter(*(f.name for f in fields(OpticalConfig)
                             if f.name not in NODE_FIELDS))
 
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """An OpticalConfig that has passed validate_config."""
-
-    cfg: OpticalConfig
-
-    def __getattr__(self, name):
-        return getattr(self.cfg, name)
-
-
 def validate_config(cfg: OpticalConfig, *,
-                    node: bool = True) -> ValidatedConfig:
-    """Check all invariants of OpticalConfig and tag it valid.
+                    node: bool = True) -> OpticalConfig:
+    """Check all invariants of OpticalConfig and return it.
 
     Raises DomainError for a field that is not a finite number and for
     non-positive rates/densities, PoleError when the parameters sit within
     EPS_POLE of a pole of the Lambda or Xi dressing factor.  Emits
     ModulationWarning (non-fatal) for n1/n0 > 0.5.  With node=False the
     node coordinates (NODE_FIELDS) and the poles, which depend on them, are
-    not checked and the tag does not cover them: the sweep evaluator checks
-    those at every node.
+    not checked: the sweep evaluator checks those at every node.
     """
     try:
         values = (_field_values if node else _base_values)(cfg)
@@ -105,7 +96,7 @@ def validate_config(cfg: OpticalConfig, *,
             stacklevel=2,
         )
     if not node:
-        return ValidatedConfig(cfg)
+        return cfg
     lam_denom = cfg.omega**2 - cfg.delta_small * cfg.delta0 / 2
     if abs(lam_denom) <= EPS_POLE:
         raise PoleError(
@@ -115,7 +106,7 @@ def validate_config(cfg: OpticalConfig, *,
         raise PoleError(
             "Delta_p = delta within epsilon: pole of the Xi factor"
         )
-    return ValidatedConfig(cfg)
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -156,13 +147,12 @@ def _dressing_factors(cfg: OpticalConfig) -> tuple[float, float]:
     return lam, xi
 
 
-def effective_params(vc: ValidatedConfig) -> EffectiveParams:
+def effective_params(cfg: OpticalConfig) -> EffectiveParams:
     """Evaluate the closed-form effective parameters of the polariton equation.
 
     Group velocity v_g = 4 Omega^2 / (Gamma_1D n0) in absolute units (the
     coupling g has been eliminated via Gamma_1D = 4 pi g^2 / v).
     """
-    cfg = vc.cfg
     gamma = cfg.gamma_total
     gamma_1d = cfg.gamma_1d_ratio * gamma          # 1/s
     omega_abs = cfg.omega * gamma                  # 1/s
@@ -214,14 +204,13 @@ def effective_params(vc: ValidatedConfig) -> EffectiveParams:
     )
 
 
-def lieb_liniger_gamma(vc: ValidatedConfig) -> LiebLinigerGamma:
+def lieb_liniger_gamma(cfg: OpticalConfig) -> LiebLinigerGamma:
     """Dimensionless interaction-to-kinetic ratio of the polariton gas.
 
     gamma = -(Lambda^2 Xi / 8) (Gamma_1D^2 / (Delta_0 Delta_p)) (n0 / n_ph).
     With all detunings positive the closed form is negative; downstream
     consumers take the magnitude and carry the sign as a flag.
     """
-    cfg = vc.cfg
     lam, xi = _dressing_factors(cfg)
     g1d = cfg.gamma_1d_ratio  # Gamma_1D/Gamma; ratio of ratios is scale-free
     signed = -(lam**2 * xi / 8) * (g1d**2 / (cfg.delta0 * cfg.delta_p)) * (
@@ -230,12 +219,11 @@ def lieb_liniger_gamma(vc: ValidatedConfig) -> LiebLinigerGamma:
     return LiebLinigerGamma(signed, abs(signed), signed < 0)
 
 
-def lattice_depth_ratio(vc: ValidatedConfig) -> float:
+def lattice_depth_ratio(cfg: OpticalConfig) -> float:
     """Lattice depth over recoil energy, V1/E_R, from the closed form.
 
     (Lambda / 8 pi^2) (Gamma_1D/Omega)^2 (delta/Delta_0) (n0 n1 / n_ph^2).
     """
-    cfg = vc.cfg
     lam, _ = _dressing_factors(cfg)
     n1 = cfg.n1_fraction * cfg.n0
     return (

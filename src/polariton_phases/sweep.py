@@ -28,6 +28,7 @@ from .errors import (
 
 ROOT_TOL = 1e-6          # |Delta Omega| tolerance, Gamma units
 RESIDUAL_TOL = 1e-4      # residual of the defining equation at the root
+PINNING_SCAN_POINTS = 64  # evenly spaced nodes of the pinning bracket scan
 
 
 @dataclass(frozen=True)
@@ -358,8 +359,7 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
 
 
 def find_pinning_crossing(
-    base: optics.OpticalConfig, delta_p: float,
-    bracket: tuple[float, float], scan_points: int = 64,
+    base: optics.OpticalConfig, delta_p: float, bracket: tuple[float, float],
 ) -> tuple[float, float, float]:
     """Omega*/Gamma of the sine-Gordon pinning transition inside the bracket.
 
@@ -371,7 +371,7 @@ def find_pinning_crossing(
     if not (hi > lo):
         raise NoBracket(f"degenerate bracket {bracket}")
     _check_pole_free(base, lo, hi)
-    scan = evaluate(base, delta_p, np.linspace(lo, hi, scan_points))
+    scan = evaluate(base, delta_p, np.linspace(lo, hi, PINNING_SCAN_POINTS))
     scan.require_ok()
     if not scan.sg_valid.any():
         raise RegimeError(

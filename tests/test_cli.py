@@ -77,6 +77,9 @@ class TestConfigParsing:
 
     def test_hash_is_stable(self):
         assert from_dict({}).hash() == default_config().hash()
+        # every output of a default run is stamped with this hash
+        assert default_config().hash() == (
+            "f28e7a95ad2a29a7bc60d78bb688066d7a3ac0cb58c28fb2dce4d0268b1ad4db")
         assert from_dict({"optics": {"omega": 1.1}}).hash() != \
             default_config().hash()
 

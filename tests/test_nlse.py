@@ -5,7 +5,12 @@ import pytest
 import scipy.linalg
 
 from polariton_phases import nlse, optics
-from polariton_phases.errors import ConfigError, DomainError, NonFinite
+from polariton_phases.errors import (
+    ConfigError,
+    DomainError,
+    NoConvergence,
+    NonFinite,
+)
 from polariton_phases.nlse import (
     FieldState,
     NlseParams,
@@ -53,6 +58,30 @@ def _mathieu_ground_density(params):
     w, v = scipy.linalg.eigh(h)
     dens = v[:, 0] ** 2
     return dens / dens.mean()
+
+
+def _derivative_energy(psi, params, tau):
+    """Oracle: the energy density with the gradient taken in real space,
+    mean|ifft(ik fft psi)|^2 + s <cos^2 |psi|^2> + g/2 <|psi|^4>."""
+    s, g, _ = params.coefficients(tau)
+    n = params.grid_points
+    k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * params.n_periods / n)
+    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi))
+    return float(np.mean(np.abs(dpsi) ** 2)
+                 + np.mean(s * np.cos(grid(params)) ** 2 * np.abs(psi) ** 2)
+                 + 0.5 * g * np.mean(np.abs(psi) ** 4))
+
+
+class TestEnergy:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_parseval_matches_derivative_form(self, rng, n):
+        p = NlseParams(n_periods=8, grid_points=n,
+                       schedule=((0.0, 1.0, 0.2, 0.0),
+                                 (2.0, 6.0, 0.9, 0.0)))
+        for tau in (0.0, 0.7, 1.3, 2.5):
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert energy_of(psi, p, tau) == pytest.approx(
+                _derivative_energy(psi, p, tau), rel=1e-12)
 
 
 class TestParamsValidation:
@@ -154,6 +183,20 @@ class TestEvolve:
         assert contrast_of(final.psi, p) > 0.1
         assert obs.contrast[0] < 1e-12
 
+    def test_constant_schedule_matches_static_run(self):
+        kw = dict(n_periods=8, grid_points=128)
+        static = NlseParams(v1_over_er=3.0, g_int=0.4, kappa_dimless=0.05,
+                            **kw)
+        flat = NlseParams(schedule=((0.0, 3.0, 0.4, 0.05),
+                                    (1.0, 3.0, 0.4, 0.05)), **kw)
+        state = _gaussian(static, 2.0)
+        (f0, o0), (f1, o1) = [
+            evolve(state, p, dt=1e-3, steps=2000, record_every=100)
+            for p in (static, flat)]
+        assert np.array_equal(f0.psi, f1.psi) and f0.time == f1.time
+        for field in ("tau", "norm", "energy", "contrast"):
+            assert np.array_equal(getattr(o0, field), getattr(o1, field))
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_detected(self):
         p = NlseParams(n_periods=8, grid_points=64)
@@ -205,6 +248,45 @@ class TestGroundState:
         c0 = contrast_of(gs.psi, p)
         _, obs = evolve(gs, p, dt=2e-3, steps=5000, record_every=500)
         assert abs(obs.contrast - c0).max() < 1e-4
+
+    @pytest.mark.parametrize("s,g,n,energy", [
+        # frozen from the solver that took the kinetic energy in real space
+        (5.0, 0.5, 128, 2.175530448829956),
+        (2.3, 0.2, 256, 1.103709451512081),
+    ])
+    def test_energy_matches_frozen(self, s, g, n, energy):
+        p = NlseParams(v1_over_er=s, g_int=g, n_periods=8, grid_points=n)
+        assert energy_of(ground_state(p).psi, p) == pytest.approx(
+            energy, rel=1e-10)
+
+    def test_three_ffts_per_step(self, monkeypatch):
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8,
+                       grid_points=64)
+        calls = {"fft": 0, "norm": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def no_energy_of(*args, **kwargs):
+            raise AssertionError("ground_state called energy_of")
+
+        monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counting("fft", np.fft.ifft))
+        monkeypatch.setattr(nlse, "norm_of", counting("norm", nlse.norm_of))
+        monkeypatch.setattr(nlse, "energy_of", no_energy_of)
+        ground_state(p)
+        steps = calls["norm"] - 1          # one norm before the first step
+        assert steps > 100
+        assert calls["fft"] == 3 * steps + 1
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", 50)
+        with pytest.raises(NoConvergence, match="50 steps"):
+            ground_state(NlseParams(v1_over_er=2.3, n_periods=8,
+                                    grid_points=64))
 
     def test_rejects_lossy_params(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,8 +29,12 @@ DEPTH_OMEGA07 = 21.789501858567263
 
 class TestValidation:
     def test_baseline_is_valid(self, baseline):
-        vc = validate_config(baseline)
-        assert vc.cfg is baseline
+        assert validate_config(baseline) is baseline
+
+    def test_validated_config_pickles(self, baseline):
+        cfg = pickle.loads(pickle.dumps(validate_config(baseline)))
+        assert cfg == baseline
+        assert effective_params(cfg) == effective_params(baseline)
 
     def test_lambda_pole_rejected(self, baseline):
         # Omega^2 = delta * Delta_0 / 2 = 0.025
