@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -30,14 +29,6 @@ log = logging.getLogger("polariton_phases")
 CONVERGENCE_ERRORS = (NoConvergence, BlowUp, NonFinite)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return "%.17g" % x
-    return str(x)
-
-
 def _write_lines(path: Path, header: list[str], lines, cfg_hash: str) -> None:
     text = "\n".join([f"# config_hash={cfg_hash}", ",".join(header), *lines])
     path.write_text(text + "\n", newline="\n")
@@ -45,8 +36,10 @@ def _write_lines(path: Path, header: list[str], lines, cfg_hash: str) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: list[list],
                cfg_hash: str) -> None:
-    _write_lines(path, header, (",".join(_fmt(x) for x in row)
-                                for row in rows), cfg_hash)
+    """One "%.17g" field per column: ints as written, floats round-trip."""
+    row_format = ",".join(["%.17g"] * len(header))
+    _write_lines(path, header, (row_format % tuple(row) for row in rows),
+                 cfg_hash)
 
 
 def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
@@ -60,7 +53,7 @@ SWEEP_HEADER = [
     "v1_over_er", "k_luttinger", "j_over_er", "u_over_er", "u_over_j",
     "v_g_m_per_s", "kappa_per_s", "phase", "flags",
 ]
-# One SWEEP_HEADER row; "%.17g" writes what _fmt writes, nan included.
+# One SWEEP_HEADER row, the floats as _write_csv writes them.
 SWEEP_ROW = ",".join(["%.17g"] * 11 + ["%s", "%s"])
 
 
@@ -129,7 +122,7 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     rows = zip(*(a.tolist() for a in (table.omega, table.j_over_er,
                                        table.u_over_er, table.u_over_j)))
     root = sweep_mod.find_mott_crossing(base, base.delta_p, (lo, hi))
-    uj_root = sweep_mod._uj_at(base, base.delta_p, root)
+    uj_root = float(sweep_mod.evaluate(base, base.delta_p, root).u_over_j)
     _write_csv(out / "crossing.csv",
                ["omega_over_gamma", "j_over_er", "u_over_er", "u_over_j"],
                rows, cfg.hash())

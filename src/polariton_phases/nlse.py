@@ -49,6 +49,10 @@ class NlseParams:
         if n % self.n_periods:
             raise ConfigError("grid_points must be divisible by n_periods "
                               "(commensurate grid)")
+        coefficients = (self.v1_over_er, self.g_int, self.kappa_dimless,
+                        *(x for point in self.schedule for x in point))
+        if not all(map(math.isfinite, coefficients)):
+            raise ConfigError("coefficients and schedule must be finite")
         if self.v1_over_er < 0 or self.g_int < 0:
             raise ConfigError("lattice depth and coupling must be non-negative")
 

@@ -22,8 +22,6 @@ from .errors import DomainError, ModulationWarning, PoleError, SingularMass
 EPS_POLE = 1e-9
 # Threshold below which the real effective mass counts as singular (s/m^2).
 EPS_MASS = 1e-30
-# Rates, densities and lengths of OpticalConfig, which must be positive.
-POSITIVE_FIELDS = ("gamma_total", "n0", "n_ph", "v", "fiber_length")
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,14 @@ def validate_config(cfg: OpticalConfig, *,
                     node: bool = True) -> OpticalConfig:
     """Check all invariants of OpticalConfig and return it.
 
-    Raises DomainError for a field that is not a finite number and for
-    non-positive rates/densities, PoleError when the parameters sit within
-    EPS_POLE of a pole of the Lambda or Xi dressing factor.  Emits
-    ModulationWarning (non-fatal) for n1/n0 > 0.5.  With node=False the
-    node coordinates (NODE_FIELDS) and the poles, which depend on them, are
-    not checked: the sweep evaluator checks those at every node.
+    Raises DomainError for a field that is not a finite number, for
+    non-positive rates/densities and for a product the closed forms divide
+    by or a square they take that is 0 or overflows, PoleError when the
+    parameters sit within EPS_POLE of a pole of the Lambda or Xi dressing
+    factor.  Emits ModulationWarning (non-fatal) for n1/n0 > 0.5.  With
+    node=False the node coordinates (NODE_FIELDS), and the products, squares
+    and poles that depend on them, are not checked: the sweep evaluator
+    checks those at every node.
     """
     try:
         values = (_field_values if node else _base_values)(cfg)
@@ -77,9 +77,14 @@ def validate_config(cfg: OpticalConfig, *,
         finite = False
     if not finite:
         raise DomainError(f"every field must be a finite number: {cfg}")
-    if not min(cfg.gamma_total, cfg.n0, cfg.n_ph, cfg.v, cfg.fiber_length) > 0:
-        bad = [name for name in POSITIVE_FIELDS if not getattr(cfg, name) > 0]
-        raise DomainError(f"{', '.join(bad)} must be positive: {cfg}")
+    # squares taken by *, as float ** raises OverflowError where * gives inf
+    pi_n_ph = math.pi * cfg.n_ph
+    _require_positive(
+        cfg, gamma_total=cfg.gamma_total, n0=cfg.n0, n_ph=cfg.n_ph, v=cfg.v,
+        fiber_length=cfg.fiber_length,
+        abs_delta0_gamma=abs(cfg.delta0) * cfg.gamma_total,
+        gamma_1d_n0=cfg.gamma_1d_ratio * cfg.gamma_total * cfg.n0,
+        n_ph_sq=cfg.n_ph * cfg.n_ph, pi_n_ph_sq=pi_n_ph * pi_n_ph)
     if not (0 < cfg.gamma_1d_ratio <= 1):
         raise DomainError(
             f"gamma_1d_ratio must lie in (0, 1], got {cfg.gamma_1d_ratio}"
@@ -97,7 +102,8 @@ def validate_config(cfg: OpticalConfig, *,
         )
     if not node:
         return cfg
-    lam_denom = cfg.omega**2 - cfg.delta_small * cfg.delta0 / 2
+    om_sq = cfg.omega * cfg.omega
+    lam_denom = om_sq - cfg.delta_small * cfg.delta0 / 2
     if abs(lam_denom) <= EPS_POLE:
         raise PoleError(
             "Omega^2 = delta*Delta_0/2 within epsilon: pole of the Lambda factor"
@@ -106,7 +112,19 @@ def validate_config(cfg: OpticalConfig, *,
         raise PoleError(
             "Delta_p = delta within epsilon: pole of the Xi factor"
         )
+    om_gamma = cfg.omega * cfg.gamma_total
+    _require_positive(
+        cfg, abs_delta0_delta_p=abs(cfg.delta0 * cfg.delta_p),
+        abs_delta_p_gamma=abs(cfg.delta_p) * cfg.gamma_total,
+        omega_sq=om_sq, omega_gamma_sq=om_gamma * om_gamma)
     return cfg
+
+
+def _require_positive(cfg: OpticalConfig, **terms: float) -> None:
+    """DomainError unless every term lies in (0, inf)."""
+    bad = [name for name, x in terms.items() if not 0 < x < math.inf]
+    if bad:
+        raise DomainError(f"{', '.join(bad)} must lie in (0, inf): {cfg}")
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,11 @@ def evaluate(base: optics.OpticalConfig, delta_p, omega) -> NodeFields:
     lattice_depth_ratio -> many_body.make_point) to rounding.
     """
     optics.validate_config(base, node=False)
-    c = base
+    return _chain(base, delta_p, omega)
+
+
+def _chain(c: optics.OpticalConfig, delta_p, omega) -> NodeFields:
+    """evaluate() on a base c that the caller has validated."""
     # a float or 0-d array becomes a numpy scalar, on which arithmetic is
     # ten times cheaper than on a 0-d array; any other input an array
     dp = np.float64(delta_p)
@@ -295,36 +299,13 @@ def sweep_grid(spec: GridSpec) -> list[SweepRecord]:
     return records
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            f_lo: float, f_hi: float) -> float:
-    """Bracketed root of f by false position with the Illinois rule.
-
-    An end kept twice in a row has its value halved, so both ends close in
-    on the root; a step that does not fall inside the bracket bisects.
-    """
-    kept = 0    # -1: lo moved last, so hi was kept; +1: the reverse
-    while hi - lo > ROOT_TOL:
-        mid = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0:
-            return mid
-        if (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
-            if kept < 0:
-                f_hi /= 2
-            kept = -1
-        else:
-            hi, f_hi = mid, f_mid
-            if kept > 0:
-                f_lo /= 2
-            kept = 1
-    return 0.5 * (lo + hi)
-
-
-def _uj_at(base: optics.OpticalConfig, delta_p: float, omega: float) -> float:
-    return float(evaluate(base, delta_p, omega).u_over_j)
+def _brentq(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f within ROOT_TOL / 2 in [lo, hi], where f changes sign."""
+    import scipy.optimize   # ~0.2 s to import; only the root finders use it
+    try:
+        return scipy.optimize.brentq(f, lo, hi, xtol=ROOT_TOL / 2)
+    except RuntimeError as exc:
+        raise NoConvergence(f"brentq over [{lo}, {hi}]: {exc}") from exc
 
 
 def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
@@ -334,7 +315,8 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
     if not (hi > lo):
         raise NoBracket(f"degenerate bracket {bracket}")
     _check_pole_free(base, lo, hi)
-    ends = [evaluate(base, delta_p, om) for om in (lo, hi)]  # two scalar
+    optics.validate_config(base, node=False)
+    ends = [_chain(base, delta_p, om) for om in (lo, hi)]  # two scalar
     for end in ends:                   # calls cost less than a 2-node array
         end.require_ok()
     uj_lo, uj_hi = (float(end.u_over_j) for end in ends)
@@ -344,12 +326,13 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
         raise NoBracket(
             f"U/J - {many_body.UJ_CRITICAL} has no sign change over {bracket}"
         )
-    # U/J grows like exp(2 sqrt(V1/E_R)); false position on its log, which
-    # is near linear in Omega, takes about half the steps
-    f = lambda om: math.log(_uj_at(base, delta_p, om) / many_body.UJ_CRITICAL)
-    root = _bisect(f, lo, hi, math.log(uj_lo / many_body.UJ_CRITICAL),
-                   math.log(uj_hi / many_body.UJ_CRITICAL))
-    residual = abs(_uj_at(base, delta_p, root) - many_body.UJ_CRITICAL)
+    uj = lambda om: float(_chain(base, delta_p, om).u_over_j)
+    # U/J grows like exp(2 sqrt(V1/E_R)); on its log, which is near linear
+    # in Omega, Brent's method takes ~10 steps a root where it takes ~12 on
+    # U/J itself
+    root = _brentq(lambda om: math.log(uj(om) / many_body.UJ_CRITICAL),
+                   lo, hi)
+    residual = abs(uj(root) - many_body.UJ_CRITICAL)
     if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
             f"|U/J - {many_body.UJ_CRITICAL}| = {residual} at Omega = {root} "
@@ -363,9 +346,10 @@ def find_pinning_crossing(
 ) -> tuple[float, float, float]:
     """Omega*/Gamma of the sine-Gordon pinning transition inside the bracket.
 
-    Scans the bracket, restricts to the sub-interval inside the sG validity
-    window, then bisects the sign change of V1/E_R - V1c(gamma).  Returns
-    (Omega*, gamma, V1/E_R) at the crossing.
+    Scans the bracket at PINNING_SCAN_POINTS nodes and refines, by Brent's
+    method, the first sign change of V1/E_R - V1c(gamma) between two nodes
+    inside the sG validity window.  Returns (Omega*, gamma, V1/E_R) at the
+    crossing.
     """
     lo, hi = bracket
     if not (hi > lo):
@@ -387,10 +371,9 @@ def find_pinning_crossing(
             f"at Delta_p = {delta_p}"
         )
     i = changes[0]
-    f = lambda om: float(evaluate(base, delta_p, om).f_sg)
-    root = _bisect(f, float(scan.omega[i]), float(scan.omega[i + 1]),
-                   float(f_scan[i]), float(f_scan[i + 1]))
-    at = evaluate(base, delta_p, root)
+    root = _brentq(lambda om: float(_chain(base, delta_p, om).f_sg),
+                   float(scan.omega[i]), float(scan.omega[i + 1]))
+    at = _chain(base, delta_p, root)
     return root, float(at.gamma_abs), float(at.v1_over_er)
 
 

@@ -31,7 +31,7 @@ def test_criterion_1_mott_crossing_anchor():
     t0 = time.perf_counter()
     base = OpticalConfig()
     root = sweep.find_mott_crossing(base, 50.0, (0.9, 1.2))
-    uj = sweep._uj_at(base, 50.0, root)
+    uj = float(sweep.evaluate(base, 50.0, root).u_over_j)
     elapsed = time.perf_counter() - t0
     ok = (abs(root - 1.03388) <= 5e-4
           and abs(uj - 3.85) <= 1e-2

@@ -242,6 +242,26 @@ class TestSubcommands:
             code, _ = run(tmp_path, "map", {"optics": {"delta_p": value}})
             assert code == 2
 
+    @pytest.mark.parametrize("optics, sub", [
+        (optics, sub)
+        for optics, subs in [
+            ({"delta0": 0}, "map sweep phase crossing nlse"),
+            ({"delta_p": 0}, "map nlse"),
+            ({"omega": 0}, "nlse"),
+            ({"omega": 1e-300}, "nlse"),
+            ({"n_ph": 1e-300}, "map sweep phase crossing nlse"),
+            ({"omega": 1e300}, "map sweep phase crossing nlse"),
+            ({"n_ph": 1e300}, "map sweep phase crossing nlse"),
+            ({"gamma_total": 1e300}, "map"),
+        ]
+        for sub in subs.split()
+    ])
+    def test_closed_form_breaking_optics_exit_code(self, tmp_path, optics,
+                                                   sub):
+        # each divided by zero or overflowed a float ** in the closed forms
+        code, _ = run(tmp_path, sub, {**SMALL_CONFIG, "optics": optics})
+        assert code == 2
+
     def test_plot_script_emission(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg["output"] = {"emit_plot_script": True}

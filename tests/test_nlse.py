@@ -99,6 +99,19 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             NlseParams(grid_points=64, n_periods=3)   # incommensurate
 
+    @pytest.mark.parametrize("field", ["v1_over_er", "g_int",
+                                       "kappa_dimless", "schedule"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficients(self, field, value):
+        # NaN passes the sign check, and ground_state would then spend its
+        # whole step budget on a NaN field
+        if field == "schedule":
+            kw = {"schedule": ((0.0, 1.0, 0.1, 0.0), (1.0, value, 0.1, 0.0))}
+        else:
+            kw = {field: value}
+        with pytest.raises(ConfigError):
+            NlseParams(**kw)
+
 
 class TestEvolve:
     def test_free_gaussian_dispersion(self):

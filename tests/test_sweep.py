@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from polariton_phases import many_body, optics, sweep
 from polariton_phases.errors import (
@@ -221,9 +222,34 @@ class TestMottCrossing:
 
     def test_large_residual_raises(self, baseline, monkeypatch):
         # a root that misses the critical ratio is refused, also under -O
-        monkeypatch.setattr(sweep, "_bisect", lambda f, lo, hi, *_: lo)
+        monkeypatch.setattr(scipy.optimize, "brentq",
+                            lambda f, lo, hi, **_: lo)
         with pytest.raises(NoConvergence):
             find_mott_crossing(baseline, 50.0, (0.9, 1.2))
+
+
+@pytest.mark.parametrize("find, delta_p, bracket", [
+    (find_mott_crossing, 50.0, (0.5, 3.0)),
+    (find_pinning_crossing, 8.0, (2.0, 6.0)),
+])
+def test_one_modulation_warning_per_root(baseline, find, delta_p, bracket):
+    # the base is validated once per root, not once per step
+    base = with_(baseline, n1_fraction=0.6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        find(base, delta_p, bracket)
+    assert [w.category for w in caught] == [ModulationWarning]
+
+
+@pytest.mark.parametrize("find, delta_p", [(find_mott_crossing, 50.0),
+                                            (find_pinning_crossing, 10.0)])
+def test_brentq_failure_is_no_convergence(baseline, monkeypatch, find,
+                                          delta_p):
+    def fail(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 100 iterations")
+    monkeypatch.setattr(scipy.optimize, "brentq", fail)
+    with pytest.raises(NoConvergence):
+        find(baseline, delta_p, (1.0, 3.0))
 
 
 class TestPinningCrossing:
