@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     DimensionOverflow,
@@ -57,6 +54,7 @@ class HubbardTables:
     onsite: np.ndarray
 
     def matrix(self, j: float, u: float) -> scipy.sparse.csr_matrix:
+        import scipy.sparse   # ~0.3 s to import; only the ED solves use it
         dim = self.indptr.size - 1
         return scipy.sparse.csr_matrix(
             (j * self.hop + u * self.onsite, self.indices, self.indptr),
@@ -183,6 +181,8 @@ def ground_energy(h: scipy.sparse.spmatrix) -> tuple[float, np.ndarray]:
     for J > 0 the ground state has all-positive amplitudes, so the start
     overlaps it, and a fixed start makes the result reproducible.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
     dim = h.shape[0]
     coo = h.tocoo()
     if not np.any(coo.data[coo.row != coo.col]):
@@ -295,7 +295,10 @@ def estimate_critical_ratio(sizes: list[int], ratios: list[float],
     U/J the curves are nearly degenerate and graze each other, so for each
     size pair only the largest-U/J sign change is kept: past it the larger
     chain stays above for good (Mott separation).  The mean of the pairwise
-    crossings is the estimate, their spread the uncertainty.
+    crossings is the estimate.  spread is the range of the pairwise
+    crossings, not an error bar: the crossings drift with L (the
+    transition is Kosterlitz-Thouless, so a crossing of L * gap is biased)
+    and a small spread does not bound the distance to the L -> inf value.
     """
     if len(sizes) < 2:
         raise NoCrossing("need at least two chain lengths to compare")

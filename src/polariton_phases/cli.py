@@ -8,6 +8,7 @@ resolved config so identical configs reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -82,10 +83,9 @@ def _grid_spec(cfg: RunConfig) -> sweep_mod.GridSpec:
 
 
 def cmd_map(cfg: RunConfig, out: Path) -> None:
-    vc = optics.validate_config(cfg.optics)
-    params = optics.effective_params(vc)
-    gam = optics.lieb_liniger_gamma(vc)
-    depth = optics.lattice_depth_ratio(vc)
+    params = optics.effective_params(cfg.optics)
+    gam = optics.lieb_liniger_gamma(cfg.optics)
+    depth = optics.lattice_depth_ratio(cfg.optics)
     point = many_body.make_point(gam.magnitude, depth,
                                  sign_warning=gam.negative)
     _write_json(out / "map.json", {
@@ -137,30 +137,23 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
 
 def cmd_nlse(cfg: RunConfig, out: Path) -> None:
     nl = dict(cfg.nlse)
-    if nl["v1_over_er"] is None or nl["g_int"] is None:
-        vc = optics.validate_config(cfg.optics)
-        gam = optics.lieb_liniger_gamma(vc)
-        if nl["v1_over_er"] is None:
-            nl["v1_over_er"] = optics.lattice_depth_ratio(vc)
-        if nl["g_int"] is None:
-            nl["g_int"] = nlse.interaction_strength(gam.magnitude)
+    if nl["v1_over_er"] is None:
+        nl["v1_over_er"] = optics.lattice_depth_ratio(cfg.optics)
+    if nl["g_int"] is None:
+        nl["g_int"] = nlse.interaction_strength(
+            optics.lieb_liniger_gamma(cfg.optics).magnitude)
     params = nlse.NlseParams(
         v1_over_er=nl["v1_over_er"],
         g_int=nl["g_int"],
         kappa_dimless=nl["kappa_dimless"],
-        n_periods=int(nl["n_periods"]),
-        grid_points=int(nl["grid_points"]),
+        n_periods=nl["n_periods"],
+        grid_points=nl["grid_points"],
         schedule=tuple(tuple(p) for p in nl["schedule"]),
     )
-    lossless = nlse.NlseParams(
-        v1_over_er=params.v1_over_er, g_int=params.g_int,
-        kappa_dimless=0.0, n_periods=params.n_periods,
-        grid_points=params.grid_points,
-    )
+    lossless = dataclasses.replace(params, kappa_dimless=0.0, schedule=())
     state = nlse.ground_state(lossless, tol=1e-12)
-    final, obs = nlse.evolve(state, params, dt=float(nl["dt"]),
-                             steps=int(nl["steps"]),
-                             record_every=int(nl["record_every"]))
+    final, obs = nlse.evolve(state, params, dt=nl["dt"], steps=nl["steps"],
+                             record_every=nl["record_every"])
     rows = [[t, n, e, c] for t, n, e, c in
             zip(obs.tau, obs.norm, obs.energy, obs.contrast)]
     _write_csv(out / "nlse_trajectory.csv",
@@ -181,13 +174,11 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
 def cmd_ed(cfg: RunConfig, out: Path) -> None:
     ed = cfg.ed
     rows = []
-    n_max = int(ed["n_max"])
     for L in ed["sizes"]:
-        bases = bh_ed.unit_filling_bases(int(L), n_max)
+        bases = bh_ed.unit_filling_bases(L, ed["n_max"])
         for r in ed["ratios"]:
-            res = bh_ed.diagnostics(int(L), n_max, float(r),
-                                    periodic=bool(ed["periodic"]),
-                                    bases=bases)
+            res = bh_ed.diagnostics(L, ed["n_max"], r,
+                                    periodic=ed["periodic"], bases=bases)
             rows.append([res.sites, res.bosons, res.n_max, res.u_over_j,
                          res.e0, res.gap, res.var_n])
     _write_csv(out / "ed.csv",

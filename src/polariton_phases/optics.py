@@ -3,9 +3,10 @@
 All detunings and Rabi frequencies are carried dimensionless, in units of the
 total upper-level decay rate Gamma.  Densities are in 1/m, speeds in m/s.
 Internally hbar = 1, so energies are rates; the derived potential and recoil
-energies are reported in units of hbar*Gamma.  The closed forms
+energies are reported in units of hbar*Gamma.  An OpticalConfig checks its
+node-independent fields when it is built; the closed forms
 (effective_params, lieb_liniger_gamma, lattice_depth_ratio) expect a config
-that has passed validate_config.
+whose node has also passed validate_config.
 """
 
 from __future__ import annotations
@@ -46,62 +47,69 @@ class OpticalConfig:
     v: float = 299792458.0            # empty-waveguide light speed (m/s)
     fiber_length: float = 0.01        # fiber length (m)
 
+    def __post_init__(self):
+        """Check every field but the node (delta_p, omega).
 
-# The coordinates of a sweep node, which the sweep evaluator checks per node.
-NODE_FIELDS = ("delta_p", "omega")
-# Every field of an OpticalConfig, and every field but the node coordinates,
-# as a tuple.  Read by attribute: vars(cfg) would give the instance a dict
-# and slow every later attribute read on it.
-_field_values = attrgetter(*(f.name for f in fields(OpticalConfig)))
+        Raises DomainError for a field that is not a finite number, for
+        non-positive rates/densities and for a product the closed forms
+        divide by or a square they take that is 0 or overflows.  Emits
+        ModulationWarning (non-fatal) for n1/n0 > 0.5.
+        """
+        try:
+            finite = all(map(math.isfinite, _base_values(self)))
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise DomainError(f"every field must be a finite number: {self}")
+        # squares by *, as float ** raises OverflowError where * gives inf
+        pi_n_ph = math.pi * self.n_ph
+        _require_positive(
+            self, gamma_total=self.gamma_total, n0=self.n0, n_ph=self.n_ph,
+            v=self.v, fiber_length=self.fiber_length,
+            abs_delta0_gamma=abs(self.delta0) * self.gamma_total,
+            gamma_1d_n0=self.gamma_1d_ratio * self.gamma_total * self.n0,
+            n_ph_sq=self.n_ph * self.n_ph, pi_n_ph_sq=pi_n_ph * pi_n_ph)
+        if not (0 < self.gamma_1d_ratio <= 1):
+            raise DomainError(
+                f"gamma_1d_ratio must lie in (0, 1], got {self.gamma_1d_ratio}"
+            )
+        if not (0 <= self.n1_fraction < 1):
+            raise DomainError(
+                f"n1_fraction must lie in [0, 1), got {self.n1_fraction}"
+            )
+        if self.n1_fraction > 0.5:
+            warnings.warn(
+                f"n1/n0 = {self.n1_fraction} is not a small perturbation of "
+                "the atomic density; effective-lattice formulas assume "
+                "n0 >> n1",
+                ModulationWarning,
+                stacklevel=3,
+            )
+
+
+# Every field but the node coordinates (delta_p, omega), as a tuple.  Read by
+# attribute: vars(cfg) would give the instance a dict and slow every later
+# attribute read on it.
 _base_values = attrgetter(*(f.name for f in fields(OpticalConfig)
-                            if f.name not in NODE_FIELDS))
+                            if f.name not in ("delta_p", "omega")))
 
 
-def validate_config(cfg: OpticalConfig, *,
-                    node: bool = True) -> OpticalConfig:
-    """Check all invariants of OpticalConfig and return it.
+def validate_config(cfg: OpticalConfig) -> OpticalConfig:
+    """Check the node (delta_p, omega) of a config and return the config.
 
-    Raises DomainError for a field that is not a finite number, for
-    non-positive rates/densities and for a product the closed forms divide
-    by or a square they take that is 0 or overflows, PoleError when the
-    parameters sit within EPS_POLE of a pole of the Lambda or Xi dressing
-    factor.  Emits ModulationWarning (non-fatal) for n1/n0 > 0.5.  With
-    node=False the node coordinates (NODE_FIELDS), and the products, squares
-    and poles that depend on them, are not checked: the sweep evaluator
-    checks those at every node.
+    The config checked itself when it was built; this checks what depends
+    on the node.  Raises DomainError for a node coordinate that is not a
+    finite number and for a product the closed forms divide by or a square
+    they take that is 0 or overflows, PoleError when the node sits within
+    EPS_POLE of a pole of the Lambda or Xi dressing factor.  The sweep
+    evaluator marks such nodes instead of raising.
     """
     try:
-        values = (_field_values if node else _base_values)(cfg)
-        finite = all(map(math.isfinite, values))
+        finite = math.isfinite(cfg.delta_p) and math.isfinite(cfg.omega)
     except (TypeError, OverflowError):
         finite = False
     if not finite:
         raise DomainError(f"every field must be a finite number: {cfg}")
-    # squares taken by *, as float ** raises OverflowError where * gives inf
-    pi_n_ph = math.pi * cfg.n_ph
-    _require_positive(
-        cfg, gamma_total=cfg.gamma_total, n0=cfg.n0, n_ph=cfg.n_ph, v=cfg.v,
-        fiber_length=cfg.fiber_length,
-        abs_delta0_gamma=abs(cfg.delta0) * cfg.gamma_total,
-        gamma_1d_n0=cfg.gamma_1d_ratio * cfg.gamma_total * cfg.n0,
-        n_ph_sq=cfg.n_ph * cfg.n_ph, pi_n_ph_sq=pi_n_ph * pi_n_ph)
-    if not (0 < cfg.gamma_1d_ratio <= 1):
-        raise DomainError(
-            f"gamma_1d_ratio must lie in (0, 1], got {cfg.gamma_1d_ratio}"
-        )
-    if not (0 <= cfg.n1_fraction < 1):
-        raise DomainError(
-            f"n1_fraction must lie in [0, 1), got {cfg.n1_fraction}"
-        )
-    if cfg.n1_fraction > 0.5:
-        warnings.warn(
-            f"n1/n0 = {cfg.n1_fraction} is not a small perturbation of the "
-            "atomic density; effective-lattice formulas assume n0 >> n1",
-            ModulationWarning,
-            stacklevel=2,
-        )
-    if not node:
-        return cfg
     om_sq = cfg.omega * cfg.omega
     lam_denom = om_sq - cfg.delta_small * cfg.delta0 / 2
     if abs(lam_denom) <= EPS_POLE:
@@ -113,10 +121,15 @@ def validate_config(cfg: OpticalConfig, *,
             "Delta_p = delta within epsilon: pole of the Xi factor"
         )
     om_gamma = cfg.omega * cfg.gamma_total
+    # v_g of effective_params, for the denominators of the effective mass
+    v_g = 4 * (om_gamma * om_gamma) / (cfg.gamma_1d_ratio * cfg.gamma_total
+                                       * cfg.n0)
     _require_positive(
         cfg, abs_delta0_delta_p=abs(cfg.delta0 * cfg.delta_p),
         abs_delta_p_gamma=abs(cfg.delta_p) * cfg.gamma_total,
-        omega_sq=om_sq, omega_gamma_sq=om_gamma * om_gamma)
+        omega_sq=om_sq, omega_gamma_sq=om_gamma * om_gamma,
+        two_v_v_g=2 * cfg.v * v_g,
+        four_abs_delta0_gamma_v_g=4 * abs(cfg.delta0 * cfg.gamma_total) * v_g)
     return cfg
 
 

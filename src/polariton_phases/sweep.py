@@ -173,22 +173,16 @@ def evaluate(base: optics.OpticalConfig, delta_p, omega) -> NodeFields:
     """The optics -> many-body chain at every node of (delta_p, omega).
 
     delta_p and omega are floats or arrays that broadcast together; the
-    other knobs come from base.  The fields of base that do not depend on
-    the node are validated once (DomainError if one is bad, one
-    ModulationWarning per call).  Each node is then evaluated in numpy and
-    given a status: POLE within EPS_POLE of the Lambda or Xi pole, DOMAIN
-    where v_g lies outside (0, v), |Re m| < EPS_MASS, V1/E_R < 0, J/E_R
-    underflows to 0 or the node is not finite, else OK.  A bad node is
-    marked, never raised.  The values agree with the scalar chain
-    (optics.validate_config -> effective_params -> lieb_liniger_gamma,
-    lattice_depth_ratio -> many_body.make_point) to rounding.
+    other knobs come from base, which checked itself when it was built.
+    Each node is evaluated in numpy and given a status: POLE within
+    EPS_POLE of the Lambda or Xi pole, DOMAIN where v_g lies outside
+    (0, v), |Re m| < EPS_MASS, V1/E_R < 0, J/E_R underflows to 0 or the
+    node is not finite, else OK.  A bad node is marked, never raised.  The
+    values agree with the scalar chain (optics.validate_config ->
+    effective_params -> lieb_liniger_gamma, lattice_depth_ratio ->
+    many_body.make_point) to rounding.
     """
-    optics.validate_config(base, node=False)
-    return _chain(base, delta_p, omega)
-
-
-def _chain(c: optics.OpticalConfig, delta_p, omega) -> NodeFields:
-    """evaluate() on a base c that the caller has validated."""
+    c = base
     # a float or 0-d array becomes a numpy scalar, on which arithmetic is
     # ten times cheaper than on a 0-d array; any other input an array
     dp = np.float64(delta_p)
@@ -263,15 +257,9 @@ def _chain(c: optics.OpticalConfig, delta_p, omega) -> NodeFields:
 
 
 def evaluate_grid(spec: GridSpec) -> NodeFields:
-    """evaluate() on the grid of spec, indexed [delta_p, omega].
-
-    Raises ConfigError when a node-independent field of spec.base is bad.
-    """
-    try:
-        return evaluate(spec.base, spec.delta_p_values()[:, None],
-                        spec.omega_values()[None, :])
-    except DomainError as exc:
-        raise ConfigError(f"invalid base config: {exc}") from exc
+    """evaluate() on the grid of spec, indexed [delta_p, omega]."""
+    return evaluate(spec.base, spec.delta_p_values()[:, None],
+                    spec.omega_values()[None, :])
 
 
 def sweep_grid(spec: GridSpec) -> list[SweepRecord]:
@@ -315,8 +303,7 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
     if not (hi > lo):
         raise NoBracket(f"degenerate bracket {bracket}")
     _check_pole_free(base, lo, hi)
-    optics.validate_config(base, node=False)
-    ends = [_chain(base, delta_p, om) for om in (lo, hi)]  # two scalar
+    ends = [evaluate(base, delta_p, om) for om in (lo, hi)]  # two scalar
     for end in ends:                   # calls cost less than a 2-node array
         end.require_ok()
     uj_lo, uj_hi = (float(end.u_over_j) for end in ends)
@@ -326,7 +313,7 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
         raise NoBracket(
             f"U/J - {many_body.UJ_CRITICAL} has no sign change over {bracket}"
         )
-    uj = lambda om: float(_chain(base, delta_p, om).u_over_j)
+    uj = lambda om: float(evaluate(base, delta_p, om).u_over_j)
     # U/J grows like exp(2 sqrt(V1/E_R)); on its log, which is near linear
     # in Omega, Brent's method takes ~10 steps a root where it takes ~12 on
     # U/J itself
@@ -371,9 +358,9 @@ def find_pinning_crossing(
             f"at Delta_p = {delta_p}"
         )
     i = changes[0]
-    root = _brentq(lambda om: float(_chain(base, delta_p, om).f_sg),
+    root = _brentq(lambda om: float(evaluate(base, delta_p, om).f_sg),
                    float(scan.omega[i]), float(scan.omega[i + 1]))
-    at = _chain(base, delta_p, root)
+    at = evaluate(base, delta_p, root)
     return root, float(at.gamma_abs), float(at.v1_over_er)
 
 

@@ -1,11 +1,17 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polariton_phases
 from polariton_phases import sweep
 from polariton_phases.cli import main
 from polariton_phases.config import (
@@ -14,7 +20,12 @@ from polariton_phases.config import (
     from_dict,
     load_config,
 )
-from polariton_phases.errors import ParseError, PolaritonError, UnknownKey
+from polariton_phases.errors import (
+    ModulationWarning,
+    ParseError,
+    PolaritonError,
+    UnknownKey,
+)
 
 
 SMALL_CONFIG = {
@@ -253,6 +264,10 @@ class TestSubcommands:
             ({"omega": 1e300}, "map sweep phase crossing nlse"),
             ({"n_ph": 1e300}, "map sweep phase crossing nlse"),
             ({"gamma_total": 1e300}, "map"),
+            # the effective-mass denominators 2 v v_g and 4 |Delta_0| Gamma
+            # v_g underflow to 0
+            ({"v": 1e-300, "omega": 1e-155}, "map"),
+            ({"gamma_total": 2.0, "delta0": 5e-324}, "map"),
         ]
         for sub in subs.split()
     ])
@@ -261,6 +276,17 @@ class TestSubcommands:
         # each divided by zero or overflowed a float ** in the closed forms
         code, _ = run(tmp_path, sub, {**SMALL_CONFIG, "optics": optics})
         assert code == 2
+
+    @pytest.mark.parametrize("sub", ["map", "sweep", "phase", "crossing",
+                                     "nlse"])
+    def test_one_modulation_warning_per_run(self, tmp_path, sub):
+        # the config checks itself once, when it is loaded
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(tmp_path, sub, {"optics": {"n1_fraction": 0.6},
+                                          "nlse": SMALL_CONFIG["nlse"]})
+        assert code == 0
+        assert [w.category for w in caught] == [ModulationWarning]
 
     def test_plot_script_emission(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -300,3 +326,36 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
             blobs.append((out / "ed.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+# 1-3 optics fields set to any finite float; hypothesis draws subnormals,
+# signed zeros and values near +-1e308 among them
+_optics = st.dictionaries(
+    st.sampled_from(sorted(default_config().resolved()["optics"])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=3)
+
+
+# nlse and ed are left out: they cost seconds per example
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(sub=st.sampled_from(["map", "sweep", "phase", "crossing"]),
+       optics=_optics)
+def test_cli_error_contract(tmp_path_factory, sub, optics):
+    tmp = tmp_path_factory.mktemp("contract")
+    code, _ = run(tmp, sub, {
+        "optics": optics,
+        "sweep": {"delta_p_range": [2.0, 100.0, 4],
+                  "omega_range": [0.5, 3.0, 4]}})
+    assert code in (0, 2, 3)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy costs ~0.3 s to import; only the ED solves and root finders use it
+    src = Path(polariton_phases.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys, polariton_phases.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

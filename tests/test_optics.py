@@ -69,14 +69,17 @@ class TestValidation:
             validate_config(with_(baseline, **{field: value}))
 
     def test_node_fields_left_to_the_node(self, baseline):
-        # node=False checks every field but delta_p and omega, and no pole
+        # building checks every field but delta_p and omega, and no pole;
+        # validate_config checks the node
         for node_kw in ({"delta_p": math.nan},
                         {"delta_p": baseline.delta_small},
                         {"omega": math.sqrt(baseline.delta_small
                                             * baseline.delta0 / 2)}):
-            validate_config(with_(baseline, **node_kw), node=False)
+            cfg = with_(baseline, **node_kw)
+            with pytest.raises(DomainError):
+                validate_config(cfg)
         with pytest.raises(DomainError):
-            validate_config(with_(baseline, n0=math.nan), node=False)
+            with_(baseline, n0=math.nan)
 
     def test_large_modulation_warns(self, baseline):
         with pytest.warns(ModulationWarning):

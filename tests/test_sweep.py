@@ -71,8 +71,9 @@ class TestSweepGrid:
         assert all(r.point is None for r in marked)
 
     def test_invalid_base_config(self, baseline):
-        with pytest.raises(ConfigError):
-            sweep_grid(_grid(baseline, n0=-1.0))
+        # the base refuses itself when built, before any grid exists
+        with pytest.raises(DomainError):
+            _grid(baseline, n0=-1.0)
 
     def test_bad_grid_counts(self, baseline):
         with pytest.raises(ConfigError):
@@ -179,10 +180,10 @@ class TestEvaluate:
         assert domain == {om for om in spec.omega_values() if om > 1.94}
 
     def test_one_modulation_warning_per_sweep(self, baseline):
-        spec = _grid(baseline, dp=(2.0, 100.0, 10), om=(0.5, 3.0, 10),
-                     n1_fraction=0.6)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            spec = _grid(baseline, dp=(2.0, 100.0, 10), om=(0.5, 3.0, 10),
+                         n1_fraction=0.6)
             sweep_grid(spec)
         assert [w.category for w in caught] == [ModulationWarning]
 
@@ -233,10 +234,10 @@ class TestMottCrossing:
     (find_pinning_crossing, 8.0, (2.0, 6.0)),
 ])
 def test_one_modulation_warning_per_root(baseline, find, delta_p, bracket):
-    # the base is validated once per root, not once per step
-    base = with_(baseline, n1_fraction=0.6)
+    # the base checks itself once, when built, and no step checks it again
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        base = with_(baseline, n1_fraction=0.6)
         find(base, delta_p, bracket)
     assert [w.category for w in caught] == [ModulationWarning]
 
