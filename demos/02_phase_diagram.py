@@ -7,17 +7,21 @@ phase-boundary polylines with marching squares.  Writes phase_grid.csv.
 
 import csv
 
+import numpy as np
+
 from polariton_phases import optics, sweep
 
 
 def main():
     base = optics.OpticalConfig()
     spec = sweep.GridSpec((2.0, 100.0, 40), (0.5, 3.0, 40), base)
-    records = sweep.sweep_grid(spec)
+    nodes = sweep.evaluate_grid(spec)
+    # phase name per node, or the status (POLE, DOMAIN) of a node without one
+    phases, flags = nodes.labels()
 
     counts = {}
-    for r in records:
-        key = r.point.phase.value if r.point else r.error.split(":")[0]
+    for phase, flag in zip(phases, flags):
+        key = phase or flag
         counts[key] = counts.get(key, 0) + 1
     print("grid composition:")
     for key, n in sorted(counts.items()):
@@ -33,16 +37,17 @@ def main():
           f"Omega*/Gamma = {omega_star:.5f} "
           f"(gamma = {gam:.3f}, V1/E_R = {depth:.3f})")
 
-    for line in sweep.phase_boundaries(spec):
+    for line in sweep.phase_boundaries(spec, nodes):
         print(f"boundary [{line.model}]: {len(line.vertices)} vertices")
 
     with open("phase_grid.csv", "w", newline="\n") as fh:
         w = csv.writer(fh)
         w.writerow(["delta_p", "omega", "gamma_abs", "v1_over_er", "phase"])
-        for r in records:
-            if r.point:
-                w.writerow([r.delta_p, r.omega, r.point.gamma_abs,
-                            r.point.v1_over_er, r.point.phase.value])
+        columns = [np.ravel(a).tolist() for a in (
+            nodes.delta_p, nodes.omega, nodes.gamma_abs, nodes.v1_over_er)]
+        for *values, phase in zip(*columns, phases):
+            if phase:
+                w.writerow([*values, phase])
     print("\nwrote phase_grid.csv")
 
 

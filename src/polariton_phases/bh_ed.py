@@ -10,7 +10,6 @@ diagnostic, and a scaled-gap crossing estimate of the critical U/J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,14 +28,14 @@ BASIS_CAP = 2_000_000
 RESIDUAL_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
 def count_states(sites: int, bosons: int, n_max: int) -> int:
     """Number of occupation vectors of `sites` sites summing to `bosons`,
     each entry <= n_max (bounded compositions)."""
-    if sites == 0:
-        return 1 if bosons == 0 else 0
-    return sum(count_states(sites - 1, bosons - k, n_max)
-               for k in range(min(bosons, n_max) + 1))
+    # ways[b]: occupation vectors of the sites so far that sum to b
+    ways = [1] + [0] * bosons
+    for _ in range(sites):
+        ways = [sum(ways[max(b - n_max, 0):b + 1]) for b in range(bosons + 1)]
+    return ways[bosons]
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,12 @@ class HubbardTables:
 
     def matrix(self, j: float, u: float) -> scipy.sparse.csr_matrix:
         import scipy.sparse   # ~0.3 s to import; only the ED solves use it
+        data = j * self.hop + u * self.onsite
+        if not np.all(np.isfinite(data)):
+            raise DomainError(f"H overflows at J = {j}, U = {u}")
         dim = self.indptr.size - 1
         return scipy.sparse.csr_matrix(
-            (j * self.hop + u * self.onsite, self.indices, self.indptr),
-            shape=(dim, dim), copy=True)
+            (data, self.indices, self.indptr), shape=(dim, dim), copy=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,22 +78,23 @@ class FockBasis:
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def build(cls, sites: int, bosons: int, n_max: int,
-              cap: int = BASIS_CAP) -> "FockBasis":
+    def build(cls, sites: int, bosons: int, n_max: int) -> "FockBasis":
         if sites < 1 or bosons < 0 or n_max < 1:
             raise DomainError("need sites >= 1, bosons >= 0, n_max >= 1")
+        # n_max >= 1, so 63 sites or more overflow without the power
+        if sites >= 63 or (n_max + 1) ** sites > np.iinfo(np.int64).max:
+            raise DimensionOverflow(
+                f"occupation codes of {sites} sites capped at {n_max} "
+                "overflow int64"
+            )
         dim = count_states(sites, bosons, n_max)
         if dim == 0:
             raise DomainError(
                 f"no states: {bosons} bosons on {sites} sites capped at {n_max}"
             )
-        if dim > cap:
-            raise DimensionOverflow(f"basis dimension {dim} exceeds cap {cap}")
-        if (n_max + 1) ** sites > np.iinfo(np.int64).max:
+        if dim > BASIS_CAP:
             raise DimensionOverflow(
-                f"occupation codes of {sites} sites capped at {n_max} "
-                "overflow int64"
-            )
+                f"basis dimension {dim} exceeds cap {BASIS_CAP}")
         # Site by site, each prefix takes every occupation that leaves a
         # remainder the later sites can still hold, in increasing order.
         occ = np.zeros((1, 0), dtype=np.int64)
@@ -216,12 +218,6 @@ class EdResult:
     gap: float           # charge gap, units of J
     var_n: float         # site-averaged on-site number variance
     corr: tuple[float, ...]   # <b+_0 b_d> for d = 0 .. L-1
-
-
-def _e0(sites: int, bosons: int, n_max: int, j: float, u: float,
-        periodic: bool) -> float:
-    basis = FockBasis.build(sites, bosons, n_max)
-    return ground_energy(build_hamiltonian(basis, j, u, periodic))[0]
 
 
 def unit_filling_bases(sites: int, n_max: int) -> dict[int, FockBasis]:

@@ -83,6 +83,7 @@ def _grid_spec(cfg: RunConfig) -> sweep_mod.GridSpec:
 
 
 def cmd_map(cfg: RunConfig, out: Path) -> None:
+    optics.validate_config(cfg.optics)
     params = optics.effective_params(cfg.optics)
     gam = optics.lieb_liniger_gamma(cfg.optics)
     depth = optics.lattice_depth_ratio(cfg.optics)
@@ -137,6 +138,8 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
 
 def cmd_nlse(cfg: RunConfig, out: Path) -> None:
     nl = dict(cfg.nlse)
+    if nl["v1_over_er"] is None or nl["g_int"] is None:
+        optics.validate_config(cfg.optics)
     if nl["v1_over_er"] is None:
         nl["v1_over_er"] = optics.lattice_depth_ratio(cfg.optics)
     if nl["g_int"] is None:
@@ -151,7 +154,7 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
         schedule=tuple(tuple(p) for p in nl["schedule"]),
     )
     lossless = dataclasses.replace(params, kappa_dimless=0.0, schedule=())
-    state = nlse.ground_state(lossless, tol=1e-12)
+    state = nlse.ground_state(lossless)
     final, obs = nlse.evolve(state, params, dt=nl["dt"], steps=nl["steps"],
                              record_every=nl["record_every"])
     rows = [[t, n, e, c] for t, n, e, c in

@@ -9,8 +9,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownKey, DomainError, PoleError
-from .optics import OpticalConfig, validate_config
+from .errors import ParseError, UnknownKey, DomainError
+from .optics import OpticalConfig
 
 log = logging.getLogger("polariton_phases")
 
@@ -154,8 +154,7 @@ def from_dict(doc: dict) -> RunConfig:
     optics_fields = _merge_section(doc, "optics")
     try:
         optics = OpticalConfig(**optics_fields)
-        validate_config(optics)
-    except (DomainError, PoleError) as exc:
+    except DomainError as exc:
         raise ParseError(f"invalid optics section: {exc}") from exc
 
     return RunConfig(

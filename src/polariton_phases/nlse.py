@@ -23,6 +23,9 @@ BLOWUP_FACTOR = 1e6
 GROUND_DT = 5e-3
 # Imaginary-time steps ground_state may take over all four stages.
 GROUND_MAX_STEPS = 200_000
+# A ground_state stage stops when one step changes the energy E by at most
+# GROUND_TOL * max(|E|, 1).
+GROUND_TOL = 1e-12
 
 
 def interaction_strength(gamma_abs: float) -> float:
@@ -49,12 +52,15 @@ class NlseParams:
         if n % self.n_periods:
             raise ConfigError("grid_points must be divisible by n_periods "
                               "(commensurate grid)")
+        taus = [point[0] for point in self.schedule]
         coefficients = (self.v1_over_er, self.g_int, self.kappa_dimless,
-                        *(x for point in self.schedule for x in point))
-        if not all(map(math.isfinite, coefficients)):
-            raise ConfigError("coefficients and schedule must be finite")
-        if self.v1_over_er < 0 or self.g_int < 0:
-            raise ConfigError("lattice depth and coupling must be non-negative")
+                        *(x for point in self.schedule for x in point[1:]))
+        if not all(map(math.isfinite, taus)) \
+                or not all(0 <= x < math.inf for x in coefficients):
+            raise ConfigError("schedule times must be finite, and lattice "
+                              "depth, coupling and loss finite and >= 0")
+        if any(a >= b for a, b in zip(taus, taus[1:])):
+            raise ConfigError("schedule times must strictly increase")
 
     def coefficients(self, tau: float) -> tuple[float, float, float]:
         """(s, g, kappa) at time tau, from the schedule if one is set."""
@@ -169,11 +175,12 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     return FieldState(psi, tau), obs
 
 
-def ground_state(params: NlseParams, tol: float = 1e-12) -> FieldState:
+def ground_state(params: NlseParams) -> FieldState:
     """Imaginary-time relaxation to the mean-field ground state.
 
     Renormalizes |psi|^2 back to unit spatial mean after every step and stops
-    when the relative energy change per step drops below tol.  The time step
+    when the relative energy change per step drops below GROUND_TOL, or
+    raises NonFinite as soon as the energy is not finite.  The time step
     is reduced in stages after each converged pass, removing the O(dt^2)
     splitting bias so the returned state is stationary under real-time
     evolution.  Each step starts from the spectrum the previous one ended
@@ -194,8 +201,10 @@ def ground_state(params: NlseParams, tol: float = 1e-12) -> FieldState:
     for stage_dt in (GROUND_DT, GROUND_DT / 4, GROUND_DT / 16, GROUND_DT / 64):
         half_kin = np.exp(-k2 * stage_dt / 2)
         e_prev = math.inf
-        # "not <=": a NaN energy never counts as converged
-        while not abs(e - e_prev) <= tol * max(abs(e), 1.0):
+        while not abs(e - e_prev) <= GROUND_TOL * max(abs(e), 1.0):
+            if not math.isfinite(e):
+                raise NonFinite(f"non-finite energy {e} after "
+                                f"{GROUND_MAX_STEPS - budget} steps")
             if budget == 0:
                 raise NoConvergence(
                     f"imaginary time did not converge in {GROUND_MAX_STEPS} "

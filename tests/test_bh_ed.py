@@ -43,9 +43,10 @@ class TestBasis:
         for s in basis.states:
             assert sum(s) == 4 and max(s) <= 3
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(bh_ed, "BASIS_CAP", 100)
         with pytest.raises(DimensionOverflow):
-            FockBasis.build(10, 10, 4, cap=100)
+            FockBasis.build(10, 10, 4)
 
     def test_codes_rank_every_hop(self):
         basis = FockBasis.build(5, 5, 3)
@@ -68,6 +69,10 @@ class TestBasis:
             FockBasis.build(0, 2, 2)
         with pytest.raises(DomainError):
             FockBasis.build(2, 5, 2)   # 5 bosons cannot fit under the cap
+        # codes of 1500 sites overflow int64: refused before any counting
+        with pytest.raises(DimensionOverflow):
+            FockBasis.build(1500, 1500, 1)
+        assert count_states(1500, 3, 1) == math.comb(1500, 3)
 
 
 class TestHamiltonian:
@@ -124,6 +129,8 @@ class TestHamiltonian:
         basis = FockBasis.build(2, 2, 2)
         with pytest.raises(DomainError):
             build_hamiltonian(basis, -1.0, 0.0)
+        with pytest.raises(DomainError):       # U * n(n-1)/2 = 3U overflows
+            build_hamiltonian(FockBasis.build(2, 3, 3), 1.0, 1e308)
 
 
 class TestGroundEnergy:
@@ -187,13 +194,13 @@ class TestChargeGap:
     def test_nmax_convergence_of_ground_energy(self):
         # truncation error decays rapidly with interaction strength: a few
         # 1e-3 at U/J = 1, below 1e-8 once the Mott regime is reached
+        def e0(L, n_max, u):
+            basis = FockBasis.build(L, L, n_max)
+            return ground_energy(build_hamiltonian(basis, 1.0, u))[0]
+
         for L in (4, 6):
-            e4 = bh_ed._e0(L, L, 4, 1.0, 1.0, True)
-            e5 = bh_ed._e0(L, L, 5, 1.0, 1.0, True)
-            assert abs(e5 - e4) < 3e-3
-            e4 = bh_ed._e0(L, L, 4, 1.0, 12.0, True)
-            e5 = bh_ed._e0(L, L, 5, 1.0, 12.0, True)
-            assert abs(e5 - e4) < 1e-8
+            assert abs(e0(L, 5, 1.0) - e0(L, 4, 1.0)) < 3e-3
+            assert abs(e0(L, 5, 12.0) - e0(L, 4, 12.0)) < 1e-8
 
     def test_gap_non_negative(self):
         for u in (0.5, 2.0, 10.0):

@@ -273,9 +273,48 @@ class TestSubcommands:
     ])
     def test_closed_form_breaking_optics_exit_code(self, tmp_path, optics,
                                                    sub):
-        # each divided by zero or overflowed a float ** in the closed forms
+        # each divided by zero or overflowed a float ** in the closed forms;
+        # only map and nlse read the config's own Omega
         code, _ = run(tmp_path, sub, {**SMALL_CONFIG, "optics": optics})
-        assert code == 2
+        reads_omega = sub in ("map", "nlse") or set(optics) != {"omega"}
+        assert code == (2 if reads_omega else 0)
+
+    @pytest.mark.parametrize("sub, nlse_keys, code", [
+        ("map", {}, 2),
+        ("nlse", {}, 2),
+        ("nlse", {"v1_over_er": 2.0}, 2),
+        ("nlse", {"v1_over_er": 2.0, "g_int": 0.1}, 0),
+        ("sweep", {}, 0),
+        ("phase", {}, 0),
+        ("crossing", {}, 0),
+        ("ed", {}, 0),
+    ])
+    def test_node_checked_only_where_read(self, tmp_path, sub, nlse_keys,
+                                          code):
+        # Omega = 0 breaks the closed forms at the config's own node, which
+        # only map and nlse (when it derives s or g from the optics) read
+        doc = {**SMALL_CONFIG, "optics": {"omega": 0},
+               "nlse": {**SMALL_CONFIG["nlse"], **nlse_keys}}
+        assert run(tmp_path, sub, doc)[0] == code
+
+    @pytest.mark.parametrize("sub, section, code", [
+        # codes of 1500 sites overflow int64
+        ("ed", {"sizes": [1500], "n_max": 1, "ratios": [1, 2]}, 2),
+        # U n(n-1)/2 overflows H, for the dense and the Lanczos solver
+        ("ed", {"sizes": [4], "n_max": 4, "ratios": [1e308]}, 2),
+        ("ed", {"sizes": [8], "n_max": 4, "ratios": [1e308]}, 2),
+        # the ground-state energy overflows on the first step
+        ("nlse", {"v1_over_er": 1e308, "g_int": 0.1}, 3),
+        ("nlse", {"v1_over_er": 2.0, "g_int": 1e308}, 3),
+        ("nlse", {"schedule": [[1, 2, 0.1, 0], [0, 3, 0.1, 0]]}, 2),
+        ("nlse", {"schedule": [[0, 2, -0.1, 0], [1, 3, 0.1, 0]]}, 2),
+        ("nlse", {"kappa_dimless": -0.1}, 2),
+    ])
+    def test_solver_input_exit_code(self, tmp_path, sub, section, code):
+        if sub == "nlse":
+            section = {"grid_points": 16, "n_periods": 1, "steps": 5,
+                       **section}
+        assert run(tmp_path, sub, {sub: section})[0] == code
 
     @pytest.mark.parametrize("sub", ["map", "sweep", "phase", "crossing",
                                      "nlse"])
@@ -336,7 +375,8 @@ _optics = st.dictionaries(
     min_size=1, max_size=3)
 
 
-# nlse and ed are left out: they cost seconds per example
+# nlse and ed have their own contract test below, on small grids and
+# chains: at their default sizes they cost seconds per example
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(sub=st.sampled_from(["map", "sweep", "phase", "crossing"]),
        optics=_optics)
@@ -349,13 +389,86 @@ def test_cli_error_contract(tmp_path_factory, sub, optics):
     assert code in (0, 2, 3)
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy costs ~0.3 s to import; only the ED solves and root finders use it
+def _one_bad_key(valid, bad):
+    """A valid section, or one with a single key set to a (key, value) of
+    `bad`: an invalid or extreme value."""
+    return st.tuples(valid, st.none() | st.sampled_from(bad)).map(
+        lambda drawn: drawn[0] if drawn[1] is None
+        else {**drawn[0], drawn[1][0]: drawn[1][1]})
+
+
+# Chains of L <= 6; sizes that fail before any basis is built (<= 0, codes
+# past int64), n_max = 1 (N + 1 bosons do not fit) and U/J up to
+# overflowing H
+_ed_section = _one_bad_key(st.fixed_dictionaries({
+    "sizes": st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    "n_max": st.integers(2, 4),
+    "ratios": st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+    "periodic": st.booleans(),
+}), [("sizes", [0]), ("sizes", [-1]), ("sizes", [63]), ("sizes", [1500]),
+     ("sizes", [4, 1500]), ("n_max", 0), ("n_max", 1), ("n_max", 10**6),
+     ("ratios", [-1.0]), ("ratios", [1e20]), ("ratios", [2.0, 1e308])])
+# None derives the coefficient from the optics section.  Larger static
+# coefficients relax in thousands of imaginary-time steps (~0.3 s at s = 2,
+# g = 0.5); the schedule is not relaxed, so it may hold them.
+_coefficient = st.sampled_from([None, 0.0, 0.1])
+_schedule_row = st.tuples(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.sampled_from([0.0, 0.5, 2.0]),
+                          st.sampled_from([0.0, 0.5, 2.0]),
+                          st.sampled_from([0.0, 0.1])).map(list)
+# Grids of 16-32 points and a few steps; invalid grids, steps, signs and
+# schedules, and coefficients that overflow
+_nlse_section = _one_bad_key(st.fixed_dictionaries({
+    "grid_points": st.sampled_from([16, 32]),
+    "n_periods": st.sampled_from([1, 2, 4]),
+    "steps": st.integers(0, 5),
+    "dt": st.sampled_from([1e-3, 1e-2]),
+    "record_every": st.integers(1, 3),
+    "v1_over_er": _coefficient,
+    "g_int": _coefficient,
+    "kappa_dimless": st.sampled_from([0.0, 0.1]),
+    "schedule": st.lists(_schedule_row, max_size=3,
+                         unique_by=lambda row: row[0]).map(sorted),
+}), [("grid_points", 8), ("grid_points", 24), ("n_periods", 0),
+     ("n_periods", 3), ("dt", 0.0), ("dt", -1e-3), ("dt", 1e308),
+     ("v1_over_er", -1.0), ("v1_over_er", 1e308), ("g_int", -1.0),
+     ("g_int", 1e308), ("kappa_dimless", -0.1), ("kappa_dimless", 1e308),
+     ("schedule", [[1.0, 2.0, 0.1, 0.0], [0.0, 2.0, 0.1, 0.0]]),
+     ("schedule", [[0.0, -1.0, 0.1, 0.0]]),
+     ("schedule", [[0.0, 2.0, 1e308, 0.0], [1.0, 2.0, 0.1, 0.0]])])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(st.tuples(st.just("ed"), _ed_section),
+                 st.tuples(st.just("nlse"), _nlse_section)))
+def test_solver_error_contract(tmp_path_factory, sub_section):
+    sub, section = sub_section
+    tmp = tmp_path_factory.mktemp("contract")
+    code, _ = run(tmp, sub, {sub: section})
+    assert code in (0, 2, 3)
+
+
+def _loaded_after(module: str, package: str) -> list[str]:
+    """The `package` modules a fresh interpreter holds after importing
+    `module` from this tree."""
     src = Path(polariton_phases.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = ("import sys, polariton_phases.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+    probe = (f"import sys, {module}; "
+             "print(' '.join(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r})))")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy costs ~0.3 s to import; only the ED solves and root finders use it
+    assert _loaded_after("polariton_phases.cli", "scipy") == []
+
+
+@pytest.mark.parametrize("module", ["polariton_phases.optics",
+                                    "polariton_phases.many_body"])
+def test_scalar_chain_import_leaves_numpy_out(module):
+    # the package root imports no submodule, so the scalar closed forms
+    # load no numpy
+    assert _loaded_after(module, "numpy") == []

@@ -99,6 +99,20 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             NlseParams(grid_points=64, n_periods=3)   # incommensurate
 
+    @pytest.mark.parametrize("kw", [
+        {"kappa_dimless": -0.1},
+        {"schedule": ((0.0, -1.0, 0.1, 0.0),)},
+        {"schedule": ((0.0, 1.0, -0.1, 0.0),)},
+        {"schedule": ((0.0, 1.0, 0.1, -0.1),)},
+        # np.interp needs increasing times
+        {"schedule": ((1.0, 1.0, 0.1, 0.0), (0.0, 2.0, 0.1, 0.0))},
+        {"schedule": ((0.0, 1.0, 0.1, 0.0), (0.0, 2.0, 0.1, 0.0))},
+    ])
+    def test_one_rule_for_static_and_schedule(self, kw):
+        # s, g and kappa finite and >= 0 everywhere; times strictly increase
+        with pytest.raises(ConfigError):
+            NlseParams(**kw)
+
     @pytest.mark.parametrize("field", ["v1_over_er", "g_int",
                                        "kappa_dimless", "schedule"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -136,10 +150,11 @@ class TestEvolve:
         _, obs = evolve(state, p, dt=1e-3, steps=1000, record_every=100)
         assert abs(obs.norm - obs.norm[0]).max() < 1e-10
 
-    def test_energy_drift_on_stationary_state(self):
+    def test_energy_drift_on_stationary_state(self, monkeypatch):
+        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
         g = interaction_strength(0.21)
         p = NlseParams(v1_over_er=5.0, g_int=g, n_periods=8, grid_points=128)
-        gs = ground_state(p, tol=1e-13)
+        gs = ground_state(p)
         _, obs = evolve(gs, p, dt=1e-3, steps=10_000, record_every=1000)
         drift = abs(obs.energy - obs.energy[0]).max()
         assert drift / abs(obs.energy[0]) <= 1e-8
@@ -228,15 +243,17 @@ class TestEvolve:
 
 
 class TestGroundState:
-    def test_free_ground_state_is_uniform(self):
+    def test_free_ground_state_is_uniform(self, monkeypatch):
+        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-14)
         p = NlseParams(n_periods=8, grid_points=64)
-        gs = ground_state(p, tol=1e-14)
+        gs = ground_state(p)
         assert energy_of(gs.psi, p) < 1e-10
         assert contrast_of(gs.psi, p) < 1e-5
 
-    def test_deep_lattice_localization(self):
+    def test_deep_lattice_localization(self, monkeypatch):
+        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
         p = NlseParams(v1_over_er=10.0, n_periods=8, grid_points=256)
-        gs = ground_state(p, tol=1e-13)
+        gs = ground_state(p)
         assert contrast_of(gs.psi, p) >= 0.9
         dens = np.abs(gs.psi) ** 2
         # localized at the potential minima xi = pi/2 mod pi
@@ -245,19 +262,21 @@ class TestGroundState:
         oracle = _mathieu_ground_density(p)
         assert np.abs(dens / dens.mean() - oracle).max() < 5e-3
 
-    def test_repulsion_flattens_density(self):
+    def test_repulsion_flattens_density(self, monkeypatch):
+        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
         p0 = NlseParams(v1_over_er=10.0, g_int=0.0, n_periods=8,
                         grid_points=128)
         p1 = NlseParams(v1_over_er=10.0, g_int=1.0, n_periods=8,
                         grid_points=128)
-        c0 = contrast_of(ground_state(p0, tol=1e-13).psi, p0)
-        c1 = contrast_of(ground_state(p1, tol=1e-13).psi, p1)
+        c0 = contrast_of(ground_state(p0).psi, p0)
+        c1 = contrast_of(ground_state(p1).psi, p1)
         assert c1 < c0
 
-    def test_stationary_under_real_time(self):
+    def test_stationary_under_real_time(self, monkeypatch):
+        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
         p = NlseParams(v1_over_er=10.0, g_int=1.0, n_periods=8,
                        grid_points=128)
-        gs = ground_state(p, tol=1e-13)
+        gs = ground_state(p)
         c0 = contrast_of(gs.psi, p)
         _, obs = evolve(gs, p, dt=2e-3, steps=5000, record_every=500)
         assert abs(obs.contrast - c0).max() < 1e-4
@@ -301,6 +320,14 @@ class TestGroundState:
             ground_state(NlseParams(v1_over_er=2.3, n_periods=8,
                                     grid_points=64))
 
+    @pytest.mark.parametrize("field", ["v1_over_er", "g_int"])
+    def test_non_finite_energy_stops_at_once(self, monkeypatch, field):
+        # the energy overflows on the first step; the budget is never spent
+        monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", 10)
+        with pytest.raises(NonFinite, match="after [01] steps"):
+            ground_state(NlseParams(grid_points=16, n_periods=1,
+                                    **{field: 1e308}))
+
     def test_rejects_lossy_params(self):
         with pytest.raises(DomainError):
             ground_state(NlseParams(kappa_dimless=0.1, n_periods=8,
@@ -316,7 +343,7 @@ class TestReleaseProfile:
 
     def test_deep_lattice_peak_spacing(self):
         p = NlseParams(v1_over_er=10.0, n_periods=8, grid_points=256)
-        gs = ground_state(p, tol=1e-12)
+        gs = ground_state(p)
         v_g, n_ph = 40.0, 1e3
         t, intensity = release_profile(gs, p, v_g, n_ph)
         thresh = intensity.max() / 2
@@ -330,7 +357,7 @@ class TestReleaseProfile:
 
     def test_doubling_group_velocity(self):
         p = NlseParams(v1_over_er=10.0, n_periods=8, grid_points=256)
-        gs = ground_state(p, tol=1e-12)
+        gs = ground_state(p)
         t1, i1 = release_profile(gs, p, v_g=40.0, n_ph=1e3)
         t2, i2 = release_profile(gs, p, v_g=80.0, n_ph=1e3)
         assert np.allclose(t2, t1 / 2)

@@ -1,0 +1,14 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs():
+    text = README.read_text()
+    library = text[text.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["point"].phase.value in (
+        "SF", "MOTT_SG", "MOTT_BH", "INDETERMINATE")
