@@ -118,6 +118,7 @@ def cmd_phase(cfg: RunConfig, out: Path) -> None:
 
 def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     lo, hi, count = cfg.sweep["omega_range"]
+    sweep_mod.check_node_count(count)
     base = cfg.optics
     table = sweep_mod.evaluate(base, base.delta_p, np.linspace(lo, hi, count))
     rows = zip(*(a.tolist() for a in (table.omega, table.j_over_er,

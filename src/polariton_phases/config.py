@@ -66,7 +66,7 @@ SECTIONS = {
         "schedule": ([], _list_of(_list_of(_is_number, 4)),
                      "a list of [tau, v1_over_er, g_int, kappa] entries"),
         "dt": (1e-3, *_NUMBER),
-        "steps": (2000, *_INT),
+        "steps": (2000, lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
         "record_every": (10, lambda x: _is_int(x) and x >= 1,
                          "an integer >= 1"),
     },
@@ -132,7 +132,7 @@ def _merge_section(doc: dict, name: str) -> dict:
 def load_config(path) -> RunConfig:
     """Read, validate and default-fill a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
@@ -141,6 +141,10 @@ def load_config(path) -> RunConfig:
             f"config {path} is not valid JSON (line {exc.lineno}, "
             f"col {exc.colno}): {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past Python's digit limit, or nested too deep
+        raise ParseError(f"config {path} cannot be decoded: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return from_dict(doc)
 
 

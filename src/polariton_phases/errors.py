@@ -58,7 +58,7 @@ class NonFinite(PolaritonError):
 
 
 class DimensionOverflow(PolaritonError):
-    """Requested Fock basis exceeds the configured size cap."""
+    """Requested Fock basis, NLSE grid or scan exceeds its size cap."""
 
 
 class ModulationWarning(UserWarning):

@@ -16,9 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, ConfigError, DomainError, NoConvergence, NonFinite
+from .errors import (
+    BlowUp,
+    ConfigError,
+    DimensionOverflow,
+    DomainError,
+    NoConvergence,
+    NonFinite,
+)
 
 BLOWUP_FACTOR = 1e6
+# Largest grid: 2^20 points stays under the 2 000 000 states bh_ed.BASIS_CAP
+# allows an ED basis.
+MAX_GRID_POINTS = 2**20
 # First imaginary-time step of ground_state; each later stage quarters it.
 GROUND_DT = 5e-3
 # Imaginary-time steps ground_state may take over all four stages.
@@ -47,6 +57,9 @@ class NlseParams:
         n = self.grid_points
         if n < 16 or n & (n - 1):
             raise ConfigError(f"grid_points must be a power of two >= 16, got {n}")
+        if n > MAX_GRID_POINTS:
+            raise DimensionOverflow(f"grid_points {n} exceeds cap "
+                                    f"{MAX_GRID_POINTS}")
         if self.n_periods < 1:
             raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
         if n % self.n_periods:
@@ -128,19 +141,40 @@ def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
     return float((hi - lo) / (hi + lo))
 
 
+def _split_step(spectrum: np.ndarray, half_kin: np.ndarray,
+                potential: np.ndarray, g: float, z: complex,
+                loss: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Strang step from spectrum, the FFT of the field.
+
+    Half kinetic step, then the pointwise factor exp(z (potential +
+    g |psi|^2)) times loss, then the second half kinetic step: three FFTs.
+    z = -dt steps in imaginary time, z = -i dt in real time.  Returns the
+    stepped field and its FFT.
+    """
+    psi = np.fft.ifft(half_kin * spectrum)
+    psi *= np.exp(z * (potential + g * np.abs(psi) ** 2)) * loss
+    spectrum = half_kin * np.fft.fft(psi)
+    return np.fft.ifft(spectrum), spectrum
+
+
 def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
            record_every: int = 1) -> tuple[FieldState, Observables]:
     """Real-time Strang-split evolution: half kinetic / full potential / half kinetic.
 
     The kinetic factor is the exact spectral phase; the loss enters the
     potential step as a pointwise exp(-kappa dt / 2) amplitude factor, which
-    is exact for the linear loss term.
+    is exact for the linear loss term.  Each step starts from the spectrum
+    the previous one ended on, which also gives the recorded energy.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
+    if steps < 0 or record_every < 1:
+        raise DomainError(f"need steps >= 0 and record_every >= 1, got "
+                          f"{steps} and {record_every}")
     if norm_of(state.psi) <= 0:
         raise DomainError("initial state has zero norm")
     psi = np.asarray(state.psi, dtype=complex).copy()
+    spectrum = np.fft.fft(psi)
     k2, cos2 = _box(params)
     half_kin = np.exp(-1j * k2 * dt / 2)
     guard = BLOWUP_FACTOR * np.abs(psi).max()
@@ -151,21 +185,20 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         s, g, _ = params.coefficients(tau)
         taus.append(tau)
         norms.append(norm_of(psi))
-        energies.append(_energy(np.fft.fft(psi), psi, k2, cos2, s, g))
+        energies.append(_energy(spectrum, psi, k2, cos2, s, g))
         contrasts.append(contrast_of(psi, params))
 
     tau = state.time
     record(tau)
     for step in range(steps):
         s, g, kap = params.coefficients(tau + dt / 2)
-        loss = math.exp(-kap * dt / 2)
-        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-        psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt) * loss
-        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+        psi, spectrum = _split_step(spectrum, half_kin, s * cos2, g,
+                                    -1j * dt, math.exp(-kap * dt / 2))
         tau += dt
-        if not np.all(np.isfinite(psi.view(float))):
+        peak = np.abs(psi).max()
+        if not math.isfinite(peak):
             raise NonFinite(f"non-finite field at step {step + 1}")
-        if np.abs(psi).max() > guard:
+        if peak > guard:
             raise BlowUp(f"amplitude exceeded {BLOWUP_FACTOR}x initial maximum")
         if (step + 1) % record_every == 0 or step + 1 == steps:
             record(tau)
@@ -191,6 +224,7 @@ def ground_state(params: NlseParams) -> FieldState:
     xi = grid(params)
     k2, cos2 = _box(params)
     s, g, _ = params.coefficients(0.0)
+    potential = s * cos2
 
     # small symmetry-breaking seed so the lattice minima are found quickly
     psi = np.ones(params.grid_points, dtype=complex) + 0.05 * np.sin(xi) ** 2
@@ -210,10 +244,8 @@ def ground_state(params: NlseParams) -> FieldState:
                     f"imaginary time did not converge in {GROUND_MAX_STEPS} "
                     "steps")
             budget -= 1
-            psi = np.fft.ifft(half_kin * spectrum)
-            psi *= np.exp(-(s * cos2 + g * np.abs(psi) ** 2) * stage_dt)
-            spectrum = half_kin * np.fft.fft(psi)
-            psi = np.fft.ifft(spectrum)
+            psi, spectrum = _split_step(spectrum, half_kin, potential, g,
+                                        -stage_dt, 1.0)
             scale = math.sqrt(norm_of(psi))
             psi /= scale
             spectrum /= scale

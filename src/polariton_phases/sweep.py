@@ -18,6 +18,7 @@ import numpy as np
 from . import many_body, optics
 from .errors import (
     ConfigError,
+    DimensionOverflow,
     DomainError,
     EmptyBoundary,
     NoBracket,
@@ -29,6 +30,15 @@ from .errors import (
 ROOT_TOL = 1e-6          # |Delta Omega| tolerance, Gamma units
 RESIDUAL_TOL = 1e-4      # residual of the defining equation at the root
 PINNING_SCAN_POINTS = 64  # evenly spaced nodes of the pinning bracket scan
+# Most nodes one scan may hold: a sweep or phase grid, or a crossing table.
+NODE_CAP = 2_000_000
+
+
+def check_node_count(count: int) -> None:
+    """Raise DimensionOverflow, before anything is allocated, for a scan of
+    more than NODE_CAP nodes."""
+    if count > NODE_CAP:
+        raise DimensionOverflow(f"{count} scan nodes exceed cap {NODE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,7 @@ class GridSpec:
                 raise ConfigError(f"{name} needs count >= 2, got {n}")
             if not (hi > lo):
                 raise ConfigError(f"{name} needs max > min")
+        check_node_count(self.delta_p_range[2] * self.omega_range[2])
 
     def delta_p_values(self) -> np.ndarray:
         lo, hi, n = self.delta_p_range

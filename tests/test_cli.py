@@ -82,9 +82,19 @@ class TestConfigParsing:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ParseError, match="line"):
-            load_config(path)
+        for content, match in [
+            (b"{not json", "line"),
+            # past Python's limit on the digits of an int
+            (b"1" * 5000, "ValueError"),
+            (b"[" * 100_000, "RecursionError"),
+            # a Latin-1 e-acute, which is not UTF-8
+            (b'{"output": {"directory": "\xe9"}}', "UnicodeDecodeError"),
+        ]:
+            path.write_bytes(content)
+            with pytest.raises(ParseError, match=match):
+                load_config(path)
+            assert main(["map", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
 
     def test_hash_is_stable(self):
         assert from_dict({}).hash() == default_config().hash()
@@ -309,6 +319,10 @@ class TestSubcommands:
         ("nlse", {"schedule": [[1, 2, 0.1, 0], [0, 3, 0.1, 0]]}, 2),
         ("nlse", {"schedule": [[0, 2, -0.1, 0], [1, 3, 0.1, 0]]}, 2),
         ("nlse", {"kappa_dimless": -0.1}, 2),
+        # range(-3) ran no step and wrote a one-row trajectory
+        ("nlse", {"steps": -3}, 2),
+        # 2^40 points: rejected before the grid is allocated
+        ("nlse", {"grid_points": 2**40}, 2),
     ])
     def test_solver_input_exit_code(self, tmp_path, sub, section, code):
         if sub == "nlse":
@@ -375,17 +389,27 @@ _optics = st.dictionaries(
     min_size=1, max_size=3)
 
 
+# Range ends: zero, signs, the subnormal and float extremes, and the Lambda
+# (sqrt 0.025) and Xi (0.01) poles at the default optics.  Counts up to 17
+# keep a grid small; 10^12 is over the node cap, so it must exit 2 before
+# anything is allocated.
+_range_end = st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0, 100.0, 5e-324,
+                              1e308, -1e308, math.sqrt(0.025), 0.01])
+_range = st.tuples(_range_end, _range_end,
+                   st.sampled_from([2, 3, 17, 10**12])).map(list)
+_sweep = st.just({"delta_p_range": [2.0, 100.0, 4],
+                  "omega_range": [0.5, 3.0, 4]}) \
+    | st.fixed_dictionaries({"delta_p_range": _range, "omega_range": _range})
+
+
 # nlse and ed have their own contract test below, on small grids and
 # chains: at their default sizes they cost seconds per example
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(sub=st.sampled_from(["map", "sweep", "phase", "crossing"]),
-       optics=_optics)
-def test_cli_error_contract(tmp_path_factory, sub, optics):
+       optics=_optics, sweep_section=_sweep)
+def test_cli_error_contract(tmp_path_factory, sub, optics, sweep_section):
     tmp = tmp_path_factory.mktemp("contract")
-    code, _ = run(tmp, sub, {
-        "optics": optics,
-        "sweep": {"delta_p_range": [2.0, 100.0, 4],
-                  "omega_range": [0.5, 3.0, 4]}})
+    code, _ = run(tmp, sub, {"optics": optics, "sweep": sweep_section})
     assert code in (0, 2, 3)
 
 
@@ -429,8 +453,9 @@ _nlse_section = _one_bad_key(st.fixed_dictionaries({
     "kappa_dimless": st.sampled_from([0.0, 0.1]),
     "schedule": st.lists(_schedule_row, max_size=3,
                          unique_by=lambda row: row[0]).map(sorted),
-}), [("grid_points", 8), ("grid_points", 24), ("n_periods", 0),
-     ("n_periods", 3), ("dt", 0.0), ("dt", -1e-3), ("dt", 1e308),
+}), [("grid_points", 8), ("grid_points", 24), ("grid_points", 2**40),
+     ("n_periods", 0), ("n_periods", 3), ("steps", -1), ("dt", 0.0),
+     ("dt", -1e-3), ("dt", 1e308),
      ("v1_over_er", -1.0), ("v1_over_er", 1e308), ("g_int", -1.0),
      ("g_int", 1e308), ("kappa_dimless", -0.1), ("kappa_dimless", 1e308),
      ("schedule", [[1.0, 2.0, 0.1, 0.0], [0.0, 2.0, 0.1, 0.0]]),

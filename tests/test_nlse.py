@@ -7,6 +7,7 @@ import scipy.linalg
 from polariton_phases import nlse, optics
 from polariton_phases.errors import (
     ConfigError,
+    DimensionOverflow,
     DomainError,
     NoConvergence,
     NonFinite,
@@ -72,6 +73,25 @@ def _derivative_energy(psi, params, tau):
                  + 0.5 * g * np.mean(np.abs(psi) ** 4))
 
 
+def _counting(calls, name, fn):
+    """fn, counting each call in calls[name]."""
+    calls.setdefault(name, 0)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _count_ffts(monkeypatch):
+    """Counts every np.fft.fft and np.fft.ifft call in the "fft" entry."""
+    calls = {}
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name,
+                            _counting(calls, "fft", getattr(np.fft, name)))
+    return calls
+
+
 class TestEnergy:
     @pytest.mark.parametrize("n", [64, 256])
     def test_parseval_matches_derivative_form(self, rng, n):
@@ -90,6 +110,14 @@ class TestParamsValidation:
             NlseParams(grid_points=100)
         with pytest.raises(ConfigError):
             NlseParams(grid_points=8)
+
+    def test_grid_cap(self):
+        NlseParams(grid_points=nlse.MAX_GRID_POINTS)
+        # rejected before the grid is allocated
+        with pytest.raises(DimensionOverflow):
+            NlseParams(grid_points=2 * nlse.MAX_GRID_POINTS, n_periods=1)
+        with pytest.raises(DimensionOverflow):
+            NlseParams(grid_points=2**40, n_periods=1)
 
     def test_periods_and_signs(self):
         with pytest.raises(ConfigError):
@@ -235,11 +263,51 @@ class TestEvolve:
 
     def test_input_validation(self):
         p = NlseParams(n_periods=8, grid_points=64)
-        with pytest.raises(DomainError):
-            evolve(FieldState(np.ones(64, dtype=complex)), p, dt=0.0, steps=1)
+        state = FieldState(np.ones(64, dtype=complex))
+        # record_every = 0 divided by zero; steps < 0 ran no step
+        for kw in ({"dt": 0.0}, {"steps": -1}, {"record_every": 0},
+                   {"record_every": -2}):
+            with pytest.raises(DomainError):
+                evolve(state, p, **{"dt": 1e-3, "steps": 3, **kw})
         with pytest.raises(DomainError):
             evolve(FieldState(np.zeros(64, dtype=complex)), p, dt=1e-3,
                    steps=1)
+
+    @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
+    def test_three_ffts_per_step(self, monkeypatch, record_every):
+        # one FFT of the initial field, then three a step: records read the
+        # energy from the spectrum the step already holds
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, kappa_dimless=0.1,
+                       n_periods=8, grid_points=64)
+        state = _gaussian(p, 2.0)
+        calls = _count_ffts(monkeypatch)
+        _, obs = evolve(state, p, dt=1e-3, steps=20,
+                        record_every=record_every)
+        assert len(obs.tau) == 1 + -(-20 // record_every)
+        assert calls["fft"] == 1 + 3 * 20
+
+    def test_matches_textbook_strang_step(self):
+        # the step as usually written, with four FFTs: each half kinetic
+        # step transforms psi forward and back
+        p = NlseParams(n_periods=8, grid_points=128,
+                       schedule=((0.0, 1.0, 0.2, 0.0),
+                                 (0.3, 6.0, 0.9, 0.4)))
+        state = _gaussian(p, 2.0)
+        dt, steps = 1e-3, 400
+        n = p.grid_points
+        k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * p.n_periods / n)
+        half_kin = np.exp(-1j * k**2 * dt / 2)
+        cos2 = np.cos(grid(p)) ** 2
+        psi = state.psi.copy()
+        for step in range(steps):
+            s, g, kappa = p.coefficients((step + 0.5) * dt)
+            psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+            psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt
+                          - kappa * dt / 2)
+            psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+        final, _ = evolve(state, p, dt=dt, steps=steps, record_every=50)
+        assert final.time == pytest.approx(steps * dt, rel=1e-12)
+        assert np.abs(final.psi - psi).max() <= 1e-12
 
 
 class TestGroundState:
@@ -294,20 +362,13 @@ class TestGroundState:
     def test_three_ffts_per_step(self, monkeypatch):
         p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8,
                        grid_points=64)
-        calls = {"fft": 0, "norm": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
 
         def no_energy_of(*args, **kwargs):
             raise AssertionError("ground_state called energy_of")
 
-        monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
-        monkeypatch.setattr(np.fft, "ifft", counting("fft", np.fft.ifft))
-        monkeypatch.setattr(nlse, "norm_of", counting("norm", nlse.norm_of))
+        calls = _count_ffts(monkeypatch)
+        monkeypatch.setattr(nlse, "norm_of",
+                            _counting(calls, "norm", nlse.norm_of))
         monkeypatch.setattr(nlse, "energy_of", no_energy_of)
         ground_state(p)
         steps = calls["norm"] - 1          # one norm before the first step
@@ -363,8 +424,8 @@ class TestReleaseProfile:
         assert np.allclose(t2, t1 / 2)
         # profile shape unchanged; integrated intensity invariant
         assert np.allclose(i2 / i2.max(), i1 / i1.max())
-        assert np.trapezoid(i1, t1) == pytest.approx(
-            np.trapezoid(i2, t2), rel=1e-12)
+        assert i1.sum() * (t1[1] - t1[0]) == pytest.approx(
+            i2.sum() * (t2[1] - t2[0]), rel=1e-12)
 
     def test_integrated_intensity_equals_norm_times_box(self):
         p = NlseParams(n_periods=8, grid_points=64)
