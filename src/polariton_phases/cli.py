@@ -18,16 +18,11 @@ import numpy as np
 
 from . import bh_ed, many_body, nlse, optics, sweep as sweep_mod
 from .config import RunConfig, default_config, load_config
-from .errors import (
-    BlowUp,
-    NoConvergence,
-    NonFinite,
-    PolaritonError,
-)
+from .errors import NoConvergence, NonFinite, PolaritonError
 
 log = logging.getLogger("polariton_phases")
 
-CONVERGENCE_ERRORS = (NoConvergence, BlowUp, NonFinite)
+CONVERGENCE_ERRORS = (NoConvergence, NonFinite)
 
 
 def _write_lines(path: Path, header: list[str], lines, cfg_hash: str) -> None:

@@ -49,10 +49,6 @@ class NoCrossing(PolaritonError):
     """Scaled-gap curves do not cross in the scanned interaction range."""
 
 
-class BlowUp(PolaritonError):
-    """Field amplitude grew beyond the blow-up guard threshold."""
-
-
 class NonFinite(PolaritonError):
     """NaN or Inf encountered during time evolution."""
 

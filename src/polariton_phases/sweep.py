@@ -298,11 +298,19 @@ def sweep_grid(spec: GridSpec) -> list[SweepRecord]:
     return records
 
 
-def _brentq(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f within ROOT_TOL / 2 in [lo, hi], where f changes sign."""
+def _brentq(f: Callable[[float], float], lo: float, hi: float,
+            f_lo: float, f_hi: float) -> float:
+    """Root of f within ROOT_TOL / 2 in [lo, hi], where f changes sign.
+
+    f_lo and f_hi are f(lo) and f(hi), which the caller already holds;
+    brentq asks for both ends first and gets them without calling f.
+    """
     import scipy.optimize   # ~0.2 s to import; only the root finders use it
+
+    def known_ends(x: float) -> float:
+        return f_lo if x == lo else f_hi if x == hi else f(x)
     try:
-        return scipy.optimize.brentq(f, lo, hi, xtol=ROOT_TOL / 2)
+        return scipy.optimize.brentq(known_ends, lo, hi, xtol=ROOT_TOL / 2)
     except RuntimeError as exc:
         raise NoConvergence(f"brentq over [{lo}, {hi}]: {exc}") from exc
 
@@ -328,8 +336,9 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
     # U/J grows like exp(2 sqrt(V1/E_R)); on its log, which is near linear
     # in Omega, Brent's method takes ~10 steps a root where it takes ~12 on
     # U/J itself
-    root = _brentq(lambda om: math.log(uj(om) / many_body.UJ_CRITICAL),
-                   lo, hi)
+    log_ratio = lambda x: math.log(x / many_body.UJ_CRITICAL)
+    root = _brentq(lambda om: log_ratio(uj(om)), lo, hi,
+                   log_ratio(uj_lo), log_ratio(uj_hi))
     residual = abs(uj(root) - many_body.UJ_CRITICAL)
     if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
@@ -370,7 +379,8 @@ def find_pinning_crossing(
         )
     i = changes[0]
     root = _brentq(lambda om: float(evaluate(base, delta_p, om).f_sg),
-                   float(scan.omega[i]), float(scan.omega[i + 1]))
+                   float(scan.omega[i]), float(scan.omega[i + 1]),
+                   float(f_scan[i]), float(f_scan[i + 1]))
     at = evaluate(base, delta_p, root)
     return root, float(at.gamma_abs), float(at.v1_over_er)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -329,6 +330,18 @@ class TestSubcommands:
             section = {"grid_points": 16, "n_periods": 1, "steps": 5,
                        **section}
         assert run(tmp_path, sub, {sub: section})[0] == code
+
+    def test_unstable_ground_state_exits_fast(self, tmp_path, caplog):
+        # g dt = 5 on the first imaginary-time stage: the energy rises on
+        # step 1, where the run used to spend 200 000 steps (~15 s)
+        doc = {"nlse": {"v1_over_er": 1, "g_int": 1e3, "grid_points": 16,
+                        "n_periods": 1, "steps": 5}}
+        start = time.perf_counter()
+        with caplog.at_level(logging.ERROR, logger="polariton_phases"):
+            code = run(tmp_path, "nlse", doc)[0]
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        assert "NoConvergence: imaginary-time step 1 " in caplog.text
 
     @pytest.mark.parametrize("sub", ["map", "sweep", "phase", "crossing",
                                      "nlse"])

@@ -274,40 +274,56 @@ class TestEvolve:
                    steps=1)
 
     @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
-    def test_three_ffts_per_step(self, monkeypatch, record_every):
-        # one FFT of the initial field, then three a step: records read the
-        # energy from the spectrum the step already holds
+    def test_two_ffts_per_step(self, monkeypatch, record_every):
+        # one FFT of the initial field, then two a step, and one more for
+        # each record after the start, which the last step always makes
         p = NlseParams(v1_over_er=2.3, g_int=0.2, kappa_dimless=0.1,
                        n_periods=8, grid_points=64)
         state = _gaussian(p, 2.0)
         calls = _count_ffts(monkeypatch)
         _, obs = evolve(state, p, dt=1e-3, steps=20,
                         record_every=record_every)
-        assert len(obs.tau) == 1 + -(-20 // record_every)
-        assert calls["fft"] == 1 + 3 * 20
+        records = -(-20 // record_every)
+        assert len(obs.tau) == 1 + records
+        assert calls["fft"] == 1 + 2 * 20 + records
+
+    def test_final_field_independent_of_record_every(self):
+        # merged kinetic factors between records, split ones at a record
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, kappa_dimless=0.1,
+                       n_periods=8, grid_points=128)
+        state = _gaussian(p, 2.0)
+        steps = 300
+        finals = [evolve(state, p, dt=1e-3, steps=steps,
+                         record_every=every)[0]
+                  for every in (1, 7, steps)]
+        for final in finals[1:]:
+            assert final.time == finals[0].time
+            assert np.abs(final.psi - finals[0].psi).max() <= 1e-12
 
     def test_matches_textbook_strang_step(self):
         # the step as usually written, with four FFTs: each half kinetic
         # step transforms psi forward and back
-        p = NlseParams(n_periods=8, grid_points=128,
-                       schedule=((0.0, 1.0, 0.2, 0.0),
-                                 (0.3, 6.0, 0.9, 0.4)))
-        state = _gaussian(p, 2.0)
-        dt, steps = 1e-3, 400
-        n = p.grid_points
-        k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * p.n_periods / n)
-        half_kin = np.exp(-1j * k**2 * dt / 2)
-        cos2 = np.cos(grid(p)) ** 2
-        psi = state.psi.copy()
-        for step in range(steps):
-            s, g, kappa = p.coefficients((step + 0.5) * dt)
-            psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-            psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt
-                          - kappa * dt / 2)
-            psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-        final, _ = evolve(state, p, dt=dt, steps=steps, record_every=50)
-        assert final.time == pytest.approx(steps * dt, rel=1e-12)
-        assert np.abs(final.psi - psi).max() <= 1e-12
+        kw = dict(n_periods=8, grid_points=128)
+        for p in (NlseParams(schedule=((0.0, 1.0, 0.2, 0.0),
+                                       (0.3, 6.0, 0.9, 0.4)), **kw),
+                  NlseParams(v1_over_er=3.0, g_int=0.4, kappa_dimless=0.2,
+                             **kw)):
+            state = _gaussian(p, 2.0)
+            dt, steps = 1e-3, 400
+            n = p.grid_points
+            k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * p.n_periods / n)
+            half_kin = np.exp(-1j * k**2 * dt / 2)
+            cos2 = np.cos(grid(p)) ** 2
+            psi = state.psi.copy()
+            for step in range(steps):
+                s, g, kappa = p.coefficients((step + 0.5) * dt)
+                psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+                psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt
+                              - kappa * dt / 2)
+                psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+            final, _ = evolve(state, p, dt=dt, steps=steps, record_every=50)
+            assert final.time == pytest.approx(steps * dt, rel=1e-12)
+            assert np.abs(final.psi - psi).max() <= 1e-12
 
 
 class TestGroundState:
@@ -374,6 +390,31 @@ class TestGroundState:
         steps = calls["norm"] - 1          # one norm before the first step
         assert steps > 100
         assert calls["fft"] == 3 * steps + 1
+
+    @pytest.mark.parametrize("s,g,n,steps", [
+        # frozen from the solver without the energy-rise rule
+        (2.3, 0.2, 256, 2733),
+        (5.0, 0.5, 128, 4753),
+        (10.0, 1.0, 128, 5605),
+        (1.92, 0.2, 256, 505),
+        (1.0, 100.0, 64, 43),
+    ])
+    def test_step_counts_frozen(self, monkeypatch, s, g, n, steps):
+        calls = {}
+        monkeypatch.setattr(nlse, "norm_of",
+                            _counting(calls, "norm", nlse.norm_of))
+        ground_state(NlseParams(v1_over_er=s, g_int=g, n_periods=8,
+                                grid_points=n))
+        assert calls["norm"] - 1 == steps
+
+    @pytest.mark.parametrize("s,g,n,periods", [(1.0, 1e3, 16, 1),
+                                               (1.0, 300.0, 64, 8)])
+    def test_unstable_stage_stops_at_once(self, s, g, n, periods):
+        # at this g dt the first stage oscillates instead of relaxing; it
+        # used to spend the whole step budget
+        with pytest.raises(NoConvergence, match="step 1 .*raised the energy"):
+            ground_state(NlseParams(v1_over_er=s, g_int=g, n_periods=periods,
+                                    grid_points=n))
 
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", 50)

@@ -253,6 +253,34 @@ def test_brentq_failure_is_no_convergence(baseline, monkeypatch, find,
         find(baseline, delta_p, (1.0, 3.0))
 
 
+@pytest.mark.parametrize("find, delta_p, bracket, fixed", [
+    # Mott: the two bracket ends and the residual at the root
+    (find_mott_crossing, 50.0, (0.9, 1.2), 3),
+    # pinning: the bracket scan and the fields at the root
+    (find_pinning_crossing, 10.0, (1.0, 3.0), 2),
+])
+def test_brentq_reuses_bracket_ends(baseline, monkeypatch, find, delta_p,
+                                    bracket, fixed):
+    # brentq's count includes the two bracket ends, which the root finder
+    # already holds: two evaluate calls fewer than fixed + that count
+    counts = {"evaluate": 0, "brentq": 0}
+    real_evaluate, real_brentq = sweep.evaluate, scipy.optimize.brentq
+
+    def counted_evaluate(*args):
+        counts["evaluate"] += 1
+        return real_evaluate(*args)
+
+    def counted_brentq(f, lo, hi, **kwargs):
+        root, info = real_brentq(f, lo, hi, full_output=True, **kwargs)
+        counts["brentq"] += info.function_calls
+        return root
+    monkeypatch.setattr(sweep, "evaluate", counted_evaluate)
+    monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
+    find(baseline, delta_p, bracket)
+    assert counts["brentq"] > 2
+    assert counts["evaluate"] == fixed + counts["brentq"] - 2
+
+
 class TestPinningCrossing:
     def test_crossing_above_gamma(self, baseline):
         root, gamma_abs, depth = find_pinning_crossing(baseline, 10.0,
