@@ -296,8 +296,8 @@ def estimate_critical_ratio(sizes: list[int], ratios: list[float],
     transition is Kosterlitz-Thouless, so a crossing of L * gap is biased)
     and a small spread does not bound the distance to the L -> inf value.
     """
-    if len(sizes) < 2:
-        raise NoCrossing("need at least two chain lengths to compare")
+    if len(sizes) < 2 or len(set(sizes)) < len(sizes):
+        raise NoCrossing(f"need 2+ chain lengths, all distinct: {sizes}")
     if len(ratios) < 5:
         raise NoCrossing("need at least five U/J samples")
     ratios = sorted(float(r) for r in ratios)

@@ -174,7 +174,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi| <= sqrt(n) max|psi_0| on n grid points.  The
     only guard is therefore NonFinite: it reads the |psi|^2 of every
-    nonlinear stage and the field of every record.
+    nonlinear stage and the norm of every record, the start's included.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -191,15 +191,18 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
 
     taus, norms, energies, contrasts = [], [], [], []
 
-    def record(tau):
+    def record(step):
+        norm = norm_of(psi)
+        if not math.isfinite(norm):
+            raise NonFinite(f"non-finite field at step {step}")
         s, g, _ = params.coefficients(tau)
         taus.append(tau)
-        norms.append(norm_of(psi))
+        norms.append(norm)
         energies.append(_energy(spectrum, psi, k2, cos2, s, g))
         contrasts.append(contrast_of(psi, params))
 
     tau = state.time
-    record(tau)
+    record(0)
     kin = half_kin
     for step in range(1, steps + 1):
         s, g, kap = params.coefficients(tau + dt / 2)
@@ -213,9 +216,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
             continue
         spectrum *= half_kin
         psi = np.fft.ifft(spectrum)
-        record(tau)
-        if not math.isfinite(norms[-1]):
-            raise NonFinite(f"non-finite field at step {step}")
+        record(step)
         kin = half_kin
 
     obs = Observables(np.array(taus), np.array(norms),

@@ -148,24 +148,20 @@ class NodeFields:
         return (self.sg_valid * 1 + self.bh_valid * 2
                 + self.k_formula_valid * 4 + self.sign_warning * 8)
 
-    def labels(self) -> tuple[list[str], list[str]]:
-        """(phase, flags) label per node in row-major order.
+    def labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phase, flags) object arrays of str, per node in row-major order.
 
         A node that is not OK has an empty phase and its status name as
         flags.
         """
-        phase_names = [p.value for p in PHASES]
-        flag_names = [f.label() if f else "" for f in _FLAGS]
-        phases, flags = [], []
-        for st, ph, fc in zip(np.ravel(self.status).tolist(),
-                              np.ravel(self.phase).tolist(),
-                              np.ravel(self.flag_codes()).tolist()):
-            if st == OK:
-                phases.append(phase_names[ph])
-                flags.append(flag_names[fc])
-            else:
-                phases.append("")
-                flags.append(STATUS_NAMES[st])
+        status = np.ravel(self.status)
+        ok = status == OK
+        phase_names = np.array([p.value for p in PHASES], dtype=object)
+        flag_names = np.array([f.label() if f else "" for f in _FLAGS],
+                              dtype=object)
+        phases = np.where(ok, phase_names[np.ravel(self.phase)], "")
+        flags = np.where(ok, flag_names[np.ravel(self.flag_codes())],
+                         np.array(STATUS_NAMES, dtype=object)[status])
         return phases, flags
 
     def require_ok(self) -> None:

@@ -265,6 +265,12 @@ class TestCriticalRatio:
         with pytest.raises(NoCrossing):
             estimate_critical_ratio([4], [1, 2, 3, 4, 5])
 
+    @pytest.mark.parametrize("sizes", [[4, 4], [4, 6, 4]])
+    def test_repeated_size_rejected(self, sizes):
+        # identical curves are equal at every sample: no crossing to report
+        with pytest.raises(NoCrossing, match="distinct"):
+            estimate_critical_ratio(sizes, [1, 2, 3, 4, 5, 6])
+
     def test_too_few_ratios_rejected(self):
         with pytest.raises(NoCrossing):
             estimate_critical_ratio([4, 6], [1, 2, 3])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polariton_phases
-from polariton_phases import sweep
+from polariton_phases import cli, sweep
 from polariton_phases.cli import main
 from polariton_phases.config import (
     RunConfig,
@@ -360,6 +361,98 @@ class TestSubcommands:
         code, out = run(tmp_path, "sweep", cfg)
         assert code == 0
         assert "sweep.csv" in (out / "plot_sweep.gp").read_text()
+        code, out = run(tmp_path, "crossing", {
+            "sweep": {"omega_range": [0.9, 1.2, 10]},
+            "output": {"emit_plot_script": True}})
+        assert code == 0
+        assert (out / "plot_crossing.gp").read_bytes() == (
+            b"set datafile separator ','\n"
+            b"set xlabel 'Omega/Gamma'\nset logscale y\n"
+            b"plot 'crossing.csv' every ::1 using 1:2 with lines title "
+            b"'J/E_R', '' every ::1 using 1:3 with lines title 'U/E_R'\n")
+
+    @pytest.mark.parametrize("sub", ["map", "sweep", "phase", "crossing",
+                                     "nlse", "ed"])
+    def test_config_hashed_once(self, tmp_path, sub, monkeypatch):
+        calls = []
+        config_hash = RunConfig.hash
+        monkeypatch.setattr(RunConfig, "hash",
+                            lambda cfg: calls.append(1) or config_hash(cfg))
+        doc = dict(SMALL_CONFIG)
+        if sub == "crossing":
+            doc = {"sweep": {"omega_range": [0.9, 1.2, 10]}}
+        assert run(tmp_path, sub, doc)[0] == 0
+        assert len(calls) == 1
+
+
+def _csv_bytes(path, header, columns, block_rows=None, monkeypatch=None):
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    cli._write_csv(path, header, columns, "0" * 64)
+    return path.read_bytes()
+
+
+class TestCsvWriter:
+    """Frozen bytes of the one CSV writer, as the earlier per-table writers
+    formatted them: "%.17g" for numbers, "%s" for text."""
+
+    HASH_LINE = b"# config_hash=" + b"0" * 64 + b"\n"
+
+    def test_frozen_bytes(self, tmp_path):
+        columns = [
+            np.array([0.1, np.nan, -0.0, 1e-300, np.inf, 2.5]),
+            np.array([0, 1, -7, 2**53 + 1, 4, 5]),
+            np.array(["SF", "", "MOTT_BH", "", "INDETERMINATE", ""]),
+            np.array(["bh_valid", "POLE", "", "DOMAIN",
+                      "k_formula_valid;sign_warning", "POLE"], dtype=object),
+        ]
+        got = _csv_bytes(tmp_path / "t.csv", ["x", "n", "phase", "flags"],
+                         columns)
+        assert got == self.HASH_LINE + (
+            b"x,n,phase,flags\n"
+            b"0.10000000000000001,0,SF,bh_valid\n"
+            b"nan,1,,POLE\n"
+            b"-0,-7,MOTT_BH,\n"
+            b"1e-300,9007199254740992,,DOMAIN\n"
+            b"inf,4,INDETERMINATE,k_formula_valid;sign_warning\n"
+            b"2.5,5,,POLE\n")
+
+    def test_int_lists(self, tmp_path):
+        # ed collects Python ints and floats per column
+        got = _csv_bytes(tmp_path / "t.csv", ["L", "u_over_j"],
+                         [[4, 6], [1, 2.5]])
+        assert got == self.HASH_LINE + b"L,u_over_j\n4,1\n6,2.5\n"
+
+    def test_zero_rows(self, tmp_path):
+        got = _csv_bytes(tmp_path / "t.csv", ["a", "b"], [[], []])
+        assert got == self.HASH_LINE + b"a,b\n"
+        code, out = run(tmp_path, "ed", {"ed": {"sizes": []}})
+        assert code == 0
+        assert (out / "ed.csv").read_bytes() == (
+            b"# config_hash=41847a261c582cd21cdc0c0865a8090b3f323322236e4210"
+            b"e93e4b7a9e58b2fc\n"
+            b"L,N,n_max,u_over_j,e0_over_j,gap_over_j,var_n\n")
+
+    # 2500 rows: more than one block, the last one partial, at the default
+    # block size and at each of these
+    @pytest.mark.parametrize("block_rows", [None, 1, 7, 1000, 2499, 2500,
+                                            2501])
+    def test_block_edges(self, tmp_path, monkeypatch, block_rows):
+        i = np.arange(2500)
+        y = np.sqrt(i) * -1e-3
+        y[::97] = np.nan
+        phases = np.array(["SF", "MOTT_SG", "MOTT_BH", "INDETERMINATE", ""],
+                          dtype=object)
+        flags = np.array(["", "sg_valid", "bh_valid;k_formula_valid", "POLE",
+                          "DOMAIN"], dtype=object)
+        got = _csv_bytes(tmp_path / "t.csv", ["x", "y", "i", "phase", "flags"],
+                         [i / 7.0, y, i, phases[i % 5], flags[i % 3 + i % 2]],
+                         block_rows, monkeypatch)
+        if block_rows is None:
+            assert cli._BLOCK_ROWS < 2500
+        assert got.count(b"\n") == 2502
+        assert hashlib.sha256(got).hexdigest() == (
+            "a6082801d1ca47e0caaeebcedde77f6f92f60cb9dc9248cbafd9ffe1fe51b1b7")
 
 
 class TestDeterminism:

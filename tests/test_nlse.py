@@ -261,6 +261,16 @@ class TestEvolve:
         with pytest.raises(NonFinite):
             evolve(FieldState(psi), p, dt=1e-3, steps=2)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_start_detected(self, bad):
+        # with no step to take, the start is the only record
+        p = NlseParams(n_periods=8, grid_points=64)
+        psi = np.ones(64, dtype=complex)
+        psi[3] = bad
+        with pytest.raises(NonFinite, match="at step 0"):
+            evolve(FieldState(psi), p, dt=1e-3, steps=0)
+
     def test_input_validation(self):
         p = NlseParams(n_periods=8, grid_points=64)
         state = FieldState(np.ones(64, dtype=complex))
