@@ -1,8 +1,9 @@
 """Mean-field ground state in the polariton lattice and its release signal.
 
-Relaxes the lattice NLSE to its ground state by imaginary time, checks that
-real-time evolution leaves it stationary, then switches on loss and maps the
-decaying density to the outgoing intensity trace a detector would see.
+Finds the lattice NLSE ground state by preconditioned gradient descent on
+the energy, checks that real-time evolution leaves it stationary, then
+switches on loss and maps the decaying density to the outgoing intensity
+trace a detector would see.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ def main():
                              grid_points=256)
     state = nlse.ground_state(params)
     c0 = nlse.contrast_of(state.psi, params)
-    print(f"ground-state density contrast = {c0:.4f}")
+    print(f"ground-state density contrast = {c0:.4f} ({state.iterations} "
+          f"iterations, residual {state.residual:.1e})")
 
     evolved, obs = nlse.evolve(state, params, dt=1e-3, steps=2000,
                                record_every=200)

@@ -158,6 +158,8 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
     )
     lossless = dataclasses.replace(params, kappa_dimless=0.0, schedule=())
     state = nlse.ground_state(lossless)
+    log.info("nlse: ground state in %d iterations, residual %.3g",
+             state.iterations, state.residual)
     final, obs = nlse.evolve(state, params, dt=nl["dt"], steps=nl["steps"],
                              record_every=nl["record_every"])
     _write_csv(out / "nlse_trajectory.csv",
@@ -169,6 +171,8 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
         "grid_points": params.grid_points,
         "n_periods": params.n_periods,
         "time": final.time,
+        "ground_iterations": state.iterations,
+        "ground_residual": state.residual,
     }, cfg_hash)
 
 

@@ -1,4 +1,4 @@
-"""Split-step spectral solver for the dimensionless lattice NLSE.
+"""Lattice NLSE: split-step real-time evolution and its ground state.
 
 Working equation (lattice units: xi = pi n_ph z, tau = E_R t / hbar):
 
@@ -27,16 +27,13 @@ from .errors import (
 # Largest grid: 2^20 points stays under the 2 000 000 states bh_ed.BASIS_CAP
 # allows an ED basis.
 MAX_GRID_POINTS = 2**20
-# First imaginary-time step of ground_state; each later stage quarters it.
-GROUND_DT = 5e-3
-# Imaginary-time steps ground_state may take over all four stages.
-GROUND_MAX_STEPS = 200_000
-# A ground_state stage stops when one step changes the energy E by at most
-# GROUND_TOL * max(|E|, 1).
-GROUND_TOL = 1e-12
-# Imaginary time lowers the energy; a step that raises it by more than
-# GROUND_MAX_RISE * max(|E|, 1) marks a stage whose g dt is too large to relax.
-GROUND_MAX_RISE = 1e-3
+# Iterations ground_state may take: ~3x the slowest of 1119 inputs tried
+# (s <= 1e4, g <= 1e5, 16 to 2^16 points), 720 at s = 1e4 on 16 points a
+# period.
+GROUND_MAX_STEPS = 2000
+# ground_state stops when the residual |H psi - mu psi| / |psi| is at most
+# GROUND_TOL * max(|mu|, 1) plus the rounding floor of H psi.
+GROUND_TOL = 1e-10
 
 
 def interaction_strength(gamma_abs: float) -> float:
@@ -91,6 +88,13 @@ class FieldState:
 
 
 @dataclass
+class GroundState(FieldState):
+    """The state ground_state returns, with the effort it took."""
+    iterations: int = 0        # gradient steps taken
+    residual: float = 0.0      # |H psi - mu psi| / |psi| of psi
+
+
+@dataclass
 class Observables:
     tau: np.ndarray
     norm: np.ndarray           # spatial mean of |psi|^2
@@ -142,24 +146,6 @@ def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
     return float((hi - lo) / (hi + lo))
 
 
-def _split_step(spectrum: np.ndarray, kin: np.ndarray,
-                potential: np.ndarray, g: float, z: complex,
-                loss: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Strang step from spectrum, the FFT of the field, up to its
-    closing half kinetic factor, which the caller applies.
-
-    The opening kinetic factor kin, then the pointwise factor exp(z
-    (potential + g |psi|^2)) times loss: two FFTs.  kin is the half step
-    exp(z k^2 / 2), or the full one when it also closes the previous step.
-    z = -dt steps in imaginary time, z = -i dt in real time.  Returns the
-    FFT of the field after the pointwise factor and the |psi|^2 it read.
-    """
-    psi = np.fft.ifft(kin * spectrum)
-    dens = np.abs(psi) ** 2
-    psi *= np.exp(z * (potential + g * dens)) * loss
-    return np.fft.fft(psi), dens
-
-
 def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
            record_every: int = 1) -> tuple[FieldState, Observables]:
     """Real-time Strang-split evolution: half kinetic / full potential / half kinetic.
@@ -206,8 +192,11 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     kin = half_kin
     for step in range(1, steps + 1):
         s, g, kap = params.coefficients(tau + dt / 2)
-        spectrum, dens = _split_step(spectrum, kin, s * cos2, g, -1j * dt,
-                                     math.exp(-kap * dt / 2))
+        field = np.fft.ifft(kin * spectrum)
+        dens = np.abs(field) ** 2
+        field *= np.exp(-1j * dt * (s * cos2 + g * dens)) \
+            * math.exp(-kap * dt / 2)
+        spectrum = np.fft.fft(field)
         tau += dt
         if not math.isfinite(dens.max()):
             raise NonFinite(f"non-finite field at step {step}")
@@ -224,59 +213,66 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     return FieldState(psi, tau), obs
 
 
-def ground_state(params: NlseParams) -> FieldState:
-    """Imaginary-time relaxation to the mean-field ground state.
+def ground_state(params: NlseParams) -> GroundState:
+    """Mean-field ground state: the minimum of energy_of at unit mean density.
 
-    Renormalizes |psi|^2 back to unit spatial mean after every step and stops
-    when the relative energy change per step drops below GROUND_TOL.  It
-    raises NonFinite as soon as the energy is not finite, and NoConvergence
-    as soon as one step raises the energy by more than GROUND_MAX_RISE
-    relative to max(|E|, 1), which an unstable stage does.  The time step
-    is reduced in stages after each converged pass, removing the O(dt^2)
-    splitting bias so the returned state is stationary under real-time
-    evolution.  Each step starts from the spectrum the previous one ended
-    on and closes with its half kinetic factor, which also gives the
-    energy: three FFTs per step.
+    Preconditioned gradient descent on that sphere (Antoine, Levitt & Tang,
+    J. Comput. Phys. 343, 92 (2017)).  The state is real and positive, so
+    it is carried in real FFTs.  Each iteration forms H psi = -psi'' +
+    (s cos^2 + g psi^2) psi, mu = <psi, H psi> and the residual r = H psi -
+    mu psi, steps along -P r with P = 1/(k^2 + s + 2g + 1) and the part of
+    P r along P psi projected out, and renormalizes: three FFTs.  A density
+    ripple on the uniform state has residual (k^2 + 2g) times its
+    amplitude, so P brings every mode's step close to one even at large g.
+
+    Stops when |r| / |psi| <= GROUND_TOL max(|mu|, 1) + eps (k_max^2 + s +
+    g max psi^2); the second term is the float64 rounding of H psi on this
+    grid.  Raises NonFinite as soon as the residual is not finite and
+    NoConvergence after GROUND_MAX_STEPS iterations.  The state is returned
+    complex, with the iterations taken and its residual.
     """
     if params.kappa_dimless != 0 or any(p[3] != 0 for p in params.schedule):
         raise DomainError("ground_state requires kappa = 0")
-    xi = grid(params)
+    n = params.grid_points
     k2, cos2 = _box(params)
+    k2 = k2[:n // 2 + 1]                 # the modes np.fft.rfft keeps
     s, g, _ = params.coefficients(0.0)
     potential = s * cos2
+    precond = 1 / (k2 + s + 2 * g + 1)
+    # <a, P b> = sum(p_weight Re(conj(a_hat) b_hat)) / n^2 over the rfft
+    # modes, each of which but k = 0 and the Nyquist mode stands for two
+    p_weight = 2 * precond
+    p_weight[[0, -1]] /= 2
+    eps = np.finfo(float).eps
 
     # small symmetry-breaking seed so the lattice minima are found quickly
-    psi = np.ones(params.grid_points, dtype=complex) + 0.05 * np.sin(xi) ** 2
+    psi = 1 + 0.05 * np.sin(grid(params)) ** 2
     psi /= math.sqrt(norm_of(psi))
-    spectrum = np.fft.fft(psi)
-    e = _energy(spectrum, psi, k2, cos2, s, g)
-    budget = GROUND_MAX_STEPS
-    for stage_dt in (GROUND_DT, GROUND_DT / 4, GROUND_DT / 16, GROUND_DT / 64):
-        half_kin = np.exp(-k2 * stage_dt / 2)
-        e_prev = math.inf
-        while not abs(e - e_prev) <= GROUND_TOL * max(abs(e), 1.0):
-            if not math.isfinite(e):
-                raise NonFinite(f"non-finite energy {e} after "
-                                f"{GROUND_MAX_STEPS - budget} steps")
-            if budget == 0:
-                raise NoConvergence(
-                    f"imaginary time did not converge in {GROUND_MAX_STEPS} "
-                    "steps")
-            budget -= 1
-            spectrum, _ = _split_step(spectrum, half_kin, potential, g,
-                                      -stage_dt, 1.0)
-            spectrum *= half_kin
-            psi = np.fft.ifft(spectrum)
-            scale = math.sqrt(norm_of(psi))
-            psi /= scale
-            spectrum /= scale
-            e_prev, e = e, _energy(spectrum, psi, k2, cos2, s, g)
-            if e - e_prev > GROUND_MAX_RISE * max(abs(e), 1.0):
-                raise NoConvergence(
-                    f"imaginary-time step {GROUND_MAX_STEPS - budget} "
-                    f"(dt = {stage_dt}) raised the energy by {e - e_prev:.3g}"
-                    f" to {e:.6g}: the stage is unstable")
-    return FieldState(psi, 0.0)
+    spectrum = np.fft.rfft(psi)
+    for iterations in range(GROUND_MAX_STEPS + 1):
+        dens = psi * psi
+        h_psi = np.fft.irfft(k2 * spectrum, n) + (potential + g * dens) * psi
+        mu = float(np.dot(psi, h_psi)) / n
+        r = h_psi - mu * psi
+        residual = math.sqrt(float(np.dot(r, r)) / n)
+        if not math.isfinite(residual):
+            raise NonFinite(f"non-finite residual {residual} after "
+                            f"{iterations} iterations")
+        if residual <= GROUND_TOL * max(abs(mu), 1.0) \
+                + eps * (k2[-1] + s + g * dens.max()):
+            return GroundState(psi.astype(complex), 0.0, iterations,
+                               residual)
+        if iterations == GROUND_MAX_STEPS:
+            raise NoConvergence(f"residual {residual:.3g} after "
+                                f"{GROUND_MAX_STEPS} iterations")
+        r_hat = np.fft.rfft(r)
+        along = np.dot(p_weight, (spectrum.conj() * r_hat).real) \
+            / np.dot(p_weight, np.abs(spectrum) ** 2)
+        spectrum -= precond * (r_hat - along * spectrum)
+        psi = np.fft.irfft(spectrum, n)
+        scale = math.sqrt(norm_of(psi))
+        psi /= scale
+        spectrum /= scale
 
 
 def release_profile(state: FieldState, params: NlseParams, v_g: float,

@@ -25,7 +25,7 @@ from polariton_phases.nlse import (
     release_profile,
 )
 
-from conftest import with_
+from conftest import check_ground_residual, with_
 
 
 def _gaussian(params, sigma, k0=0.0):
@@ -84,9 +84,10 @@ def _counting(calls, name, fn):
 
 
 def _count_ffts(monkeypatch):
-    """Counts every np.fft.fft and np.fft.ifft call in the "fft" entry."""
+    """Counts every np.fft.fft, ifft, rfft and irfft call in the "fft"
+    entry."""
     calls = {}
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name,
                             _counting(calls, "fft", getattr(np.fft, name)))
     return calls
@@ -178,8 +179,7 @@ class TestEvolve:
         _, obs = evolve(state, p, dt=1e-3, steps=1000, record_every=100)
         assert abs(obs.norm - obs.norm[0]).max() < 1e-10
 
-    def test_energy_drift_on_stationary_state(self, monkeypatch):
-        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
+    def test_energy_drift_on_stationary_state(self):
         g = interaction_strength(0.21)
         p = NlseParams(v1_over_er=5.0, g_int=g, n_periods=8, grid_points=128)
         gs = ground_state(p)
@@ -337,15 +337,13 @@ class TestEvolve:
 
 
 class TestGroundState:
-    def test_free_ground_state_is_uniform(self, monkeypatch):
-        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-14)
+    def test_free_ground_state_is_uniform(self):
         p = NlseParams(n_periods=8, grid_points=64)
         gs = ground_state(p)
         assert energy_of(gs.psi, p) < 1e-10
         assert contrast_of(gs.psi, p) < 1e-5
 
-    def test_deep_lattice_localization(self, monkeypatch):
-        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
+    def test_deep_lattice_localization(self):
         p = NlseParams(v1_over_er=10.0, n_periods=8, grid_points=256)
         gs = ground_state(p)
         assert contrast_of(gs.psi, p) >= 0.9
@@ -356,8 +354,7 @@ class TestGroundState:
         oracle = _mathieu_ground_density(p)
         assert np.abs(dens / dens.mean() - oracle).max() < 5e-3
 
-    def test_repulsion_flattens_density(self, monkeypatch):
-        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
+    def test_repulsion_flattens_density(self):
         p0 = NlseParams(v1_over_er=10.0, g_int=0.0, n_periods=8,
                         grid_points=128)
         p1 = NlseParams(v1_over_er=10.0, g_int=1.0, n_periods=8,
@@ -366,8 +363,7 @@ class TestGroundState:
         c1 = contrast_of(ground_state(p1).psi, p1)
         assert c1 < c0
 
-    def test_stationary_under_real_time(self, monkeypatch):
-        monkeypatch.setattr(nlse, "GROUND_TOL", 1e-13)
+    def test_stationary_under_real_time(self):
         p = NlseParams(v1_over_er=10.0, g_int=1.0, n_periods=8,
                        grid_points=128)
         gs = ground_state(p)
@@ -376,9 +372,9 @@ class TestGroundState:
         assert abs(obs.contrast - c0).max() < 1e-4
 
     @pytest.mark.parametrize("s,g,n,energy", [
-        # frozen from the solver that took the kinetic energy in real space
-        (5.0, 0.5, 128, 2.175530448829956),
-        (2.3, 0.2, 256, 1.103709451512081),
+        # bench/reference.py's self-consistent field on one period
+        (5.0, 0.5, 128, 2.1755304452655744),
+        (2.3, 0.2, 256, 1.1037094504638902),
     ])
     def test_energy_matches_frozen(self, s, g, n, energy):
         p = NlseParams(v1_over_er=s, g_int=g, n_periods=8, grid_points=n)
@@ -386,6 +382,8 @@ class TestGroundState:
             energy, rel=1e-10)
 
     def test_three_ffts_per_step(self, monkeypatch):
+        # the seed's rfft and the irfft of its residual, then three real
+        # FFTs an iteration, and no energy evaluation
         p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8,
                        grid_points=64)
 
@@ -393,50 +391,66 @@ class TestGroundState:
             raise AssertionError("ground_state called energy_of")
 
         calls = _count_ffts(monkeypatch)
-        monkeypatch.setattr(nlse, "norm_of",
-                            _counting(calls, "norm", nlse.norm_of))
         monkeypatch.setattr(nlse, "energy_of", no_energy_of)
-        ground_state(p)
-        steps = calls["norm"] - 1          # one norm before the first step
-        assert steps > 100
-        assert calls["fft"] == 3 * steps + 1
+        gs = ground_state(p)
+        assert gs.iterations > 10
+        assert calls["fft"] == 3 * gs.iterations + 2
 
     @pytest.mark.parametrize("s,g,n,steps", [
-        # frozen from the solver without the energy-rise rule
-        (2.3, 0.2, 256, 2733),
-        (5.0, 0.5, 128, 4753),
-        (10.0, 1.0, 128, 5605),
-        (1.92, 0.2, 256, 505),
-        (1.0, 100.0, 64, 43),
+        # frozen from the first preconditioned-gradient solver
+        (2.3, 0.2, 256, 25),
+        (5.0, 0.5, 128, 31),
+        (10.0, 1.0, 128, 36),
+        (1.92, 0.2, 256, 23),
+        (1.0, 100.0, 64, 5),
     ])
-    def test_step_counts_frozen(self, monkeypatch, s, g, n, steps):
-        calls = {}
-        monkeypatch.setattr(nlse, "norm_of",
-                            _counting(calls, "norm", nlse.norm_of))
-        ground_state(NlseParams(v1_over_er=s, g_int=g, n_periods=8,
-                                grid_points=n))
-        assert calls["norm"] - 1 == steps
+    def test_step_counts_frozen(self, s, g, n, steps):
+        p = NlseParams(v1_over_er=s, g_int=g, n_periods=8, grid_points=n)
+        gs = ground_state(p)
+        assert gs.iterations == steps
+        check_ground_residual(gs, p)
+        assert gs.time == 0.0 and gs.psi.dtype == complex
 
-    @pytest.mark.parametrize("s,g,n,periods", [(1.0, 1e3, 16, 1),
-                                               (1.0, 300.0, 64, 8)])
-    def test_unstable_stage_stops_at_once(self, s, g, n, periods):
-        # at this g dt the first stage oscillates instead of relaxing; it
-        # used to spend the whole step budget
-        with pytest.raises(NoConvergence, match="step 1 .*raised the energy"):
-            ground_state(NlseParams(v1_over_er=s, g_int=g, n_periods=periods,
-                                    grid_points=n))
+    @pytest.mark.parametrize("s,g,n,periods", [
+        (1.0, 205.0, 64, 8), (1.0, 1e3, 64, 8), (1.0, 1e3, 16, 1),
+        (1.0, 300.0, 64, 8)])
+    def test_strong_coupling_converges(self, s, g, n, periods):
+        # g >> s: Thomas-Fermi psi^2 = 1 - (s/2g) cos(2 xi), so E = (s +
+        # g)/2 - s^2/(16 g), up to a kinetic correction of order s^2/g^2
+        p = NlseParams(v1_over_er=s, g_int=g, n_periods=periods,
+                       grid_points=n)
+        gs = ground_state(p)
+        check_ground_residual(gs, p)
+        assert energy_of(gs.psi, p) == pytest.approx(
+            (s + g) / 2 - s**2 / (16 * g), rel=1e-7)
+
+    def test_large_grid_converges(self):
+        # the samples resolve H psi only to about eps k_max^2 = 9e-10 here,
+        # above GROUND_TOL |mu|; the state is the one 256 points resolve
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8,
+                       grid_points=2**14)
+        gs = ground_state(p)
+        check_ground_residual(gs, p)
+        assert energy_of(gs.psi, p) == pytest.approx(1.1037094504638902,
+                                                     rel=1e-12)
 
     def test_step_budget(self, monkeypatch):
-        monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", 50)
-        with pytest.raises(NoConvergence, match="50 steps"):
-            ground_state(NlseParams(v1_over_er=2.3, n_periods=8,
-                                    grid_points=64))
+        # the cap counts iterations: exactly enough converges, one fewer
+        # raises
+        p = NlseParams(v1_over_er=2.3, n_periods=8, grid_points=64)
+        steps = ground_state(p).iterations
+        monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", steps)
+        assert ground_state(p).iterations == steps
+        monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", steps - 1)
+        with pytest.raises(NoConvergence,
+                           match=f"after {steps - 1} iterations"):
+            ground_state(p)
 
     @pytest.mark.parametrize("field", ["v1_over_er", "g_int"])
     def test_non_finite_energy_stops_at_once(self, monkeypatch, field):
-        # the energy overflows on the first step; the budget is never spent
+        # H psi overflows on the seed; the budget is never spent
         monkeypatch.setattr(nlse, "GROUND_MAX_STEPS", 10)
-        with pytest.raises(NonFinite, match="after [01] steps"):
+        with pytest.raises(NonFinite, match="after 0 iterations"):
             ground_state(NlseParams(grid_points=16, n_periods=1,
                                     **{field: 1e308}))
 
