@@ -54,7 +54,8 @@ class HubbardTables:
 
     def matrix(self, j: float, u: float) -> scipy.sparse.csr_matrix:
         import scipy.sparse   # ~0.3 s to import; only the ED solves use it
-        data = j * self.hop + u * self.onsite
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = j * self.hop + u * self.onsite
         if not np.all(np.isfinite(data)):
             raise DomainError(f"H overflows at J = {j}, U = {u}")
         dim = self.indptr.size - 1
@@ -202,7 +203,8 @@ def ground_energy(h: scipy.sparse.spmatrix) -> tuple[float, np.ndarray]:
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NoConvergence("Lanczos did not converge") from exc
     e0, vec = float(w[0]), v[:, 0]
-    res = np.linalg.norm(h @ vec - e0 * vec)
+    with np.errstate(over="ignore"):         # an inf residual fails below
+        res = np.linalg.norm(h @ vec - e0 * vec)
     if res > RESIDUAL_TOL * max(abs(e0), 1.0):
         raise NoConvergence(f"eigen residual {res} too large for e0 = {e0}")
     return e0, vec

@@ -124,8 +124,9 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     lo, hi, count = cfg.sweep["omega_range"]
     sweep_mod.check_node_count(count)
     base = cfg.optics
-    table = sweep_mod.evaluate(base, base.delta_p, np.linspace(lo, hi, count))
+    # the root finder checks the bracket before the table spans it
     root = sweep_mod.find_mott_crossing(base, base.delta_p, (lo, hi))
+    table = sweep_mod.evaluate(base, base.delta_p, np.linspace(lo, hi, count))
     uj_root = float(sweep_mod.evaluate(base, base.delta_p, root).u_over_j)
     _write_csv(out / "crossing.csv",
                ["omega_over_gamma", "j_over_er", "u_over_er", "u_over_j"],

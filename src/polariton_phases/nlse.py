@@ -160,7 +160,8 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi| <= sqrt(n) max|psi_0| on n grid points.  The
     only guard is therefore NonFinite: it reads the |psi|^2 of every
-    nonlinear stage and the norm of every record, the start's included.
+    nonlinear stage and the norm and energy of every record, the start's
+    included.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -170,43 +171,46 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     if norm_of(state.psi) <= 0:
         raise DomainError("initial state has zero norm")
     psi = np.asarray(state.psi, dtype=complex).copy()
-    spectrum = np.fft.fft(psi)
     k2, cos2 = _box(params)
-    half_kin = np.exp(-1j * k2 * dt / 2)
-    full_kin = half_kin * half_kin
-
     taus, norms, energies, contrasts = [], [], [], []
 
     def record(step):
         norm = norm_of(psi)
-        if not math.isfinite(norm):
-            raise NonFinite(f"non-finite field at step {step}")
         s, g, _ = params.coefficients(tau)
+        energy = _energy(spectrum, psi, k2, cos2, s, g)
+        if not (math.isfinite(norm) and math.isfinite(energy)):
+            raise NonFinite(f"non-finite field or energy at step {step}")
         taus.append(tau)
         norms.append(norm)
-        energies.append(_energy(spectrum, psi, k2, cos2, s, g))
+        energies.append(energy)
         contrasts.append(contrast_of(psi, params))
 
     tau = state.time
-    record(0)
-    kin = half_kin
-    for step in range(1, steps + 1):
-        s, g, kap = params.coefficients(tau + dt / 2)
-        field = np.fft.ifft(kin * spectrum)
-        dens = np.abs(field) ** 2
-        field *= np.exp(-1j * dt * (s * cos2 + g * dens)) \
-            * math.exp(-kap * dt / 2)
-        spectrum = np.fft.fft(field)
-        tau += dt
-        if not math.isfinite(dens.max()):
-            raise NonFinite(f"non-finite field at step {step}")
-        if step % record_every and step != steps:
-            kin = full_kin
-            continue
-        spectrum *= half_kin
-        psi = np.fft.ifft(spectrum)
-        record(step)
+    # an overflow (a huge dt, s or g) leaves a non-finite field or energy,
+    # which the guard reads at the next step or record
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fft(psi)
+        half_kin = np.exp(-1j * k2 * dt / 2)
+        full_kin = half_kin * half_kin
+        record(0)
         kin = half_kin
+        for step in range(1, steps + 1):
+            s, g, kap = params.coefficients(tau + dt / 2)
+            field = np.fft.ifft(kin * spectrum)
+            dens = np.abs(field) ** 2
+            field *= np.exp(-1j * dt * (s * cos2 + g * dens)) \
+                * math.exp(-kap * dt / 2)
+            spectrum = np.fft.fft(field)
+            tau += dt
+            if not math.isfinite(dens.max()):
+                raise NonFinite(f"non-finite field at step {step}")
+            if step % record_every and step != steps:
+                kin = full_kin
+                continue
+            spectrum *= half_kin
+            psi = np.fft.ifft(spectrum)
+            record(step)
+            kin = half_kin
 
     obs = Observables(np.array(taus), np.array(norms),
                       np.array(energies), np.array(contrasts))
@@ -249,30 +253,33 @@ def ground_state(params: NlseParams) -> GroundState:
     psi = 1 + 0.05 * np.sin(grid(params)) ** 2
     psi /= math.sqrt(norm_of(psi))
     spectrum = np.fft.rfft(psi)
-    for iterations in range(GROUND_MAX_STEPS + 1):
-        dens = psi * psi
-        h_psi = np.fft.irfft(k2 * spectrum, n) + (potential + g * dens) * psi
-        mu = float(np.dot(psi, h_psi)) / n
-        r = h_psi - mu * psi
-        residual = math.sqrt(float(np.dot(r, r)) / n)
-        if not math.isfinite(residual):
-            raise NonFinite(f"non-finite residual {residual} after "
-                            f"{iterations} iterations")
-        if residual <= GROUND_TOL * max(abs(mu), 1.0) \
-                + eps * (k2[-1] + s + g * dens.max()):
-            return GroundState(psi.astype(complex), 0.0, iterations,
-                               residual)
-        if iterations == GROUND_MAX_STEPS:
-            raise NoConvergence(f"residual {residual:.3g} after "
-                                f"{GROUND_MAX_STEPS} iterations")
-        r_hat = np.fft.rfft(r)
-        along = np.dot(p_weight, (spectrum.conj() * r_hat).real) \
-            / np.dot(p_weight, np.abs(spectrum) ** 2)
-        spectrum -= precond * (r_hat - along * spectrum)
-        psi = np.fft.irfft(spectrum, n)
-        scale = math.sqrt(norm_of(psi))
-        psi /= scale
-        spectrum /= scale
+    # an overflow leaves a non-finite residual, which raises NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(GROUND_MAX_STEPS + 1):
+            dens = psi * psi
+            h_psi = np.fft.irfft(k2 * spectrum, n) \
+                + (potential + g * dens) * psi
+            mu = float(np.dot(psi, h_psi)) / n
+            r = h_psi - mu * psi
+            residual = math.sqrt(float(np.dot(r, r)) / n)
+            if not math.isfinite(residual):
+                raise NonFinite(f"non-finite residual {residual} after "
+                                f"{iterations} iterations")
+            if residual <= GROUND_TOL * max(abs(mu), 1.0) \
+                    + eps * (k2[-1] + s + g * dens.max()):
+                return GroundState(psi.astype(complex), 0.0, iterations,
+                                   residual)
+            if iterations == GROUND_MAX_STEPS:
+                raise NoConvergence(f"residual {residual:.3g} after "
+                                    f"{GROUND_MAX_STEPS} iterations")
+            r_hat = np.fft.rfft(r)
+            along = np.dot(p_weight, (spectrum.conj() * r_hat).real) \
+                / np.dot(p_weight, np.abs(spectrum) ** 2)
+            spectrum -= precond * (r_hat - along * spectrum)
+            psi = np.fft.irfft(spectrum, n)
+            scale = math.sqrt(norm_of(psi))
+            psi /= scale
+            spectrum /= scale
 
 
 def release_profile(state: FieldState, params: NlseParams, v_g: float,

@@ -29,7 +29,7 @@ from .errors import (
 
 ROOT_TOL = 1e-6          # |Delta Omega| tolerance, Gamma units
 RESIDUAL_TOL = 1e-4      # residual of the defining equation at the root
-PINNING_SCAN_POINTS = 64  # evenly spaced nodes of the pinning bracket scan
+SCAN_POINTS = 64         # evenly spaced nodes of a root bracket scan
 # Most nodes one scan may hold: a sweep or phase grid, or a crossing table.
 NODE_CAP = 2_000_000
 
@@ -56,8 +56,9 @@ class GridSpec:
         ):
             if n < 2:
                 raise ConfigError(f"{name} needs count >= 2, got {n}")
-            if not (hi > lo):
-                raise ConfigError(f"{name} needs max > min")
+            if not (0 < hi - lo < math.inf):   # linspace overflows past it
+                raise ConfigError(f"{name} needs min < max, a finite "
+                                  "distance apart")
         check_node_count(self.delta_p_range[2] * self.omega_range[2])
 
     def delta_p_values(self) -> np.ndarray:
@@ -311,31 +312,61 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float,
         raise NoConvergence(f"brentq over [{lo}, {hi}]: {exc}") from exc
 
 
+def _first_crossing(base: optics.OpticalConfig, delta_p: float,
+                    bracket: tuple[float, float], field: Callable,
+                    what: str) -> tuple[float, NodeFields]:
+    """(Omega*, the chain at Omega*) for the first sign change of f between
+    two valid neighbours of a SCAN_POINTS-node scan of the bracket, refined
+    by Brent's method from their scan values; field(nodes) gives (f, valid)
+    and what names f in errors.
+
+    Raises NoBracket for an empty or unbounded bracket or no such change,
+    PoleError for one that touches the Lambda pole, the chain's error for a
+    bad scan node and RegimeError when no scan node is valid.
+    """
+    lo, hi = bracket
+    if not (0 < hi - lo < math.inf):
+        raise NoBracket(f"bracket {bracket} needs lo < hi, a finite "
+                        "distance apart")
+    pole_sq = base.delta_small * base.delta0 / 2    # Omega^2 of the pole
+    if pole_sq > 0 and lo - optics.EPS_POLE <= math.sqrt(pole_sq) \
+            <= hi + optics.EPS_POLE:
+        raise PoleError(f"bracket [{lo}, {hi}] touches the Lambda pole at "
+                        f"Omega = {math.sqrt(pole_sq)}")
+    scan = evaluate(base, delta_p, np.linspace(lo, hi, SCAN_POINTS))
+    scan.require_ok()
+    f, valid = field(scan)
+    if not valid.any():
+        raise RegimeError(f"bracket {bracket} at Delta_p = {delta_p} lies "
+                          f"entirely outside the domain of {what}")
+    changes = np.flatnonzero(valid[:-1] & valid[1:]
+                             & ((f[:-1] < 0) != (f[1:] < 0)))
+    if not changes.size:
+        raise NoBracket(f"{what} has no sign change over {bracket} at "
+                        f"Delta_p = {delta_p}")
+    i = changes[0]
+    root = _brentq(lambda om: float(field(evaluate(base, delta_p, om))[0]),
+                   float(scan.omega[i]), float(scan.omega[i + 1]),
+                   float(f[i]), float(f[i + 1]))
+    return root, evaluate(base, delta_p, root)
+
+
+def _log_uj(nodes: NodeFields) -> tuple:
+    """log(U/J / 3.85), valid where U/J > 0: U/J is 0 without a lattice.
+    U/J grows like exp(2 sqrt(V1/E_R)); its log is near linear in Omega,
+    so Brent's method takes fewer steps on it."""
+    valid = nodes.u_over_j > 0
+    uj = _where(valid, nodes.u_over_j, math.nan)
+    return np.log(uj / many_body.UJ_CRITICAL), valid
+
+
 def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
                        bracket: tuple[float, float]) -> float:
-    """Omega*/Gamma at which U/J crosses the Mott critical ratio 3.85."""
-    lo, hi = bracket
-    if not (hi > lo):
-        raise NoBracket(f"degenerate bracket {bracket}")
-    _check_pole_free(base, lo, hi)
-    ends = [evaluate(base, delta_p, om) for om in (lo, hi)]  # two scalar
-    for end in ends:                   # calls cost less than a 2-node array
-        end.require_ok()
-    uj_lo, uj_hi = (float(end.u_over_j) for end in ends)
-    # U/J is 0 without a lattice, and 0 at one end means 0 at both
-    if not (uj_lo > 0 and (uj_lo < many_body.UJ_CRITICAL)
-            != (uj_hi < many_body.UJ_CRITICAL)):
-        raise NoBracket(
-            f"U/J - {many_body.UJ_CRITICAL} has no sign change over {bracket}"
-        )
-    uj = lambda om: float(evaluate(base, delta_p, om).u_over_j)
-    # U/J grows like exp(2 sqrt(V1/E_R)); on its log, which is near linear
-    # in Omega, Brent's method takes ~10 steps a root where it takes ~12 on
-    # U/J itself
-    log_ratio = lambda x: math.log(x / many_body.UJ_CRITICAL)
-    root = _brentq(lambda om: log_ratio(uj(om)), lo, hi,
-                   log_ratio(uj_lo), log_ratio(uj_hi))
-    residual = abs(uj(root) - many_body.UJ_CRITICAL)
+    """Omega*/Gamma at which U/J first crosses the Mott critical ratio 3.85
+    inside the bracket."""
+    root, at = _first_crossing(base, delta_p, bracket, _log_uj,
+                               f"U/J - {many_body.UJ_CRITICAL}")
+    residual = abs(float(at.u_over_j) - many_body.UJ_CRITICAL)
     if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
             f"|U/J - {many_body.UJ_CRITICAL}| = {residual} at Omega = {root} "
@@ -347,47 +378,13 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
 def find_pinning_crossing(
     base: optics.OpticalConfig, delta_p: float, bracket: tuple[float, float],
 ) -> tuple[float, float, float]:
-    """Omega*/Gamma of the sine-Gordon pinning transition inside the bracket.
-
-    Scans the bracket at PINNING_SCAN_POINTS nodes and refines, by Brent's
-    method, the first sign change of V1/E_R - V1c(gamma) between two nodes
-    inside the sG validity window.  Returns (Omega*, gamma, V1/E_R) at the
-    crossing.
-    """
-    lo, hi = bracket
-    if not (hi > lo):
-        raise NoBracket(f"degenerate bracket {bracket}")
-    _check_pole_free(base, lo, hi)
-    scan = evaluate(base, delta_p, np.linspace(lo, hi, PINNING_SCAN_POINTS))
-    scan.require_ok()
-    if not scan.sg_valid.any():
-        raise RegimeError(
-            f"bracket {bracket} at Delta_p = {delta_p} lies entirely outside "
-            "the sine-Gordon validity window"
-        )
-    f_scan, valid = scan.f_sg, scan.sg_valid
-    changes = np.flatnonzero(valid[:-1] & valid[1:]
-                             & ((f_scan[:-1] < 0) != (f_scan[1:] < 0)))
-    if not changes.size:
-        raise NoBracket(
-            f"no sign change of the pinning criterion over {bracket} "
-            f"at Delta_p = {delta_p}"
-        )
-    i = changes[0]
-    root = _brentq(lambda om: float(evaluate(base, delta_p, om).f_sg),
-                   float(scan.omega[i]), float(scan.omega[i + 1]),
-                   float(f_scan[i]), float(f_scan[i + 1]))
-    at = evaluate(base, delta_p, root)
+    """(Omega*/Gamma, gamma, V1/E_R) at the first sign change of the
+    sine-Gordon pinning criterion V1/E_R - V1c(gamma) inside the bracket
+    and the sG validity window."""
+    root, at = _first_crossing(
+        base, delta_p, bracket, lambda nodes: (nodes.f_sg, nodes.sg_valid),
+        "the sine-Gordon pinning criterion")
     return root, float(at.gamma_abs), float(at.v1_over_er)
-
-
-def _check_pole_free(base: optics.OpticalConfig, lo: float, hi: float):
-    pole = math.sqrt(max(base.delta_small * base.delta0 / 2, 0.0)) \
-        if base.delta_small * base.delta0 > 0 else None
-    if pole is not None and lo - optics.EPS_POLE <= pole <= hi + optics.EPS_POLE:
-        raise PoleError(
-            f"bracket [{lo}, {hi}] touches the Lambda pole at Omega = {pole}"
-        )
 
 
 # --- phase boundaries via marching squares ---------------------------------

@@ -327,12 +327,34 @@ class TestSubcommands:
         ("nlse", {"steps": -3}, 2),
         # 2^40 points: rejected before the grid is allocated
         ("nlse", {"grid_points": 2**40}, 2),
+        # the Lanczos residual's norm overflows
+        ("ed", {"sizes": [8], "n_max": 4, "ratios": [1e300]}, 3),
+        # the ground-state residual overflows
+        ("nlse", {"v1_over_er": 1e200, "g_int": 0.1}, 3),
+        ("nlse", {"v1_over_er": 2.0, "g_int": 1e200}, 3),
+        # the mean energy density of the start overflows, though the
+        # field is finite: no trajectory of inf energies
+        ("nlse", {"schedule": [[0, 1e308, 1, 0], [0.001, 1e308, 1, 0]],
+                  "steps": 3}, 3),
+        # the phase factor of the first step overflows
+        ("nlse", {"schedule": [[0, 1, 0.1, 0], [0.001, 1, 1e308, 0]]}, 3),
+        # so do the kinetic factors k^2 dt / 2
+        ("nlse", {"dt": 1e308}, 3),
     ])
-    def test_solver_input_exit_code(self, tmp_path, sub, section, code):
+    def test_solver_input_exit_code(self, tmp_path, caplog, sub, section,
+                                    code):
         if sub == "nlse":
             section = {"grid_points": 16, "n_periods": 1, "steps": 5,
                        **section}
-        assert run(tmp_path, sub, {sub: section})[0] == code
+        # main writes to stderr only through logging and warnings: INFO
+        # lines, then the one ERROR line, and no numpy RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught, \
+                caplog.at_level(logging.INFO, logger="polariton_phases"):
+            warnings.simplefilter("always")
+            assert run(tmp_path, sub, {sub: section})[0] == code
+        assert [str(w.message) for w in caught] == []
+        levels = [r.levelname for r in caplog.records]
+        assert levels == ["INFO"] * (len(levels) - 1) + ["ERROR"]
 
     def test_strong_coupling_ground_state_exits_0(self, tmp_path):
         # g = 1e3, far past g dt ~ 1 for any explicit time step: the

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from polariton_phases import many_body
 from polariton_phases.errors import DomainError
@@ -27,7 +28,46 @@ UJ_AT_CRITICAL = 3.8498899248071867
 J_AT_X1 = 0.30541902835432863          # 4 e^-2 / sqrt(pi)
 
 
+def lieb_liniger_k(gamma: float) -> float:
+    """Exact Luttinger parameter of the Lieb-Liniger gas (Lieb & Liniger,
+    Phys. Rev. 130, 1605 (1963)): K = Z(1)^2, where the dressed charge Z
+    solves, on rapidities scaled to the Fermi interval [-1, 1],
+
+        Z(x) - (1/2 pi) int_{-1}^{1} 2 lam Z(y) / (lam^2 + (x - y)^2) dy = 1,
+
+    and gamma = lam / int g with g = Z / (2 pi) the rapidity density.  The
+    integral is taken by Gauss-Legendre at 400 nodes (Nystrom), and lam is
+    found from gamma by Brent's method.
+    """
+    x, w = np.polynomial.legendre.leggauss(400)
+
+    def kernel(lam, at):
+        return (lam / math.pi) / (lam**2 + (at - x) ** 2) * w
+
+    def solve(lam):
+        z = np.linalg.solve(np.eye(x.size) - kernel(lam, x[:, None]),
+                            np.ones(x.size))
+        z_end = 1 + kernel(lam, 1.0) @ z          # Z(1), by Nystrom
+        return 2 * math.pi * lam / np.dot(w, z), z_end**2
+
+    lam = scipy.optimize.brentq(lambda lam: solve(lam)[0] - gamma, 1e-3, 1e3,
+                                xtol=1e-13)
+    return solve(lam)[1]
+
+
 class TestLuttingerK:
+    def test_exact_oracle_tonks_limit(self):
+        # strong coupling: K = (1 + 2/gamma)^2 + O(gamma^-3)
+        assert lieb_liniger_k(1e3) == pytest.approx(1.002**2, abs=1e-7)
+
+    @pytest.mark.parametrize("gamma, rel", [
+        (1.0, 1e-3), (2.0, 1e-3), (3.0, 1e-3), (5.0, 1e-3), (10.0, 1e-2)])
+    def test_matches_exact_lieb_liniger(self, gamma, rel):
+        # the two-term formula (Cazalilla, J. Phys. B 37, S1 (2004)) is off
+        # by +0.011, +0.030, +0.045, +0.057 and +0.54 % at these gamma
+        assert luttinger_k(gamma) == pytest.approx(lieb_liniger_k(gamma),
+                                                   rel=rel)
+
     def test_frozen_values(self):
         assert luttinger_k(3.5) == pytest.approx(K_AT_3_5, rel=1e-14)
         assert luttinger_k(10.0) == pytest.approx(K_AT_10, rel=1e-14)

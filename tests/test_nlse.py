@@ -253,7 +253,6 @@ class TestEvolve:
         for field in ("tau", "norm", "energy", "contrast"):
             assert np.array_equal(getattr(o0, field), getattr(o1, field))
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_detected(self):
         p = NlseParams(n_periods=8, grid_points=64)
         psi = np.ones(64, dtype=complex)
@@ -261,7 +260,6 @@ class TestEvolve:
         with pytest.raises(NonFinite):
             evolve(FieldState(psi), p, dt=1e-3, steps=2)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_start_detected(self, bad):
         # with no step to take, the start is the only record
@@ -270,6 +268,13 @@ class TestEvolve:
         psi[3] = bad
         with pytest.raises(NonFinite, match="at step 0"):
             evolve(FieldState(psi), p, dt=1e-3, steps=0)
+
+    def test_non_finite_energy_detected(self):
+        # the field is finite, but the mean of s cos^2 |psi|^2 overflows
+        p = NlseParams(v1_over_er=1e308, n_periods=8, grid_points=64)
+        with pytest.raises(NonFinite, match="at step 0"):
+            evolve(FieldState(np.ones(64, dtype=complex)), p, dt=1e-3,
+                   steps=3)
 
     def test_input_validation(self):
         p = NlseParams(n_periods=8, grid_points=64)

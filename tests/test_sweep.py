@@ -79,6 +79,15 @@ class TestSweepGrid:
         with pytest.raises(ConfigError):
             GridSpec((2.0, 100.0, 1), (0.5, 3.0, 10), baseline)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (3.0, 0.5),
+                                        (-1e308, 1e308)])
+    def test_bad_grid_ranges(self, baseline, lo, hi):
+        # a width that overflows would fill the grid with inf and NaN
+        with pytest.raises(ConfigError):
+            GridSpec((lo, hi, 4), (0.5, 3.0, 10), baseline)
+        with pytest.raises(ConfigError):
+            GridSpec((2.0, 100.0, 4), (lo, hi, 10), baseline)
+
     def test_determinism(self, baseline):
         spec = _grid(baseline, dp=(10.0, 60.0, 5), om=(0.8, 2.0, 5))
         assert sweep_grid(spec) == sweep_grid(spec)
@@ -221,6 +230,38 @@ class TestMottCrossing:
         with pytest.raises(PoleError):
             find_mott_crossing(baseline, 50.0, (0.1, 0.2))
 
+    def test_no_lattice_regime_error(self, baseline):
+        # without a lattice U/J is 0 at every node: no Bose-Hubbard model
+        with pytest.raises(RegimeError):
+            find_mott_crossing(with_(baseline, n1_fraction=0.0), 50.0,
+                               (0.5, 3.0))
+
+    def test_unbounded_bracket(self, baseline):
+        # a scan of a bracket this wide would hold inf and NaN nodes
+        with pytest.raises(NoBracket):
+            find_mott_crossing(baseline, 50.0, (-1e308, 1e308))
+
+    def test_first_of_two_crossings(self, baseline):
+        # U/J dips below 3.85 near Omega = 1.915 and rises past it again
+        # near 47.6, where V1/E_R < 1/4: both ends lie above 3.85, and the
+        # first crossing is the root
+        root = find_mott_crossing(baseline, 5.0, (1.0, 60.0))
+        assert root == pytest.approx(
+            find_mott_crossing(baseline, 5.0, (1.0, 3.0)), abs=sweep.ROOT_TOL)
+        assert root == pytest.approx(1.915, abs=1e-3)
+
+    def test_matches_brent_over_whole_bracket(self, baseline):
+        # oracle: Brent's method on U/J - 3.85 over the whole bracket, whose
+        # ends differ in sign on every cut drawn here
+        rng = np.random.default_rng(20261018)
+        for delta_p in rng.uniform(5.0, 100.0, 12):
+            want = scipy.optimize.brentq(
+                lambda om: float(sweep.evaluate(baseline, delta_p, om)
+                                 .u_over_j) - many_body.UJ_CRITICAL,
+                0.5, 3.0, xtol=sweep.ROOT_TOL / 4)
+            got = find_mott_crossing(baseline, delta_p, (0.5, 3.0))
+            assert got == pytest.approx(want, abs=sweep.ROOT_TOL)
+
     def test_large_residual_raises(self, baseline, monkeypatch):
         # a root that misses the critical ratio is refused, also under -O
         monkeypatch.setattr(scipy.optimize, "brentq",
@@ -254,9 +295,8 @@ def test_brentq_failure_is_no_convergence(baseline, monkeypatch, find,
 
 
 @pytest.mark.parametrize("find, delta_p, bracket, fixed", [
-    # Mott: the two bracket ends and the residual at the root
-    (find_mott_crossing, 50.0, (0.9, 1.2), 3),
-    # pinning: the bracket scan and the fields at the root
+    # the bracket scan and the fields at the root
+    (find_mott_crossing, 50.0, (0.9, 1.2), 2),
     (find_pinning_crossing, 10.0, (1.0, 3.0), 2),
 ])
 def test_brentq_reuses_bracket_ends(baseline, monkeypatch, find, delta_p,
@@ -301,6 +341,12 @@ class TestPinningCrossing:
     def test_degenerate_bracket(self, baseline):
         with pytest.raises(NoBracket):
             find_pinning_crossing(baseline, 10.0, (2.0, 2.0))
+
+    def test_bracket_touching_pole(self, baseline):
+        # the bracket is checked before the scan, which would raise the
+        # parent DomainError; the Lambda pole lies at Omega = 0.158
+        with pytest.raises(PoleError):
+            find_pinning_crossing(baseline, 10.0, (0.1, 0.2))
 
 
 def _normalized_hausdorff(polys_a, polys_b, spec):
