@@ -120,10 +120,6 @@ class FockBasis:
     def dim(self) -> int:
         return self.codes.size
 
-    @property
-    def states(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.occ.tolist()))
-
     def hop(self, src: int, dst: int):
         """b+_dst b_src on every state: (target rows, source rows, amplitudes
         sqrt(n_src (n_dst + 1)))."""
@@ -147,11 +143,11 @@ class FockBasis:
             diag = np.arange(dim)
             rows, cols, hop = [diag], [diag], [np.zeros(dim)]
             for a, b in bonds:
-                for src, dst in ((a, b), (b, a)):
-                    r, c, amp = self.hop(src, dst)
-                    rows.append(r)
-                    cols.append(c)
-                    hop.append(-amp)
+                # b+_a b_b is the transpose of b+_b b_a, same amplitudes
+                r, c, amp = self.hop(a, b)
+                rows += [r, c]
+                cols += [c, r]
+                hop += [-amp, -amp]
             rows, cols = np.concatenate(rows), np.concatenate(cols)
             order = np.lexsort((cols, rows))
             onsite = np.zeros(rows.size)
@@ -228,25 +224,23 @@ def unit_filling_bases(sites: int, n_max: int) -> dict[int, FockBasis]:
             for n in (sites - 1, sites, sites + 1)}
 
 
-def charge_gap(sites: int, n_max: int, j: float, u: float,
-               periodic: bool = True, bases: dict | None = None,
-               e0: float | None = None) -> float:
-    """E0(N+1) + E0(N-1) - 2 E0(N) at unit filling N = sites.
-
-    `bases` (from `unit_filling_bases`) lets a scan reuse the bases and
-    their tables across calls; `e0` is E0(N) when the caller already has it.
-    """
-    if bases is None:
-        bases = unit_filling_bases(sites, n_max)
-
+def _unit_filling(bases: dict, sites: int, j: float, u: float,
+                  periodic: bool) -> tuple[float, np.ndarray, float]:
+    """E0(N), its eigenvector and the charge gap E0(N+1) + E0(N-1) - 2 E0(N)
+    at unit filling N = sites: the three solves behind every ED result."""
     def solve(bosons):
-        h = build_hamiltonian(bases[bosons], j, u, periodic)
-        return ground_energy(h)[0]
+        return ground_energy(build_hamiltonian(bases[bosons], j, u, periodic))
 
-    n = sites
-    if e0 is None:
-        e0 = solve(n)
-    return solve(n + 1) + solve(n - 1) - 2 * e0
+    e0, vec = solve(sites)
+    e_hi, e_lo = solve(sites + 1)[0], solve(sites - 1)[0]
+    return e0, vec, e_hi + e_lo - 2 * e0
+
+
+def charge_gap(sites: int, n_max: int, j: float, u: float,
+               periodic: bool = True) -> float:
+    """E0(N+1) + E0(N-1) - 2 E0(N) at unit filling N = sites."""
+    return _unit_filling(unit_filling_bases(sites, n_max), sites, j, u,
+                         periodic)[2]
 
 
 def diagnostics(sites: int, n_max: int, u_over_j: float,
@@ -254,14 +248,14 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
                 bases: dict | None = None) -> EdResult:
     """Full set of ground-state diagnostics at unit filling, J = 1.
 
-    `bases` as in `charge_gap`.
+    `bases` (from `unit_filling_bases`) lets a scan over U/J reuse the bases
+    and their tables.
     """
     j, u = 1.0, float(u_over_j)
     if bases is None:
         bases = unit_filling_bases(sites, n_max)
-    basis = bases[sites]
-    e0, vec = ground_energy(build_hamiltonian(basis, j, u, periodic))
-    occ = basis.occ
+    e0, vec, gap = _unit_filling(bases, sites, j, u, periodic)
+    occ = bases[sites].occ
     weights = vec**2
     mean_n = weights @ occ                # per site
     mean_n2 = weights @ occ**2
@@ -270,10 +264,9 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
     corr = [float(mean_n[0])]
     for d in range(1, sites):
         # <b+_0 b_d>: hop a boson from site d to site 0 in each basis state
-        rows, cols, amp = basis.hop(d, 0)
+        rows, cols, amp = bases[sites].hop(d, 0)
         corr.append(float(vec[rows] @ (amp * vec[cols])))
 
-    gap = charge_gap(sites, n_max, j, u, periodic, bases=bases, e0=e0)
     return EdResult(sites, sites, n_max, u_over_j, e0, gap, var_n, tuple(corr))
 
 
@@ -306,8 +299,7 @@ def estimate_critical_ratio(sizes: list[int], ratios: list[float],
     scaled = {}
     for L in sizes:
         bases = unit_filling_bases(L, n_max)
-        scaled[L] = np.array([L * charge_gap(L, n_max, 1.0, r, periodic,
-                                             bases=bases)
+        scaled[L] = np.array([L * _unit_filling(bases, L, 1.0, r, periodic)[2]
                               for r in ratios])
     crossings = []
     for i, l1 in enumerate(sizes):

@@ -127,7 +127,7 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     # the root finder checks the bracket before the table spans it
     root = sweep_mod.find_mott_crossing(base, base.delta_p, (lo, hi))
     table = sweep_mod.evaluate(base, base.delta_p, np.linspace(lo, hi, count))
-    uj_root = float(sweep_mod.evaluate(base, base.delta_p, root).u_over_j)
+    at_root = sweep_mod.evaluate(base, base.delta_p, root)
     _write_csv(out / "crossing.csv",
                ["omega_over_gamma", "j_over_er", "u_over_er", "u_over_j"],
                [table.omega, table.j_over_er, table.u_over_er,
@@ -135,7 +135,9 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     _write_json(out / "crossing_root.json", {
         "delta_p_over_gamma": base.delta_p,
         "omega_over_gamma": root,
-        "u_over_j": uj_root,
+        "u_over_j": float(at_root.u_over_j),
+        # False where the root lies outside |gamma| <= 1, V1/E_R >= 3
+        "bh_valid": bool(at_root.bh_valid),
     }, cfg_hash)
 
 

@@ -441,20 +441,17 @@ def _marching_squares(xs: np.ndarray, ys: np.ndarray,
             continue
         used.add(start)
         chain = list(segments[start])
-        for grow_front in (False, True):
+        # grow the back end, then the front end as the back of the reversal
+        for _ in range(2):
             while True:
-                end = chain[0] if grow_front else chain[-1]
+                end = chain[-1]
                 cands = [i for i in by_edge[end] if i not in used]
                 if not cands:
                     break
-                idx = cands[0]
-                used.add(idx)
-                a, b = segments[idx]
-                nxt = b if a == end else a
-                if grow_front:
-                    chain.insert(0, nxt)
-                else:
-                    chain.append(nxt)
+                used.add(cands[0])
+                a, b = segments[cands[0]]
+                chain.append(b if a == end else a)
+            chain.reverse()
         polylines.append([point(edge) for edge in chain])
     return polylines
 

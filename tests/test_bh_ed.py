@@ -39,8 +39,9 @@ class TestBasis:
 
     def test_states_sorted_and_capped(self):
         basis = FockBasis.build(4, 4, 3)
-        assert list(basis.states) == sorted(basis.states)
-        for s in basis.states:
+        states = list(map(tuple, basis.occ.tolist()))
+        assert states == sorted(states)
+        for s in states:
             assert sum(s) == 4 and max(s) <= 3
 
     def test_cap_enforced(self, monkeypatch):
@@ -105,8 +106,9 @@ class TestHamiltonian:
     def test_number_conservation_by_construction(self):
         basis = FockBasis.build(4, 4, 4)
         h = build_hamiltonian(basis, 1.0, 2.0).tocoo()
+        states = list(map(tuple, basis.occ.tolist()))
         for r, c in zip(h.row, h.col):
-            assert sum(basis.states[r]) == sum(basis.states[c])
+            assert sum(states[r]) == sum(states[c])
 
     def test_periodic_not_above_open_at_u0(self):
         for L in (4, 6):
@@ -124,6 +126,33 @@ class TestHamiltonian:
         d = build_hamiltonian(basis, 0.0, 1.0).toarray()
         assert np.array_equal(h, 1.3 * t + 2.7 * d)
         assert np.array_equal(h, build_hamiltonian(basis, 1.3, 2.7).toarray())
+
+    @pytest.mark.parametrize("sites, periodic, calls", [
+        (5, True, 5), (5, False, 4), (3, True, 3), (2, True, 1),
+        (2, False, 1), (1, True, 0)])
+    def test_one_hop_enumeration_per_bond(self, monkeypatch, sites,
+                                          periodic, calls):
+        basis = FockBasis.build(sites, sites, 3)
+        seen = []
+        hop = FockBasis.hop
+        monkeypatch.setattr(FockBasis, "hop", lambda self, src, dst:
+                            seen.append((src, dst)) or hop(self, src, dst))
+        basis.tables(periodic)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_reverse_hop_is_transpose(self, periodic):
+        # oracle: both directions of every bond enumerated separately
+        L = 5
+        basis = FockBasis.build(L, L, 3)
+        bonds = [(i, (i + 1) % L) for i in range(L if periodic else L - 1)]
+        want = np.zeros((basis.dim, basis.dim))
+        for a, b in bonds:
+            for src, dst in ((a, b), (b, a)):
+                rows, cols, amp = basis.hop(src, dst)
+                want[rows, cols] -= amp
+        got = build_hamiltonian(basis, 1.0, 0.0, periodic).toarray()
+        assert np.array_equal(got, want)
 
     def test_negative_couplings_rejected(self):
         basis = FockBasis.build(2, 2, 2)
@@ -218,10 +247,11 @@ class TestDiagnostics:
         res = diagnostics(4, 3, 2.5)
         basis = FockBasis.build(4, 4, 3)
         _, vec = ground_energy(build_hamiltonian(basis, 1.0, 2.5))
-        index = {s: i for i, s in enumerate(basis.states)}
+        states = list(map(tuple, basis.occ.tolist()))
+        index = {s: i for i, s in enumerate(states)}
         for d in range(1, 4):
             total = 0.0
-            for i, state in enumerate(basis.states):
+            for i, state in enumerate(states):
                 if state[d] > 0 and state[0] < 3:
                     new = list(state)
                     new[d] -= 1
@@ -237,8 +267,7 @@ class TestDiagnostics:
                             lambda h: calls.append(h.shape) or solve(h))
         res = diagnostics(4, 4, 3.0)
         assert len(calls) == 3
-        assert res.gap == pytest.approx(charge_gap(4, 4, 1.0, 3.0),
-                                        abs=1e-12)
+        assert res.gap == charge_gap(4, 4, 1.0, 3.0)
 
     def test_shared_bases(self):
         bases = bh_ed.unit_filling_bases(4, 4)
@@ -274,6 +303,13 @@ class TestCriticalRatio:
     def test_too_few_ratios_rejected(self):
         with pytest.raises(NoCrossing):
             estimate_critical_ratio([4, 6], [1, 2, 3])
+
+    def test_solver_sizes_match_frozen(self):
+        # the benchmark's solver sizes, frozen to the last bit
+        est = estimate_critical_ratio([4, 6, 8], [1.2, 2.6, 4.0, 5.4, 6.8])
+        assert est.crossings == (2.6656721919112027, 2.6481374259924535,
+                                 2.626189147793021)
+        assert est.mean == 2.6466662552322258
 
     def test_deep_mott_no_crossing(self):
         with pytest.raises(NoCrossing):

@@ -217,8 +217,20 @@ class TestSubcommands:
         root = json.loads((out / "crossing_root.json").read_text())
         assert root["omega_over_gamma"] == pytest.approx(1.03388, abs=5e-4)
         assert root["u_over_j"] == pytest.approx(3.85, abs=1e-2)
+        assert root["bh_valid"] is True     # gamma 0.21, V1/E_R 9.7
         header = (out / "crossing.csv").read_text().splitlines()[1]
         assert header == "omega_over_gamma,j_over_er,u_over_er,u_over_j"
+
+    def test_crossing_root_outside_bh_window_is_flagged(self, tmp_path):
+        # gamma = 2.03, V1/E_R = 2.78 at the root: reported, not raised
+        code, out = run(tmp_path, "crossing", {
+            "optics": {"delta_p": 5.0},
+            "sweep": {"omega_range": [1.5, 2.5, 20]}})
+        assert code == 0
+        root = json.loads((out / "crossing_root.json").read_text())
+        assert root["omega_over_gamma"] == pytest.approx(1.9146, abs=5e-4)
+        assert root["u_over_j"] == pytest.approx(3.85, abs=1e-2)
+        assert root["bh_valid"] is False
 
     def test_crossing_without_bracket_is_domain_error(self, tmp_path):
         code, _ = run(tmp_path, "crossing", {
