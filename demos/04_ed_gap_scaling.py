@@ -2,15 +2,19 @@
 
 Diagonalizes periodic chains at unit filling, shows the gap opening with
 U/J, and estimates the critical ratio from the crossing of the scaled gaps
-L * Delta(L) for successive sizes.
+L * Delta(L) for successive sizes.  The crossing of each size pair is
+printed too: it drifts down as the chains grow, which is why the estimate's
+spread is not an error bar.
 """
+
+from itertools import combinations
 
 from polariton_phases import bh_ed
 
 
 def main():
     ratios = [1, 2, 3, 4, 5, 6, 7, 8]
-    sizes = [4, 6]
+    sizes = [4, 6, 8]
 
     print("scaled charge gap L * Delta(L) / J:")
     header = "U/J " + "".join(f"   L={L}" for L in sizes)
@@ -20,9 +24,15 @@ def main():
                for L in sizes]
         print(f"{u:3d} " + " ".join(row))
 
-    est = bh_ed.estimate_critical_ratio(sizes, ratios)
-    print(f"\ncrossing estimate: (U/J)_c = {est.mean:.3f} "
-          f"(spread {est.spread:.3f}, crossings {est.crossings})")
+    # the crossings interpolate linearly between samples: a finer grid
+    fine = [1 + 0.25 * k for k in range(29)]
+    est = bh_ed.estimate_critical_ratio(sizes, fine)
+    print(f"\ncrossing estimate on U/J = 1, 1.25, ..., 8: (U/J)_c = "
+          f"{est.mean:.3f} (spread {est.spread:.3f})")
+    print("crossing of each size pair, drifting down with L:")
+    for pair in combinations(sizes, 2):
+        cross = bh_ed.estimate_critical_ratio(list(pair), fine).mean
+        print(f"  L = {pair[0]}, {pair[1]}: {cross:.3f}")
 
     print("\nlocal observables across the transition (L = 6):")
     for u in (1.0, 4.0, 8.0):

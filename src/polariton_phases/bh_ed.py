@@ -1,7 +1,10 @@
 """Exact diagonalization of small 1D Bose-Hubbard chains.
 
 Fixed-particle-number Fock basis with a per-site occupation cap, held as an
-occupation array and ranked by base-(n_max+1) code; hopping and interaction
+occupation array and ranked by base-(n_max+1) code; on a ring, the k = 0
+sector of the translation group, one row per orbit of digit rotations with
+hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc. 1297, 135
+(2010)), where every ground state needed here lies; hopping and interaction
 tables built once per basis and reused for every (J, U); the lowest
 eigenpair by dense or Lanczos diagonalization; the charge gap as Mott
 diagnostic, and a scaled-gap crossing estimate of the critical U/J.
@@ -42,9 +45,10 @@ def count_states(sites: int, bosons: int, n_max: int) -> int:
 class HubbardTables:
     """H = J * hop + U * onsite on one CSR pattern, for any (J, U).
 
-    `hop` holds -sqrt(n_src (n_dst + 1)) for every hop along a bond (J = 1)
-    and `onsite` holds (1/2) sum_i n_i (n_i - 1) on the diagonal slots
-    (U = 1); each is zero in the other's slots.
+    `hop` holds -sqrt(n_src (n_dst + 1)) for every hop along a bond (J = 1;
+    in the k = 0 sector weighted by sqrt(R_src / R_dst) and summed over the
+    hops joining two orbits) and `onsite` holds (1/2) sum_i n_i (n_i - 1)
+    on the diagonal slots (U = 1); each is zero in the other's slots.
     """
 
     indptr: np.ndarray
@@ -63,6 +67,25 @@ class HubbardTables:
             (data, self.indices, self.indptr), shape=(dim, dim), copy=True)
 
 
+@dataclass(frozen=True)
+class Orbits:
+    """Translation orbits of a basis, one representative each.
+
+    `reps` holds the basis row of each representative (increasing),
+    `index` the orbit of every basis state and `size` the number R of
+    states in each orbit.
+    """
+
+    reps: np.ndarray                 # (orbits,)
+    index: np.ndarray                # (dim,)
+    size: np.ndarray                 # (orbits,)
+
+    def lift(self, vec: np.ndarray) -> np.ndarray:
+        """A vector on the orbits as a basis vector of the same norm: each
+        state of orbit r gets vec[r] / sqrt(R_r)."""
+        return vec[self.index] / np.sqrt(self.size[self.index])
+
+
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation vectors in lexicographic order, one row of `occ` each.
@@ -76,6 +99,7 @@ class FockBasis:
     n_max: int
     occ: np.ndarray                  # (dim, sites) occupations
     codes: np.ndarray                # (dim,) strictly increasing
+    _orbits: dict = field(default_factory=dict, init=False, repr=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -131,33 +155,85 @@ class FockBasis:
         amp = np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))
         return rows, cols, amp
 
-    def tables(self, periodic: bool) -> HubbardTables:
-        """Hopping and interaction tables, built on first use per boundary
-        condition; the wrap-around bond is included only for L > 2 so the
-        two-site chain is not double-counted."""
-        if periodic not in self._tables:
-            L, dim = self.sites, self.dim
-            bonds = [(i, i + 1) for i in range(L - 1)]
+    def orbits(self, periodic: bool) -> Orbits:
+        """Translation orbits on a ring of three or more sites, single-state
+        orbits otherwise (an open chain, or the two-site ring, which is the
+        open pair); built on first use per boundary condition.
+
+        A translation rotates a code's digits, (code % b^(L-1)) * b +
+        code // b^(L-1) with b = n_max + 1; the smallest of the L rotations
+        is the representative, and R = L / #{rotations equal to the code}.
+        """
+        if periodic not in self._orbits:
+            L, base, codes = self.sites, self.n_max + 1, self.codes
             if periodic and L > 2:
-                bonds.append((L - 1, 0))
+                top = base ** (L - 1)
+                rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
+                for _ in range(L - 1):
+                    rotated = rotated % top * base + rotated // top
+                    np.minimum(rep, rotated, out=rep)
+                    fixed += rotated == codes
+                reps = np.flatnonzero(rep == codes)
+                orbits = Orbits(reps, np.searchsorted(codes[reps], rep),
+                                (L // fixed)[reps])
+            else:
+                rows = np.arange(self.dim)
+                orbits = Orbits(rows, rows, np.ones_like(rows))
+            self._orbits[periodic] = orbits
+        return self._orbits[periodic]
+
+    def tables(self, periodic: bool) -> HubbardTables:
+        """Hopping and interaction tables on the representatives of
+        `orbits`, built on first use per boundary condition.
+
+        Only hops to the right (i -> i + 1, and L - 1 -> 0 on a ring) are
+        enumerated, from every representative at once; each lands on the
+        row of its target's representative with amplitude
+        -sqrt(n_src (n_dst + 1)) sqrt(R_src / R_dst).  On a ring this is
+        the k = 0 block Q^T H Q of H, Q[s, r] = 1 / sqrt(R_r) on orbit r.
+        Hops to the left are the transpose, with the same amplitudes, so H
+        is symmetric by construction.
+        """
+        if periodic not in self._tables:
+            orbits, L = self.orbits(periodic), self.sites
+            dim = orbits.reps.size
+            src = np.arange(L if periodic and L > 2 else L - 1)
+            dst = (src + 1) % L
+            occ = self.occ[orbits.reps]
+            col, bond = np.nonzero((occ[:, src] > 0)
+                                   & (occ[:, dst] < self.n_max))
+            s, d = src[bond], dst[bond]
+            weights = (self.n_max + 1) ** np.arange(L - 1, -1, -1,
+                                                    dtype=np.int64)
+            moved = self.codes[orbits.reps[col]] + weights[d] - weights[s]
+            row = orbits.index[np.searchsorted(self.codes, moved)]
+            amp = -np.sqrt(occ[col, s] * (occ[col, d] + 1.0)) \
+                * np.sqrt(orbits.size[col] / orbits.size[row])
+            # hops from one representative into one orbit add up before the
+            # transpose is taken, so H[a, b] and H[b, a] are the same sum
+            rows, cols, amp = _coalesce(row, col, amp)
             diag = np.arange(dim)
-            rows, cols, hop = [diag], [diag], [np.zeros(dim)]
-            for a, b in bonds:
-                # b+_a b_b is the transpose of b+_b b_a, same amplitudes
-                r, c, amp = self.hop(a, b)
-                rows += [r, c]
-                cols += [c, r]
-                hop += [-amp, -amp]
-            rows, cols = np.concatenate(rows), np.concatenate(cols)
-            order = np.lexsort((cols, rows))
-            onsite = np.zeros(rows.size)
-            onsite[:dim] = 0.5 * (self.occ * (self.occ - 1)).sum(axis=1)
+            rows, cols, hop, onsite = _coalesce(
+                np.concatenate((diag, rows, cols)),
+                np.concatenate((diag, cols, rows)),
+                np.concatenate((np.zeros(dim), amp, amp)),
+                np.concatenate((0.5 * (occ * (occ - 1)).sum(axis=1),
+                                np.zeros(2 * amp.size))))
             indptr = np.zeros(dim + 1, dtype=np.int64)
             np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-            self._tables[periodic] = HubbardTables(
-                indptr, cols[order], np.concatenate(hop)[order],
-                onsite[order])
+            self._tables[periodic] = HubbardTables(indptr, cols, hop, onsite)
         return self._tables[periodic]
+
+
+def _coalesce(rows, cols, *values):
+    """Entries sorted by (row, col), the values of repeated entries summed."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    return (rows[starts], cols[starts],
+            *(np.add.reduceat(v[order], starts) for v in values))
 
 
 def build_hamiltonian(basis: FockBasis, j: float, u: float,
@@ -255,6 +331,7 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
     if bases is None:
         bases = unit_filling_bases(sites, n_max)
     e0, vec, gap = _unit_filling(bases, sites, j, u, periodic)
+    vec = bases[sites].orbits(periodic).lift(vec)
     occ = bases[sites].occ
     weights = vec**2
     mean_n = weights @ occ                # per site

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from polariton_phases import bh_ed
@@ -25,6 +26,38 @@ from polariton_phases.errors import (
 def two_site_ground(j, u):
     """Analytic ground energy of two sites, two bosons, open chain."""
     return (u - math.sqrt(u**2 + 16 * j**2)) / 2
+
+
+def full_basis_oracle(basis, periodic):
+    """Dense hopping (J = 1) and on-site (U = 1) parts of H on the whole
+    basis, both directions of every bond enumerated separately."""
+    L = basis.sites
+    ring = periodic and L > 2
+    bonds = [(i, (i + 1) % L) for i in range(L if ring else L - 1)]
+    hop = np.zeros((basis.dim, basis.dim))
+    for a, b in bonds:
+        for src, dst in ((a, b), (b, a)):
+            rows, cols, amp = basis.hop(src, dst)
+            hop[rows, cols] -= amp
+    onsite = np.diag(0.5 * (basis.occ * (basis.occ - 1)).sum(axis=1))
+    return hop, onsite
+
+
+def translation_orbits(basis):
+    """Brute force: each state's orbit as the smallest of its rotations."""
+    states = list(map(tuple, basis.occ.tolist()))
+    return [min(s[k:] + s[:k] for k in range(len(s))) for s in states]
+
+
+def sector_projector(basis):
+    """Q[s, r] = 1 / sqrt(R_r) for the states s of orbit r, orbits in
+    increasing order, from `translation_orbits` alone."""
+    orbit = translation_orbits(basis)
+    reps = sorted(set(orbit))
+    q = np.zeros((basis.dim, len(reps)))
+    for s, rep in enumerate(orbit):
+        q[s, reps.index(rep)] = 1.0
+    return q / np.sqrt(q.sum(axis=0))
 
 
 class TestBasis:
@@ -127,32 +160,50 @@ class TestHamiltonian:
         assert np.array_equal(h, 1.3 * t + 2.7 * d)
         assert np.array_equal(h, build_hamiltonian(basis, 1.3, 2.7).toarray())
 
-    @pytest.mark.parametrize("sites, periodic, calls", [
-        (5, True, 5), (5, False, 4), (3, True, 3), (2, True, 1),
-        (2, False, 1), (1, True, 0)])
-    def test_one_hop_enumeration_per_bond(self, monkeypatch, sites,
-                                          periodic, calls):
-        basis = FockBasis.build(sites, sites, 3)
-        seen = []
-        hop = FockBasis.hop
-        monkeypatch.setattr(FockBasis, "hop", lambda self, src, dst:
-                            seen.append((src, dst)) or hop(self, src, dst))
-        basis.tables(periodic)
-        assert len(seen) == calls
+    @pytest.mark.parametrize("sites, bosons, n_max, periodic", [
+        (5, 5, 3, True), (6, 7, 4, True), (4, 4, 2, True), (3, 2, 4, True),
+        (2, 2, 2, True), (1, 1, 2, True), (5, 5, 3, False)])
+    def test_one_row_per_orbit(self, sites, bosons, n_max, periodic):
+        basis = FockBasis.build(sites, bosons, n_max)
+        orbits = basis.orbits(periodic)
+        if periodic and sites > 2:
+            orbit = translation_orbits(basis)
+            want = sorted(set(orbit))
+            states = list(map(tuple, basis.occ.tolist()))
+            assert [states[r] for r in orbits.reps] == want
+            assert [want[i] for i in orbits.index] == orbit
+            assert orbits.size.tolist() == [orbit.count(r) for r in want]
+        else:   # open chain, or the two-site ring: single-state orbits
+            assert orbits.reps.tolist() == list(range(basis.dim))
+            assert orbits.size.tolist() == [1] * basis.dim
+        assert orbits.size.sum() == basis.dim
+        assert basis.tables(periodic).indptr.size - 1 == orbits.reps.size
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_reverse_hop_is_transpose(self, periodic):
-        # oracle: both directions of every bond enumerated separately
-        L = 5
-        basis = FockBasis.build(L, L, 3)
-        bonds = [(i, (i + 1) % L) for i in range(L if periodic else L - 1)]
-        want = np.zeros((basis.dim, basis.dim))
-        for a, b in bonds:
-            for src, dst in ((a, b), (b, a)):
-                rows, cols, amp = basis.hop(src, dst)
-                want[rows, cols] -= amp
+        # H(1, 0) is Q^T H_oracle Q on a ring of five sites (k = 0 sector)
+        # and exactly the oracle on the open chain (single-state orbits)
+        basis = FockBasis.build(5, 5, 3)
+        want, _ = full_basis_oracle(basis, periodic)
         got = build_hamiltonian(basis, 1.0, 0.0, periodic).toarray()
-        assert np.array_equal(got, want)
+        if periodic:
+            q = sector_projector(basis)
+            assert got.shape == (q.shape[1],) * 2
+            assert np.allclose(got, q.T @ want @ q, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sites, n_max", [
+        (3, 4), (4, 4), (5, 4), (6, 3), (7, 2), (8, 2)])
+    def test_sector_ground_energy_matches_full_basis(self, sites, n_max):
+        for bosons in (sites - 1, sites, sites + 1):
+            basis = FockBasis.build(sites, bosons, n_max)
+            hop, onsite = full_basis_oracle(basis, True)
+            for u in (0.0, 1.0, 3.85, 20.0):
+                want = scipy.linalg.eigvalsh(hop + u * onsite,
+                                             subset_by_index=[0, 0])[0]
+                got, _ = ground_energy(build_hamiltonian(basis, 1.0, u))
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_negative_couplings_rejected(self):
         basis = FockBasis.build(2, 2, 2)
@@ -192,17 +243,17 @@ class TestGroundEnergy:
         assert vec[1234] == 1.0 and np.count_nonzero(vec) == 1
 
     def test_lanczos_values_match_frozen(self):
-        # L = 8 bases (dims 3144-8800) take the Lanczos path; the values were
-        # computed by a per-state Hamiltonian build and full ARPACK solves
-        for periodic, uj, want in [
-            (True, 3.3, (-8.510932073950983, 0.41160619157933453,
-                         0.4019865694746449)),
-            (False, 1.0, (-11.67054510253686, 0.12384619376959805,
-                          0.5883726129621778)),
-        ]:
-            res = diagnostics(8, 4, uj, periodic=periodic)
-            got = (res.e0, res.gap, res.var_n)
-            assert got == pytest.approx(want, rel=1e-10)
+        # L = 8 takes the Lanczos path (sector dims 393-1100 on the ring,
+        # 3144-8800 states open).  The ring values were computed by a
+        # per-state Hamiltonian build on the full basis and full ARPACK
+        # solves; the open chain is frozen to its last bit.
+        res = diagnostics(8, 4, 3.3, periodic=True)
+        assert (res.e0, res.gap, res.var_n) == pytest.approx(
+            (-8.510932073950983, 0.41160619157933453, 0.4019865694746449),
+            rel=1e-10)
+        res = diagnostics(8, 4, 1.0, periodic=False)
+        assert (res.e0, res.gap, res.var_n) == (
+            -11.670545102536888, 0.12384619376955186, 0.5883726129621769)
 
 
 class TestChargeGap:
@@ -244,21 +295,31 @@ class TestDiagnostics:
         assert res.corr[0] == pytest.approx(1.0, rel=1e-12)  # unit filling
 
     def test_correlations_match_per_state_sum(self):
-        res = diagnostics(4, 3, 2.5)
-        basis = FockBasis.build(4, 4, 3)
-        _, vec = ground_energy(build_hamiltonian(basis, 1.0, 2.5))
-        states = list(map(tuple, basis.occ.tolist()))
-        index = {s: i for i, s in enumerate(states)}
-        for d in range(1, 4):
-            total = 0.0
-            for i, state in enumerate(states):
-                if state[d] > 0 and state[0] < 3:
-                    new = list(state)
-                    new[d] -= 1
-                    new[0] += 1
-                    total += (vec[index[tuple(new)]] * vec[i]
-                              * math.sqrt(state[d] * (state[0] + 1)))
-            assert res.corr[d] == pytest.approx(total, abs=1e-12)
+        # var(n) and <b+_0 b_d> of the full-basis oracle's ground vector,
+        # summed state by state
+        for sites, n_max, uj, periodic in [
+                (4, 3, 2.5, True), (4, 3, 2.5, False), (6, 3, 3.85, True),
+                (5, 2, 0.0, True)]:
+            res = diagnostics(sites, n_max, uj, periodic=periodic)
+            basis = FockBasis.build(sites, sites, n_max)
+            hop, onsite = full_basis_oracle(basis, periodic)
+            vec = scipy.linalg.eigh(hop + uj * onsite,
+                                    subset_by_index=[0, 0])[1][:, 0]
+            states = list(map(tuple, basis.occ.tolist()))
+            index = {s: i for i, s in enumerate(states)}
+            mean_n = vec**2 @ basis.occ
+            var_n = np.mean(vec**2 @ basis.occ**2 - mean_n**2)
+            assert res.var_n == pytest.approx(var_n, rel=0, abs=1e-12)
+            for d in range(1, sites):
+                total = 0.0
+                for i, state in enumerate(states):
+                    if state[d] > 0 and state[0] < n_max:
+                        new = list(state)
+                        new[d] -= 1
+                        new[0] += 1
+                        total += (vec[index[tuple(new)]] * vec[i]
+                                  * math.sqrt(state[d] * (state[0] + 1)))
+                assert res.corr[d] == pytest.approx(total, rel=0, abs=1e-12)
 
     def test_three_solves_per_point(self, monkeypatch):
         calls = []
@@ -307,9 +368,9 @@ class TestCriticalRatio:
     def test_solver_sizes_match_frozen(self):
         # the benchmark's solver sizes, frozen to the last bit
         est = estimate_critical_ratio([4, 6, 8], [1.2, 2.6, 4.0, 5.4, 6.8])
-        assert est.crossings == (2.6656721919112027, 2.6481374259924535,
-                                 2.626189147793021)
-        assert est.mean == 2.6466662552322258
+        assert est.crossings == (2.6656721919093864, 2.6481374259930752,
+                                 2.6261891477967834)
+        assert est.mean == 2.646666255233082
 
     def test_deep_mott_no_crossing(self):
         with pytest.raises(NoCrossing):
