@@ -19,8 +19,10 @@ def main():
     print("scaled charge gap L * Delta(L) / J:")
     header = "U/J " + "".join(f"   L={L}" for L in sizes)
     print(header)
+    # each size's bases and tables are built once for the whole table
+    bases = {L: bh_ed.unit_filling_bases(L, 4) for L in sizes}
     for u in ratios:
-        row = [f"{L * bh_ed.charge_gap(L, 4, 1.0, float(u)):6.3f}"
+        row = [f"{L * bh_ed.diagnostics(L, 4, u, bases=bases[L]).gap:6.3f}"
                for L in sizes]
         print(f"{u:3d} " + " ".join(row))
 
@@ -30,9 +32,8 @@ def main():
     print(f"\ncrossing estimate on U/J = 1, 1.25, ..., 8: (U/J)_c = "
           f"{est.mean:.3f} (spread {est.spread:.3f})")
     print("crossing of each size pair, drifting down with L:")
-    for pair in combinations(sizes, 2):
-        cross = bh_ed.estimate_critical_ratio(list(pair), fine).mean
-        print(f"  L = {pair[0]}, {pair[1]}: {cross:.3f}")
+    for (l1, l2), cross in zip(combinations(sizes, 2), est.crossings):
+        print(f"  L = {l1}, {l2}: {cross:.3f}")
 
     print("\nlocal observables across the transition (L = 6):")
     for u in (1.0, 4.0, 8.0):

@@ -1,13 +1,14 @@
 """Exact diagonalization of small 1D Bose-Hubbard chains.
 
-Fixed-particle-number Fock basis with a per-site occupation cap, held as an
-occupation array and ranked by base-(n_max+1) code; on a ring, the k = 0
-sector of the translation group, one row per orbit of digit rotations with
-hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc. 1297, 135
-(2010)), where every ground state needed here lies; hopping and interaction
-tables built once per basis and reused for every (J, U); the lowest
-eigenpair by dense or Lanczos diagonalization; the charge gap as Mott
-diagnostic, and a scaled-gap crossing estimate of the critical U/J.
+Fixed-particle-number Fock basis with a per-site occupation cap, ranked by
+base-(n_max+1) code; on a ring, the k = 0 sector of the translation group,
+where every ground state needed here lies: one row per orbit of digit
+rotations, hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc.
+1297, 135 (2010)).  One hop enumerator builds the hopping tables, once per
+basis for every (J, U), and reads <b+_0 b_d> off the sector vector as the
+mean over the L translations (equal at d and L - d: the vector is real).
+Lowest eigenpair by dense or Lanczos diagonalization; the charge gap as
+Mott diagnostic, and a scaled-gap crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
@@ -71,19 +72,15 @@ class HubbardTables:
 class Orbits:
     """Translation orbits of a basis, one representative each.
 
-    `reps` holds the basis row of each representative (increasing),
-    `index` the orbit of every basis state and `size` the number R of
-    states in each orbit.
+    `reps` holds the basis row of each representative (increasing), `occ`
+    its occupations, `index` the orbit of every basis state and `size` the
+    number R of states in each orbit.
     """
 
     reps: np.ndarray                 # (orbits,)
+    occ: np.ndarray                  # (orbits, sites)
     index: np.ndarray                # (dim,)
     size: np.ndarray                 # (orbits,)
-
-    def lift(self, vec: np.ndarray) -> np.ndarray:
-        """A vector on the orbits as a basis vector of the same norm: each
-        state of orbit r gets vec[r] / sqrt(R_r)."""
-        return vec[self.index] / np.sqrt(self.size[self.index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +141,6 @@ class FockBasis:
     def dim(self) -> int:
         return self.codes.size
 
-    def hop(self, src: int, dst: int):
-        """b+_dst b_src on every state: (target rows, source rows, amplitudes
-        sqrt(n_src (n_dst + 1)))."""
-        occ = self.occ
-        cols = np.flatnonzero((occ[:, src] > 0) & (occ[:, dst] < self.n_max))
-        shift = (self.n_max + 1) ** (self.sites - 1 - dst) \
-            - (self.n_max + 1) ** (self.sites - 1 - src)
-        rows = np.searchsorted(self.codes, self.codes[cols] + shift)
-        amp = np.sqrt(occ[cols, src] * (occ[cols, dst] + 1.0))
-        return rows, cols, amp
-
     def orbits(self, periodic: bool) -> Orbits:
         """Translation orbits on a ring of three or more sites, single-state
         orbits otherwise (an open chain, or the two-site ring, which is the
@@ -174,45 +160,53 @@ class FockBasis:
                     np.minimum(rep, rotated, out=rep)
                     fixed += rotated == codes
                 reps = np.flatnonzero(rep == codes)
-                orbits = Orbits(reps, np.searchsorted(codes[reps], rep),
+                orbits = Orbits(reps, self.occ[reps],
+                                np.searchsorted(codes[reps], rep),
                                 (L // fixed)[reps])
             else:
                 rows = np.arange(self.dim)
-                orbits = Orbits(rows, rows, np.ones_like(rows))
+                orbits = Orbits(rows, self.occ, rows, np.ones_like(rows))
             self._orbits[periodic] = orbits
         return self._orbits[periodic]
+
+    def hops(self, periodic: bool, src: np.ndarray, dst: np.ndarray):
+        """b+_dst b_src, pair by pair (src[k] -> dst[k]), on every
+        representative of `orbits(periodic)`: (target orbit rows, source
+        rows, increasing within a pair so that the codes ranked come in
+        sorted runs, amplitudes sqrt(n_src (n_dst + 1)) sqrt(R_src/R_dst))."""
+        orbits = self.orbits(periodic)
+        n_src, n_dst = orbits.occ[:, src].T, orbits.occ[:, dst].T
+        move = (n_src > 0) & (n_dst < self.n_max)     # (pairs, orbits)
+        pair, col = np.nonzero(move)
+        weights = (self.n_max + 1) ** np.arange(self.sites - 1, -1, -1,
+                                                dtype=np.int64)
+        moved = self.codes[orbits.reps[col]] \
+            + (weights[dst] - weights[src])[pair]
+        row = orbits.index[np.searchsorted(self.codes, moved)]
+        amp = np.sqrt(n_src[move] * (n_dst[move] + 1.0)) \
+            * np.sqrt(orbits.size[col] / orbits.size[row])
+        return row, col, amp
 
     def tables(self, periodic: bool) -> HubbardTables:
         """Hopping and interaction tables on the representatives of
         `orbits`, built on first use per boundary condition.
 
         Only hops to the right (i -> i + 1, and L - 1 -> 0 on a ring) are
-        enumerated, from every representative at once; each lands on the
-        row of its target's representative with amplitude
-        -sqrt(n_src (n_dst + 1)) sqrt(R_src / R_dst).  On a ring this is
-        the k = 0 block Q^T H Q of H, Q[s, r] = 1 / sqrt(R_r) on orbit r.
-        Hops to the left are the transpose, with the same amplitudes, so H
-        is symmetric by construction.
+        enumerated, by `hops`, each with amplitude -sqrt(n_src (n_dst + 1))
+        sqrt(R_src / R_dst).  On a ring this is the k = 0 block Q^T H Q of
+        H, Q[s, r] = 1 / sqrt(R_r) on orbit r.  Hops to the left are the
+        transpose, with the same amplitudes, so H is symmetric by
+        construction.
         """
         if periodic not in self._tables:
             orbits, L = self.orbits(periodic), self.sites
             dim = orbits.reps.size
             src = np.arange(L if periodic and L > 2 else L - 1)
-            dst = (src + 1) % L
-            occ = self.occ[orbits.reps]
-            col, bond = np.nonzero((occ[:, src] > 0)
-                                   & (occ[:, dst] < self.n_max))
-            s, d = src[bond], dst[bond]
-            weights = (self.n_max + 1) ** np.arange(L - 1, -1, -1,
-                                                    dtype=np.int64)
-            moved = self.codes[orbits.reps[col]] + weights[d] - weights[s]
-            row = orbits.index[np.searchsorted(self.codes, moved)]
-            amp = -np.sqrt(occ[col, s] * (occ[col, d] + 1.0)) \
-                * np.sqrt(orbits.size[col] / orbits.size[row])
+            row, col, amp = self.hops(periodic, src, (src + 1) % L)
             # hops from one representative into one orbit add up before the
             # transpose is taken, so H[a, b] and H[b, a] are the same sum
-            rows, cols, amp = _coalesce(row, col, amp)
-            diag = np.arange(dim)
+            rows, cols, amp = _coalesce(row, col, -amp)
+            occ, diag = orbits.occ, np.arange(dim)
             rows, cols, hop, onsite = _coalesce(
                 np.concatenate((diag, rows, cols)),
                 np.concatenate((diag, cols, rows)),
@@ -331,18 +325,22 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
     if bases is None:
         bases = unit_filling_bases(sites, n_max)
     e0, vec, gap = _unit_filling(bases, sites, j, u, periodic)
-    vec = bases[sites].orbits(periodic).lift(vec)
-    occ = bases[sites].occ
-    weights = vec**2
-    mean_n = weights @ occ                # per site
-    mean_n2 = weights @ occ**2
+    basis, ring = bases[sites], periodic and sites > 2
+    occ = basis.orbits(periodic).occ
+    mean_n, mean_n2 = vec**2 @ occ, vec**2 @ occ**2     # per site
+    if ring:   # translation invariant: every site holds the site mean
+        mean_n, mean_n2 = np.mean([mean_n, mean_n2], axis=1, keepdims=True)
     var_n = float(np.mean(mean_n2 - mean_n**2))
 
+    # <b+_0 b_d>, on a ring averaged over the L translations (i + d -> i)
+    dst = np.arange(sites if ring else 1)
     corr = [float(mean_n[0])]
     for d in range(1, sites):
-        # <b+_0 b_d>: hop a boson from site d to site 0 in each basis state
-        rows, cols, amp = bases[sites].hop(d, 0)
-        corr.append(float(vec[rows] @ (amp * vec[cols])))
+        if ring and 2 * d > sites:        # the k = 0 vector is real
+            corr.append(corr[sites - d])
+        else:
+            rows, cols, amp = basis.hops(periodic, (dst + d) % sites, dst)
+            corr.append(float(vec[rows] @ (amp * vec[cols])) / dst.size)
 
     return EdResult(sites, sites, n_max, u_over_j, e0, gap, var_n, tuple(corr))
 

@@ -28,18 +28,31 @@ def two_site_ground(j, u):
     return (u - math.sqrt(u**2 + 16 * j**2)) / 2
 
 
+def move_boson(state, src, dst):
+    """The occupation tuple with one boson moved from site src to dst."""
+    new = list(state)
+    new[src] -= 1
+    new[dst] += 1
+    return tuple(new)
+
+
 def full_basis_oracle(basis, periodic):
     """Dense hopping (J = 1) and on-site (U = 1) parts of H on the whole
-    basis, both directions of every bond enumerated separately."""
+    basis, state by state: both directions of every bond are tried on each
+    occupation tuple and the moved tuple is looked up by value."""
     L = basis.sites
     ring = periodic and L > 2
     bonds = [(i, (i + 1) % L) for i in range(L if ring else L - 1)]
+    states = list(map(tuple, basis.occ.tolist()))
+    index = {s: i for i, s in enumerate(states)}
     hop = np.zeros((basis.dim, basis.dim))
-    for a, b in bonds:
-        for src, dst in ((a, b), (b, a)):
-            rows, cols, amp = basis.hop(src, dst)
-            hop[rows, cols] -= amp
-    onsite = np.diag(0.5 * (basis.occ * (basis.occ - 1)).sum(axis=1))
+    for col, state in enumerate(states):
+        for a, b in bonds:
+            for src, dst in ((a, b), (b, a)):
+                if state[src] > 0 and state[dst] < basis.n_max:
+                    row = index[move_boson(state, src, dst)]
+                    hop[row, col] -= math.sqrt(state[src] * (state[dst] + 1))
+    onsite = np.diag([0.5 * sum(n * (n - 1) for n in s) for s in states])
     return hop, onsite
 
 
@@ -87,7 +100,8 @@ class TestBasis:
         base = basis.n_max + 1
         assert np.all(np.diff(basis.codes) > 0)
         for src, dst in [(0, 1), (1, 0), (4, 0), (2, 4)]:
-            rows, cols, amp = basis.hop(src, dst)
+            rows, cols, amp = basis.hops(False, np.array([src]),
+                                         np.array([dst]))
             moved = basis.occ[cols].copy()
             moved[:, src] -= 1
             moved[:, dst] += 1
@@ -176,6 +190,7 @@ class TestHamiltonian:
         else:   # open chain, or the two-site ring: single-state orbits
             assert orbits.reps.tolist() == list(range(basis.dim))
             assert orbits.size.tolist() == [1] * basis.dim
+        assert np.array_equal(orbits.occ, basis.occ[orbits.reps])
         assert orbits.size.sum() == basis.dim
         assert basis.tables(periodic).indptr.size - 1 == orbits.reps.size
 
@@ -299,7 +314,7 @@ class TestDiagnostics:
         # summed state by state
         for sites, n_max, uj, periodic in [
                 (4, 3, 2.5, True), (4, 3, 2.5, False), (6, 3, 3.85, True),
-                (5, 2, 0.0, True)]:
+                (5, 2, 0.0, True), (8, 2, 3.3, True)]:
             res = diagnostics(sites, n_max, uj, periodic=periodic)
             basis = FockBasis.build(sites, sites, n_max)
             hop, onsite = full_basis_oracle(basis, periodic)
@@ -314,10 +329,7 @@ class TestDiagnostics:
                 total = 0.0
                 for i, state in enumerate(states):
                     if state[d] > 0 and state[0] < n_max:
-                        new = list(state)
-                        new[d] -= 1
-                        new[0] += 1
-                        total += (vec[index[tuple(new)]] * vec[i]
+                        total += (vec[index[move_boson(state, d, 0)]] * vec[i]
                                   * math.sqrt(state[d] * (state[0] + 1)))
                 assert res.corr[d] == pytest.approx(total, rel=0, abs=1e-12)
 
