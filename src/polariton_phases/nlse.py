@@ -34,6 +34,9 @@ GROUND_MAX_STEPS = 2000
 # ground_state stops when the residual |H psi - mu psi| / |psi| is at most
 # GROUND_TOL * max(|mu|, 1) plus the rounding floor of H psi.
 GROUND_TOL = 1e-10
+# Steps whose scheduled coefficients evolve interpolates in one np.interp
+# call: bounds what a scheduled run holds, whatever its number of steps.
+SCHEDULE_BLOCK = 1024
 
 
 def interaction_strength(gamma_abs: float) -> float:
@@ -119,31 +122,64 @@ def norm_of(psi: np.ndarray) -> float:
     return float(np.mean(np.abs(psi) ** 2))
 
 
-def _energy(spectrum: np.ndarray, psi: np.ndarray, k2: np.ndarray,
+def _energy(spectrum: np.ndarray, dens: np.ndarray, k2: np.ndarray,
             cos2: np.ndarray, s: float, g: float) -> float:
-    """Mean energy density of psi, whose FFT is spectrum.
+    """Mean energy density of the field with FFT spectrum and |psi|^2 dens.
 
     The kinetic term mean|d psi|^2 is sum k^2 |spectrum|^2 / n^2 (Parseval).
     """
-    dens = np.abs(psi) ** 2
-    kin = np.dot(k2, np.abs(spectrum) ** 2) / psi.size**2
+    kin = np.dot(k2, np.abs(spectrum) ** 2) / dens.size**2
     return float(kin + np.mean((s * cos2 + 0.5 * g * dens) * dens))
 
 
 def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
     """Mean energy density: |d psi|^2 + s cos^2 |psi|^2 + (g/2)|psi|^4."""
     s, g, _ = params.coefficients(tau)
-    return _energy(np.fft.fft(psi), psi, *_box(params), s, g)
+    return _energy(np.fft.fft(psi), np.abs(psi) ** 2, *_box(params), s, g)
 
 
-def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
-    """Modulation contrast (max-min)/(max+min) of the period-averaged density."""
-    dens = np.abs(psi) ** 2
-    folded = dens.reshape(params.n_periods, -1).mean(axis=0)
+def _contrast(dens: np.ndarray, n_periods: int) -> float:
+    """(max-min)/(max+min) of the density dens averaged over the periods."""
+    folded = dens.reshape(n_periods, -1).mean(axis=0)
     hi, lo = folded.max(), folded.min()
     if hi + lo == 0:
         return 0.0
     return float((hi - lo) / (hi + lo))
+
+
+def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
+    """Modulation contrast (max-min)/(max+min) of the period-averaged density."""
+    return _contrast(np.abs(psi) ** 2, params.n_periods)
+
+
+def _midpoint_coefficients(params: NlseParams, cos2: np.ndarray, tau: float,
+                           dt: float, steps: int):
+    """(s cos^2, g, kappa) at the middle of each of steps steps of dt from tau.
+
+    The step ends are the running sum tau + dt + dt + ..., added in order as
+    evolve adds them (np.cumsum accumulates in order, and np.interp on an
+    array reads each point as on a scalar), so each value is that of
+    params.coefficients(tau + dt / 2) bit for bit.  Without a schedule
+    s cos^2 is formed once; with one, it is formed a step and the schedule
+    is interpolated SCHEDULE_BLOCK steps at a time.
+    """
+    if not params.schedule:
+        s, g, kappa = params.coefficients(tau)
+        coefficients = s * cos2, g, kappa
+        for _ in range(steps):
+            yield coefficients
+        return
+    ts, *columns = (np.array(col, dtype=float)
+                    for col in zip(*params.schedule))
+    for first in range(0, steps, SCHEDULE_BLOCK):
+        ends = np.full(min(SCHEDULE_BLOCK, steps - first) + 1, dt)
+        ends[0] = tau
+        np.cumsum(ends, out=ends)
+        tau = ends[-1]
+        mids = ends[:-1] + dt / 2
+        for s, g, kappa in zip(*(np.interp(mids, ts, col).tolist()
+                                 for col in columns)):
+            yield s * cos2, g, kappa
 
 
 def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
@@ -156,6 +192,12 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     one step and the opening one of the next merge into one full factor, so
     the field returns to real space at a whole step only to be recorded or
     returned: 1 + 2 steps + records FFTs, records counted after the start.
+
+    A step works in three preallocated buffers: |psi|^2, the real phase
+    -dt (s cos^2 + g |psi|^2) and the rotation cos + i sin of that phase,
+    times the loss factor only when kappa != 0 (the bits of the complex
+    exp times that factor).  A record forms |psi|^2 once for its norm,
+    energy and contrast.
 
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi| <= sqrt(n) max|psi_0| on n grid points.  The
@@ -172,20 +214,24 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         raise DomainError("initial state has zero norm")
     psi = np.asarray(state.psi, dtype=complex).copy()
     k2, cos2 = _box(params)
+    dens, phase = np.empty(psi.size), np.empty(psi.size)
+    rot = np.empty(psi.size, dtype=complex)
     taus, norms, energies, contrasts = [], [], [], []
 
     def record(step):
-        norm = norm_of(psi)
+        density = np.abs(psi) ** 2
+        norm = float(np.mean(density))
         s, g, _ = params.coefficients(tau)
-        energy = _energy(spectrum, psi, k2, cos2, s, g)
+        energy = _energy(spectrum, density, k2, cos2, s, g)
         if not (math.isfinite(norm) and math.isfinite(energy)):
             raise NonFinite(f"non-finite field or energy at step {step}")
         taus.append(tau)
         norms.append(norm)
         energies.append(energy)
-        contrasts.append(contrast_of(psi, params))
+        contrasts.append(_contrast(density, params.n_periods))
 
     tau = state.time
+    coefficients = _midpoint_coefficients(params, cos2, tau, dt, steps)
     # an overflow (a huge dt, s or g) leaves a non-finite field or energy,
     # which the guard reads at the next step or record
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,12 +240,20 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         full_kin = half_kin * half_kin
         record(0)
         kin = half_kin
-        for step in range(1, steps + 1):
-            s, g, kap = params.coefficients(tau + dt / 2)
-            field = np.fft.ifft(kin * spectrum)
-            dens = np.abs(field) ** 2
-            field *= np.exp(-1j * dt * (s * cos2 + g * dens)) \
-                * math.exp(-kap * dt / 2)
+        for step, (potential, g, kappa) in enumerate(coefficients, 1):
+            # kin * spectrum, not spectrum * kin: the bits differ
+            np.multiply(kin, spectrum, out=spectrum)
+            field = np.fft.ifft(spectrum)
+            np.abs(field, out=dens)
+            np.square(dens, out=dens)
+            np.multiply(dens, g, out=phase)
+            phase += potential
+            phase *= -dt
+            np.cos(phase, out=rot.real)
+            np.sin(phase, out=rot.imag)
+            if kappa:
+                rot *= math.exp(-kappa * dt / 2)
+            field *= rot
             spectrum = np.fft.fft(field)
             tau += dt
             if not math.isfinite(dens.max()):

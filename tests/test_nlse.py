@@ -93,6 +93,74 @@ def _count_ffts(monkeypatch):
     return calls
 
 
+def _evolve_reference(state, params, dt, steps, record_every):
+    """Oracle: evolve's step loop before it worked in place, kept verbatim,
+    with the norm, energy and contrast formulas it called inlined."""
+    def norm_of(psi):
+        return float(np.mean(np.abs(psi) ** 2))
+
+    def _energy(spectrum, psi, k2, cos2, s, g):
+        dens = np.abs(psi) ** 2
+        kin = np.dot(k2, np.abs(spectrum) ** 2) / psi.size**2
+        return float(kin + np.mean((s * cos2 + 0.5 * g * dens) * dens))
+
+    def contrast_of(psi, params):
+        dens = np.abs(psi) ** 2
+        folded = dens.reshape(params.n_periods, -1).mean(axis=0)
+        hi, lo = folded.max(), folded.min()
+        if hi + lo == 0:
+            return 0.0
+        return float((hi - lo) / (hi + lo))
+
+    psi = np.asarray(state.psi, dtype=complex).copy()
+    n = params.grid_points
+    k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * params.n_periods / n)
+    k2, cos2 = k**2, np.cos(grid(params)) ** 2
+    taus, norms, energies, contrasts = [], [], [], []
+
+    def record(step):
+        norm = norm_of(psi)
+        s, g, _ = params.coefficients(tau)
+        energy = _energy(spectrum, psi, k2, cos2, s, g)
+        taus.append(tau)
+        norms.append(norm)
+        energies.append(energy)
+        contrasts.append(contrast_of(psi, params))
+
+    tau = state.time
+    spectrum = np.fft.fft(psi)
+    half_kin = np.exp(-1j * k2 * dt / 2)
+    full_kin = half_kin * half_kin
+    record(0)
+    kin = half_kin
+    for step in range(1, steps + 1):
+        s, g, kap = params.coefficients(tau + dt / 2)
+        field = np.fft.ifft(kin * spectrum)
+        dens = np.abs(field) ** 2
+        field *= np.exp(-1j * dt * (s * cos2 + g * dens)) \
+            * math.exp(-kap * dt / 2)
+        spectrum = np.fft.fft(field)
+        tau += dt
+        if step % record_every and step != steps:
+            kin = full_kin
+            continue
+        spectrum *= half_kin
+        psi = np.fft.ifft(spectrum)
+        record(step)
+        kin = half_kin
+
+    obs = nlse.Observables(np.array(taus), np.array(norms),
+                           np.array(energies), np.array(contrasts))
+    return FieldState(psi, tau), obs
+
+
+_STATIC = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8, grid_points=64)
+_LOSSY = with_(_STATIC, kappa_dimless=0.1)
+_SCHEDULED = NlseParams(n_periods=8, grid_points=64,
+                        schedule=((0.0, 1.0, 0.2, 0.0),
+                                  (0.1, 6.0, 0.9, 0.4)))
+
+
 class TestEnergy:
     @pytest.mark.parametrize("n", [64, 256])
     def test_parseval_matches_derivative_form(self, rng, n):
@@ -301,6 +369,54 @@ class TestEvolve:
         records = -(-20 // record_every)
         assert len(obs.tau) == 1 + records
         assert calls["fft"] == 1 + 2 * 20 + records
+
+    @pytest.mark.parametrize("params", [_STATIC, _LOSSY, _SCHEDULED],
+                             ids=["static", "lossy", "scheduled"])
+    @pytest.mark.parametrize("record_every", [1, 7, 150])
+    def test_matches_pre_in_place_loop(self, monkeypatch, params,
+                                       record_every):
+        # equal bits here; the margin is for CPUs whose trig or FFT rounds
+        # differently.  Small schedule blocks: 150 steps span three
+        monkeypatch.setattr(nlse, "SCHEDULE_BLOCK", 64)
+        state = _gaussian(params, 2.0)
+        want_psi, want = _evolve_reference(state, params, 1e-3, 150,
+                                           record_every)
+        got_psi, got = evolve(state, params, dt=1e-3, steps=150,
+                              record_every=record_every)
+        assert got_psi.time == want_psi.time
+        np.testing.assert_allclose(got_psi.psi, want_psi.psi,
+                                   rtol=1e-14, atol=1e-14)
+        for field in ("tau", "norm", "energy", "contrast"):
+            np.testing.assert_allclose(getattr(got, field),
+                                       getattr(want, field),
+                                       rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("params", [_STATIC, _SCHEDULED],
+                             ids=["static", "scheduled"])
+    def test_midpoint_coefficients_match_scalar_loop(self, params):
+        # more steps than one schedule block, from a start off the grid
+        tau, dt, steps = 0.0123, 7e-5, 2 * nlse.SCHEDULE_BLOCK + 5
+        cos2 = np.cos(grid(params)) ** 2
+        got = list(nlse._midpoint_coefficients(params, cos2, tau, dt, steps))
+        assert len(got) == steps
+        for potential, g, kappa in got:
+            s, g_want, kappa_want = params.coefficients(tau + dt / 2)
+            assert np.array_equal(potential, s * cos2)
+            assert (g, kappa) == (g_want, kappa_want)
+            tau += dt
+
+    @pytest.mark.parametrize("steps", [0, 1, 20])
+    def test_returns_fresh_unaliased_field(self, steps):
+        state = _gaussian(_LOSSY, 2.0)
+        before = state.psi.copy()
+        first, _ = evolve(state, _LOSSY, dt=1e-3, steps=steps, record_every=7)
+        second, _ = evolve(state, _LOSSY, dt=1e-3, steps=steps,
+                           record_every=7)
+        assert np.array_equal(state.psi, before)
+        assert np.array_equal(first.psi, second.psi)
+        for psi in (first.psi, second.psi):
+            assert not np.shares_memory(psi, state.psi)
+        assert not np.shares_memory(first.psi, second.psi)
 
     def test_final_field_independent_of_record_every(self):
         # merged kinetic factors between records, split ones at a record
