@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +35,6 @@ GROUND_MAX_STEPS = 2000
 # ground_state stops when the residual |H psi - mu psi| / |psi| is at most
 # GROUND_TOL * max(|mu|, 1) plus the rounding floor of H psi.
 GROUND_TOL = 1e-10
-# Steps whose scheduled coefficients evolve interpolates in one np.interp
-# call: bounds what a scheduled run holds, whatever its number of steps.
-SCHEDULE_BLOCK = 1024
 
 
 def interaction_strength(gamma_abs: float) -> float:
@@ -76,11 +74,16 @@ class NlseParams:
         if any(a >= b for a, b in zip(taus, taus[1:])):
             raise ConfigError("schedule times must strictly increase")
 
+    @cached_property
+    def _schedule_columns(self) -> tuple[np.ndarray, ...]:
+        """The schedule's tau, s, g and kappa columns as float arrays."""
+        return tuple(np.array(col, dtype=float) for col in zip(*self.schedule))
+
     def coefficients(self, tau: float) -> tuple[float, float, float]:
         """(s, g, kappa) at time tau, from the schedule if one is set."""
         if not self.schedule:
             return self.v1_over_er, self.g_int, self.kappa_dimless
-        ts, *cols = zip(*self.schedule)
+        ts, *cols = self._schedule_columns
         return tuple(float(np.interp(tau, ts, col)) for col in cols)
 
 
@@ -152,36 +155,6 @@ def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
     return _contrast(np.abs(psi) ** 2, params.n_periods)
 
 
-def _midpoint_coefficients(params: NlseParams, cos2: np.ndarray, tau: float,
-                           dt: float, steps: int):
-    """(s cos^2, g, kappa) at the middle of each of steps steps of dt from tau.
-
-    The step ends are the running sum tau + dt + dt + ..., added in order as
-    evolve adds them (np.cumsum accumulates in order, and np.interp on an
-    array reads each point as on a scalar), so each value is that of
-    params.coefficients(tau + dt / 2) bit for bit.  Without a schedule
-    s cos^2 is formed once; with one, it is formed a step and the schedule
-    is interpolated SCHEDULE_BLOCK steps at a time.
-    """
-    if not params.schedule:
-        s, g, kappa = params.coefficients(tau)
-        coefficients = s * cos2, g, kappa
-        for _ in range(steps):
-            yield coefficients
-        return
-    ts, *columns = (np.array(col, dtype=float)
-                    for col in zip(*params.schedule))
-    for first in range(0, steps, SCHEDULE_BLOCK):
-        ends = np.full(min(SCHEDULE_BLOCK, steps - first) + 1, dt)
-        ends[0] = tau
-        np.cumsum(ends, out=ends)
-        tau = ends[-1]
-        mids = ends[:-1] + dt / 2
-        for s, g, kappa in zip(*(np.interp(mids, ts, col).tolist()
-                                 for col in columns)):
-            yield s * cos2, g, kappa
-
-
 def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
            record_every: int = 1) -> tuple[FieldState, Observables]:
     """Real-time Strang-split evolution: half kinetic / full potential / half kinetic.
@@ -231,7 +204,9 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         contrasts.append(_contrast(density, params.n_periods))
 
     tau = state.time
-    coefficients = _midpoint_coefficients(params, cos2, tau, dt, steps)
+    if not params.schedule:
+        s, g, kappa = params.coefficients(tau)
+        potential = s * cos2
     # an overflow (a huge dt, s or g) leaves a non-finite field or energy,
     # which the guard reads at the next step or record
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,7 +215,10 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         full_kin = half_kin * half_kin
         record(0)
         kin = half_kin
-        for step, (potential, g, kappa) in enumerate(coefficients, 1):
+        for step in range(1, steps + 1):
+            if params.schedule:
+                s, g, kappa = params.coefficients(tau + dt / 2)
+                potential = s * cos2
             # kin * spectrum, not spectrum * kin: the bits differ
             np.multiply(kin, spectrum, out=spectrum)
             field = np.fft.ifft(spectrum)

@@ -95,7 +95,14 @@ def _count_ffts(monkeypatch):
 
 def _evolve_reference(state, params, dt, steps, record_every):
     """Oracle: evolve's step loop before it worked in place, kept verbatim,
-    with the norm, energy and contrast formulas it called inlined."""
+    with the coefficient, norm, energy and contrast formulas it called
+    inlined."""
+    def coefficients(tau):
+        if not params.schedule:
+            return params.v1_over_er, params.g_int, params.kappa_dimless
+        ts, *cols = zip(*params.schedule)
+        return tuple(float(np.interp(tau, ts, col)) for col in cols)
+
     def norm_of(psi):
         return float(np.mean(np.abs(psi) ** 2))
 
@@ -120,7 +127,7 @@ def _evolve_reference(state, params, dt, steps, record_every):
 
     def record(step):
         norm = norm_of(psi)
-        s, g, _ = params.coefficients(tau)
+        s, g, _ = coefficients(tau)
         energy = _energy(spectrum, psi, k2, cos2, s, g)
         taus.append(tau)
         norms.append(norm)
@@ -134,7 +141,7 @@ def _evolve_reference(state, params, dt, steps, record_every):
     record(0)
     kin = half_kin
     for step in range(1, steps + 1):
-        s, g, kap = params.coefficients(tau + dt / 2)
+        s, g, kap = coefficients(tau + dt / 2)
         field = np.fft.ifft(kin * spectrum)
         dens = np.abs(field) ** 2
         field *= np.exp(-1j * dt * (s * cos2 + g * dens)) \
@@ -159,6 +166,8 @@ _LOSSY = with_(_STATIC, kappa_dimless=0.1)
 _SCHEDULED = NlseParams(n_periods=8, grid_points=64,
                         schedule=((0.0, 1.0, 0.2, 0.0),
                                   (0.1, 6.0, 0.9, 0.4)))
+_SLOW_RAMP = with_(_SCHEDULED, schedule=((0.0, 1.0, 0.2, 0.0),
+                                        (5.0, 6.0, 0.9, 0.4)))
 
 
 class TestEnergy:
@@ -370,18 +379,25 @@ class TestEvolve:
         assert len(obs.tau) == 1 + records
         assert calls["fft"] == 1 + 2 * 20 + records
 
-    @pytest.mark.parametrize("params", [_STATIC, _LOSSY, _SCHEDULED],
-                             ids=["static", "lossy", "scheduled"])
-    @pytest.mark.parametrize("record_every", [1, 7, 150])
-    def test_matches_pre_in_place_loop(self, monkeypatch, params,
-                                       record_every):
+    @pytest.mark.parametrize(
+        "params, dt, steps, record_every, start",
+        [(params, 1e-3, 150, record_every, 0.0)
+         for params in (_STATIC, _LOSSY, _SCHEDULED)
+         for record_every in (1, 7, 150)]
+        # an int dt from a start off the step grid: the midpoints stay
+        # 0.25 + dt (k + 1/2), accumulated in float
+        + [(_SLOW_RAMP, 1, 6, 1, 0.25)],
+        ids=[f"{name}-every{record_every}"
+             for name in ("static", "lossy", "scheduled")
+             for record_every in (1, 7, 150)] + ["ramp-int-dt"])
+    def test_matches_pre_in_place_loop(self, params, dt, steps, record_every,
+                                       start):
         # equal bits here; the margin is for CPUs whose trig or FFT rounds
-        # differently.  Small schedule blocks: 150 steps span three
-        monkeypatch.setattr(nlse, "SCHEDULE_BLOCK", 64)
-        state = _gaussian(params, 2.0)
-        want_psi, want = _evolve_reference(state, params, 1e-3, 150,
+        # differently
+        state = FieldState(_gaussian(params, 2.0).psi, start)
+        want_psi, want = _evolve_reference(state, params, dt, steps,
                                            record_every)
-        got_psi, got = evolve(state, params, dt=1e-3, steps=150,
+        got_psi, got = evolve(state, params, dt=dt, steps=steps,
                               record_every=record_every)
         assert got_psi.time == want_psi.time
         np.testing.assert_allclose(got_psi.psi, want_psi.psi,
@@ -390,20 +406,6 @@ class TestEvolve:
             np.testing.assert_allclose(getattr(got, field),
                                        getattr(want, field),
                                        rtol=1e-14, atol=1e-14)
-
-    @pytest.mark.parametrize("params", [_STATIC, _SCHEDULED],
-                             ids=["static", "scheduled"])
-    def test_midpoint_coefficients_match_scalar_loop(self, params):
-        # more steps than one schedule block, from a start off the grid
-        tau, dt, steps = 0.0123, 7e-5, 2 * nlse.SCHEDULE_BLOCK + 5
-        cos2 = np.cos(grid(params)) ** 2
-        got = list(nlse._midpoint_coefficients(params, cos2, tau, dt, steps))
-        assert len(got) == steps
-        for potential, g, kappa in got:
-            s, g_want, kappa_want = params.coefficients(tau + dt / 2)
-            assert np.array_equal(potential, s * cos2)
-            assert (g, kappa) == (g_want, kappa_want)
-            tau += dt
 
     @pytest.mark.parametrize("steps", [0, 1, 20])
     def test_returns_fresh_unaliased_field(self, steps):
