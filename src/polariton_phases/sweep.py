@@ -360,10 +360,9 @@ def _log_uj(nodes: NodeFields) -> tuple:
     return np.log(uj / many_body.UJ_CRITICAL), valid
 
 
-def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
-                       bracket: tuple[float, float]) -> float:
-    """Omega*/Gamma at which U/J first crosses the Mott critical ratio 3.85
-    inside the bracket."""
+def _mott_crossing(base: optics.OpticalConfig, delta_p: float,
+                   bracket: tuple[float, float]) -> tuple[float, NodeFields]:
+    """(Omega*, the chain at Omega*) of find_mott_crossing."""
     root, at = _first_crossing(base, delta_p, bracket, _log_uj,
                                f"U/J - {many_body.UJ_CRITICAL}")
     residual = abs(float(at.u_over_j) - many_body.UJ_CRITICAL)
@@ -372,7 +371,14 @@ def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
             f"|U/J - {many_body.UJ_CRITICAL}| = {residual} at Omega = {root} "
             f"exceeds {RESIDUAL_TOL}"
         )
-    return root
+    return root, at
+
+
+def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
+                       bracket: tuple[float, float]) -> float:
+    """Omega*/Gamma at which U/J first crosses the Mott critical ratio 3.85
+    inside the bracket."""
+    return _mott_crossing(base, delta_p, bracket)[0]
 
 
 def find_pinning_crossing(

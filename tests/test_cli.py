@@ -221,6 +221,22 @@ class TestSubcommands:
         header = (out / "crossing.csv").read_text().splitlines()[1]
         assert header == "omega_over_gamma,j_over_er,u_over_er,u_over_j"
 
+    def test_crossing_evaluates_table_and_root_finder_only(self, tmp_path,
+                                                          monkeypatch):
+        # the fields at the root come from the root finder, not from a
+        # second evaluate
+        calls = []
+        evaluate = sweep.evaluate
+        monkeypatch.setattr(sweep, "evaluate",
+                            lambda *a: calls.append(a) or evaluate(*a))
+        doc = {"sweep": {"omega_range": [0.9, 1.2, 20]}}
+        assert run(tmp_path, "crossing", doc)[0] == 0
+        cli_calls = len(calls)
+        calls.clear()
+        base = from_dict(doc).optics
+        sweep.find_mott_crossing(base, base.delta_p, (0.9, 1.2))
+        assert cli_calls == 1 + len(calls)
+
     def test_crossing_root_outside_bh_window_is_flagged(self, tmp_path):
         # gamma = 2.03, V1/E_R = 2.78 at the root: reported, not raised
         code, out = run(tmp_path, "crossing", {
@@ -446,6 +462,42 @@ def _csv_bytes(path, header, columns, block_rows=None, monkeypatch=None):
     return path.read_bytes()
 
 
+# Values that repeat within a column: signed zeros, NaNs with other payloads
+# and signs, infinities, 1e-300 and its float neighbours, as float64 bit
+# patterns so no payload is lost on the way
+_POOL_BITS = [
+    *np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300,
+               np.nextafter(1e-300, 0), np.nextafter(1e-300, 1), 5e-324,
+               0.1]).view(np.int64).tolist(),
+    0x7FF8000000000001, 0x7FF0000000000001, -0x0007FFFFFFFFFFFF,
+]
+_LABELS = ["", "SF", "MOTT_BH", "POLE", "bh_valid;k_formula_valid"]
+
+
+@st.composite
+def _csv_tables(draw):
+    """1-6 columns of one length: pooled (repeating) and distinct floats,
+    ints, and text as numpy "U" and as object arrays."""
+    rows = draw(st.integers(0, 40))
+    column = lambda elements: st.lists(elements, min_size=rows,
+                                       max_size=rows)
+    kinds = {
+        "pooled": column(st.sampled_from(_POOL_BITS)).map(
+            lambda bits: np.array(bits, dtype=np.int64).view(np.float64)),
+        "distinct": st.lists(st.floats(), min_size=rows, max_size=rows,
+                             unique=True).map(np.array),
+        "int": column(st.integers(-2**62, 2**62)).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        "U": column(st.sampled_from(_LABELS)).map(
+            lambda v: np.array(v, dtype=str)),
+        "object": column(st.sampled_from(_LABELS)).map(
+            lambda v: np.array(v, dtype=object)),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1,
+                          max_size=6))
+    return [draw(kinds[k]) for k in names]
+
+
 class TestCsvWriter:
     """Frozen bytes of the one CSV writer, as the earlier per-table writers
     formatted them: "%.17g" for numbers, "%s" for text."""
@@ -507,6 +559,52 @@ class TestCsvWriter:
         assert got.count(b"\n") == 2502
         assert hashlib.sha256(got).hexdigest() == (
             "a6082801d1ca47e0caaeebcedde77f6f92f60cb9dc9248cbafd9ffe1fe51b1b7")
+
+
+    @pytest.mark.parametrize("block_rows", [1, 7, None])
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(columns=_csv_tables())
+    def test_matches_per_row_format(self, tmp_path_factory, block_rows,
+                                    columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        # the writer before repeated values were formatted once per block
+        row_format = ",".join("%s" if c.dtype.kind in "OU" else "%.17g"
+                              for c in columns) + "\n"
+        want = "".join(row_format % row
+                       for row in zip(*(c.tolist() for c in columns)))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(cli, "_BLOCK_ROWS", block_rows)
+            got = _csv_bytes(path, header, columns)
+        assert got == self.HASH_LINE + (",".join(header) + "\n"
+                                        + want).encode()
+
+    # DOMAIN at Delta_p = 0, POLE at Omega on the Lambda pole: the fields of
+    # Omega alone hold NaN there and still repeat enough to be formatted
+    # once per distinct value
+    @pytest.mark.parametrize("block_rows", [None, 14])
+    def test_grid_with_bad_nodes(self, tmp_path, monkeypatch, block_rows):
+        doc = {"sweep": {"delta_p_range": [0.0, 50.0, 6],
+                         "omega_range": [math.sqrt(0.025), 1.2, 7]}}
+        cfg = load_config(write_config(tmp_path, doc, "grid.json"))
+        nodes = sweep.evaluate_grid(cli._grid_spec(cfg))
+        columns = [getattr(nodes, f).ravel() for f in cli.GRID_FIELDS.values()]
+        phase, flags = nodes.labels()
+        assert {"POLE", "DOMAIN"} <= set(flags.tolist())
+        v1 = nodes.v1_over_er.ravel()
+        assert np.isnan(v1).any()
+        assert 2 * len(set(v1.view(np.int64).tolist())) <= v1.size
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        code, out = run(tmp_path, "sweep", doc)
+        assert code == 0
+        rows = zip(*(c.tolist() for c in columns), phase, flags)
+        want = (f"# config_hash={cfg.hash()}\n"
+                + ",".join([*cli.GRID_FIELDS, "phase", "flags"]) + "\n"
+                + "".join(",".join(["%.17g"] * 11 + ["%s", "%s"]) % row
+                          + "\n" for row in rows))
+        assert (out / "sweep.csv").read_text() == want
 
 
 class TestDeterminism:
