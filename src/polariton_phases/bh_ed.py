@@ -7,8 +7,9 @@ rotations, hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc.
 1297, 135 (2010)).  One hop enumerator builds the hopping tables, once per
 basis for every (J, U), and reads <b+_0 b_d> off the sector vector as the
 mean over the L translations (equal at d and L - d: the vector is real).
-Lowest eigenpair by dense or Lanczos diagonalization; the charge gap as
-Mott diagnostic, and a scaled-gap crossing estimate of the critical U/J.
+The sector is fixed when a basis is built.  Lowest eigenpair by dense or
+Lanczos diagonalization; the charge gap as Mott diagnostic, and a
+scaled-gap crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
@@ -68,39 +69,35 @@ class HubbardTables:
             (data, self.indices, self.indptr), shape=(dim, dim), copy=True)
 
 
-@dataclass(frozen=True)
-class Orbits:
-    """Translation orbits of a basis, one representative each.
-
-    `reps` holds the basis row of each representative (increasing), `occ`
-    its occupations, `index` the orbit of every basis state and `size` the
-    number R of states in each orbit.
-    """
-
-    reps: np.ndarray                 # (orbits,)
-    occ: np.ndarray                  # (orbits, sites)
-    index: np.ndarray                # (dim,)
-    size: np.ndarray                 # (orbits,)
-
-
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation vectors in lexicographic order, one row of `occ` each.
+    """Occupation vectors in lexicographic order, one row of `occ` each, and
+    the symmetry sector H is solved in, fixed with the boundary condition.
 
     `codes` reads each row as a base-(n_max+1) number; lexicographic order
-    makes the codes increasing, so `np.searchsorted` ranks any state.
+    makes the codes increasing, so `np.searchsorted` ranks any state.  On a
+    `ring` the sector is k = 0, one row per translation orbit; otherwise
+    one row per state.  `reps` holds the basis row of each sector row's
+    representative (increasing), `rep_occ` its occupations, `index` the
+    sector row of every basis state, `size` the number R of states in each
+    orbit and `tables` H on the sector.
     """
 
     sites: int
     bosons: int
     n_max: int
+    periodic: bool
     occ: np.ndarray                  # (dim, sites) occupations
     codes: np.ndarray                # (dim,) strictly increasing
-    _orbits: dict = field(default_factory=dict, init=False, repr=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    reps: np.ndarray = field(init=False, repr=False)      # (rows,)
+    rep_occ: np.ndarray = field(init=False, repr=False)   # (rows, sites)
+    index: np.ndarray = field(init=False, repr=False)     # (dim,)
+    size: np.ndarray = field(init=False, repr=False)      # (rows,)
+    tables: HubbardTables = field(init=False, repr=False)
 
     @classmethod
-    def build(cls, sites: int, bosons: int, n_max: int) -> "FockBasis":
+    def build(cls, sites: int, bosons: int, n_max: int,
+              periodic: bool = True) -> "FockBasis":
         if sites < 1 or bosons < 0 or n_max < 1:
             raise DomainError("need sites >= 1, bosons >= 0, n_max >= 1")
         # n_max >= 1, so 63 sites or more overflow without the power
@@ -135,61 +132,63 @@ class FockBasis:
                 f"enumerated {len(occ)} states, expected {dim}"
             )
         weights = (n_max + 1) ** np.arange(sites - 1, -1, -1, dtype=np.int64)
-        return cls(sites, bosons, n_max, occ, occ @ weights)
+        return cls(sites, bosons, n_max, periodic, occ, occ @ weights)
 
-    @property
-    def dim(self) -> int:
-        return self.codes.size
-
-    def orbits(self, periodic: bool) -> Orbits:
-        """Translation orbits on a ring of three or more sites, single-state
-        orbits otherwise (an open chain, or the two-site ring, which is the
-        open pair); built on first use per boundary condition.
+    def __post_init__(self):
+        """The sector: translation orbits on a ring, single-state orbits
+        otherwise, and the tables of H on it.
 
         A translation rotates a code's digits, (code % b^(L-1)) * b +
         code // b^(L-1) with b = n_max + 1; the smallest of the L rotations
         is the representative, and R = L / #{rotations equal to the code}.
         """
-        if periodic not in self._orbits:
-            L, base, codes = self.sites, self.n_max + 1, self.codes
-            if periodic and L > 2:
-                top = base ** (L - 1)
-                rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
-                for _ in range(L - 1):
-                    rotated = rotated % top * base + rotated // top
-                    np.minimum(rep, rotated, out=rep)
-                    fixed += rotated == codes
-                reps = np.flatnonzero(rep == codes)
-                orbits = Orbits(reps, self.occ[reps],
-                                np.searchsorted(codes[reps], rep),
-                                (L // fixed)[reps])
-            else:
-                rows = np.arange(self.dim)
-                orbits = Orbits(rows, self.occ, rows, np.ones_like(rows))
-            self._orbits[periodic] = orbits
-        return self._orbits[periodic]
+        L, base, codes = self.sites, self.n_max + 1, self.codes
+        if self.ring:
+            top = base ** (L - 1)
+            rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
+            for _ in range(L - 1):
+                rotated = rotated % top * base + rotated // top
+                np.minimum(rep, rotated, out=rep)
+                fixed += rotated == codes
+            reps = np.flatnonzero(rep == codes)
+            sector = (reps, self.occ[reps], np.searchsorted(codes[reps], rep),
+                      (L // fixed)[reps])
+        else:
+            rows = np.arange(self.dim)
+            sector = (rows, self.occ, rows, np.ones_like(rows))
+        for name, value in zip(("reps", "rep_occ", "index", "size"), sector):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "tables", self._hubbard_tables())
 
-    def hops(self, periodic: bool, src: np.ndarray, dst: np.ndarray):
+    @property
+    def dim(self) -> int:
+        return self.codes.size
+
+    @property
+    def ring(self) -> bool:
+        """A ring of three or more sites; the two-site ring is the open
+        pair."""
+        return self.periodic and self.sites > 2
+
+    def hops(self, src: np.ndarray, dst: np.ndarray):
         """b+_dst b_src, pair by pair (src[k] -> dst[k]), on every
-        representative of `orbits(periodic)`: (target orbit rows, source
-        rows, increasing within a pair so that the codes ranked come in
-        sorted runs, amplitudes sqrt(n_src (n_dst + 1)) sqrt(R_src/R_dst))."""
-        orbits = self.orbits(periodic)
-        n_src, n_dst = orbits.occ[:, src].T, orbits.occ[:, dst].T
-        move = (n_src > 0) & (n_dst < self.n_max)     # (pairs, orbits)
+        representative: (target sector rows, source rows, increasing within
+        a pair so that the codes ranked come in sorted runs, amplitudes
+        sqrt(n_src (n_dst + 1)) sqrt(R_src/R_dst))."""
+        n_src, n_dst = self.rep_occ[:, src].T, self.rep_occ[:, dst].T
+        move = (n_src > 0) & (n_dst < self.n_max)     # (pairs, rows)
         pair, col = np.nonzero(move)
         weights = (self.n_max + 1) ** np.arange(self.sites - 1, -1, -1,
                                                 dtype=np.int64)
-        moved = self.codes[orbits.reps[col]] \
+        moved = self.codes[self.reps[col]] \
             + (weights[dst] - weights[src])[pair]
-        row = orbits.index[np.searchsorted(self.codes, moved)]
+        row = self.index[np.searchsorted(self.codes, moved)]
         amp = np.sqrt(n_src[move] * (n_dst[move] + 1.0)) \
-            * np.sqrt(orbits.size[col] / orbits.size[row])
+            * np.sqrt(self.size[col] / self.size[row])
         return row, col, amp
 
-    def tables(self, periodic: bool) -> HubbardTables:
-        """Hopping and interaction tables on the representatives of
-        `orbits`, built on first use per boundary condition.
+    def _hubbard_tables(self) -> HubbardTables:
+        """Hopping and interaction tables on the sector rows.
 
         Only hops to the right (i -> i + 1, and L - 1 -> 0 on a ring) are
         enumerated, by `hops`, each with amplitude -sqrt(n_src (n_dst + 1))
@@ -198,25 +197,22 @@ class FockBasis:
         transpose, with the same amplitudes, so H is symmetric by
         construction.
         """
-        if periodic not in self._tables:
-            orbits, L = self.orbits(periodic), self.sites
-            dim = orbits.reps.size
-            src = np.arange(L if periodic and L > 2 else L - 1)
-            row, col, amp = self.hops(periodic, src, (src + 1) % L)
-            # hops from one representative into one orbit add up before the
-            # transpose is taken, so H[a, b] and H[b, a] are the same sum
-            rows, cols, amp = _coalesce(row, col, -amp)
-            occ, diag = orbits.occ, np.arange(dim)
-            rows, cols, hop, onsite = _coalesce(
-                np.concatenate((diag, rows, cols)),
-                np.concatenate((diag, cols, rows)),
-                np.concatenate((np.zeros(dim), amp, amp)),
-                np.concatenate((0.5 * (occ * (occ - 1)).sum(axis=1),
-                                np.zeros(2 * amp.size))))
-            indptr = np.zeros(dim + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-            self._tables[periodic] = HubbardTables(indptr, cols, hop, onsite)
-        return self._tables[periodic]
+        L, dim = self.sites, self.reps.size
+        src = np.arange(L if self.ring else L - 1)
+        row, col, amp = self.hops(src, (src + 1) % L)
+        # hops from one representative into one orbit add up before the
+        # transpose is taken, so H[a, b] and H[b, a] are the same sum
+        rows, cols, amp = _coalesce(row, col, -amp)
+        occ, diag = self.rep_occ, np.arange(dim)
+        rows, cols, hop, onsite = _coalesce(
+            np.concatenate((diag, rows, cols)),
+            np.concatenate((diag, cols, rows)),
+            np.concatenate((np.zeros(dim), amp, amp)),
+            np.concatenate((0.5 * (occ * (occ - 1)).sum(axis=1),
+                            np.zeros(2 * amp.size))))
+        indptr = np.zeros(dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+        return HubbardTables(indptr, cols, hop, onsite)
 
 
 def _coalesce(rows, cols, *values):
@@ -230,16 +226,16 @@ def _coalesce(rows, cols, *values):
             *(np.add.reduceat(v[order], starts) for v in values))
 
 
-def build_hamiltonian(basis: FockBasis, j: float, u: float,
-                      periodic: bool = True) -> scipy.sparse.csr_matrix:
+def build_hamiltonian(basis: FockBasis, j: float,
+                      u: float) -> scipy.sparse.csr_matrix:
     """H = -J sum_i (b+_i b_{i+1} + h.c.) + (U/2) sum_i n_i (n_i - 1).
 
-    Real symmetric; assembled from the basis's tables, so a scan over (J, U)
-    on one basis enumerates the hops once.
+    Real symmetric, on the basis's sector; assembled from its tables, so a
+    scan over (J, U) on one basis enumerates the hops once.
     """
     if j < 0 or u < 0:
         raise DomainError("j and u must be non-negative")
-    return basis.tables(periodic).matrix(j, u)
+    return basis.tables.matrix(j, u)
 
 
 def ground_energy(h: scipy.sparse.spmatrix) -> tuple[float, np.ndarray]:
@@ -288,29 +284,24 @@ class EdResult:
     corr: tuple[float, ...]   # <b+_0 b_d> for d = 0 .. L-1
 
 
-def unit_filling_bases(sites: int, n_max: int) -> dict[int, FockBasis]:
+def unit_filling_bases(sites: int, n_max: int,
+                       periodic: bool = True) -> dict[int, FockBasis]:
     """Bases of N - 1, N and N + 1 bosons at unit filling N = sites."""
-    return {n: FockBasis.build(sites, n, n_max)
+    return {n: FockBasis.build(sites, n, n_max, periodic)
             for n in (sites - 1, sites, sites + 1)}
 
 
-def _unit_filling(bases: dict, sites: int, j: float, u: float,
-                  periodic: bool) -> tuple[float, np.ndarray, float]:
+def _unit_filling(bases: dict, sites: int,
+                  u: float) -> tuple[float, np.ndarray, float]:
     """E0(N), its eigenvector and the charge gap E0(N+1) + E0(N-1) - 2 E0(N)
-    at unit filling N = sites: the three solves behind every ED result."""
+    at unit filling N = sites and J = 1: the three solves behind every ED
+    result."""
     def solve(bosons):
-        return ground_energy(build_hamiltonian(bases[bosons], j, u, periodic))
+        return ground_energy(build_hamiltonian(bases[bosons], 1.0, u))
 
     e0, vec = solve(sites)
     e_hi, e_lo = solve(sites + 1)[0], solve(sites - 1)[0]
     return e0, vec, e_hi + e_lo - 2 * e0
-
-
-def charge_gap(sites: int, n_max: int, j: float, u: float,
-               periodic: bool = True) -> float:
-    """E0(N+1) + E0(N-1) - 2 E0(N) at unit filling N = sites."""
-    return _unit_filling(unit_filling_bases(sites, n_max), sites, j, u,
-                         periodic)[2]
 
 
 def diagnostics(sites: int, n_max: int, u_over_j: float,
@@ -319,14 +310,20 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
     """Full set of ground-state diagnostics at unit filling, J = 1.
 
     `bases` (from `unit_filling_bases`) lets a scan over U/J reuse the bases
-    and their tables.
+    and their tables; bases of other (sites, n_max, periodic) raise
+    DomainError.
     """
-    j, u = 1.0, float(u_over_j)
+    want = {n: (sites, n, n_max, periodic)
+            for n in (sites - 1, sites, sites + 1)}
     if bases is None:
-        bases = unit_filling_bases(sites, n_max)
-    e0, vec, gap = _unit_filling(bases, sites, j, u, periodic)
-    basis, ring = bases[sites], periodic and sites > 2
-    occ = basis.orbits(periodic).occ
+        bases = unit_filling_bases(sites, n_max, periodic)
+    elif {n: (b.sites, b.bosons, b.n_max, b.periodic)
+          for n, b in bases.items()} != want:
+        raise DomainError(f"bases are not the unit-filling bases of {sites} "
+                          f"sites, n_max = {n_max}, periodic = {periodic}")
+    e0, vec, gap = _unit_filling(bases, sites, float(u_over_j))
+    basis = bases[sites]
+    occ, ring = basis.rep_occ, basis.ring
     mean_n, mean_n2 = vec**2 @ occ, vec**2 @ occ**2     # per site
     if ring:   # translation invariant: every site holds the site mean
         mean_n, mean_n2 = np.mean([mean_n, mean_n2], axis=1, keepdims=True)
@@ -339,7 +336,7 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
         if ring and 2 * d > sites:        # the k = 0 vector is real
             corr.append(corr[sites - d])
         else:
-            rows, cols, amp = basis.hops(periodic, (dst + d) % sites, dst)
+            rows, cols, amp = basis.hops((dst + d) % sites, dst)
             corr.append(float(vec[rows] @ (amp * vec[cols])) / dst.size)
 
     return EdResult(sites, sites, n_max, u_over_j, e0, gap, var_n, tuple(corr))
@@ -373,8 +370,8 @@ def estimate_critical_ratio(sizes: list[int], ratios: list[float],
     ratios = sorted(float(r) for r in ratios)
     scaled = {}
     for L in sizes:
-        bases = unit_filling_bases(L, n_max)
-        scaled[L] = np.array([L * _unit_filling(bases, L, 1.0, r, periodic)[2]
+        bases = unit_filling_bases(L, n_max, periodic)
+        scaled[L] = np.array([L * _unit_filling(bases, L, r)[2]
                               for r in ratios])
     crossings = []
     for i, l1 in enumerate(sizes):

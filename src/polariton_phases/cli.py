@@ -138,8 +138,9 @@ def cmd_phase(cfg: RunConfig, out: Path) -> None:
     cfg_hash = cfg.hash()
     spec = _grid_spec(cfg)
     nodes = sweep_mod.evaluate_grid(spec)
-    _write_csv(out / "phase_grid.csv", *_grid_table(nodes), cfg_hash)
+    # a grid no boundary crosses raises here, before any file is written
     boundaries = sweep_mod.phase_boundaries(spec, nodes)
+    _write_csv(out / "phase_grid.csv", *_grid_table(nodes), cfg_hash)
     _write_json(out / "phase_boundaries.json", {
         "boundaries": [
             {"model": b.model, "vertices": [[x, y] for x, y in b.vertices]}
@@ -211,7 +212,7 @@ def cmd_ed(cfg: RunConfig, out: Path) -> None:
     ed = cfg.ed
     results = []
     for L in ed["sizes"]:
-        bases = bh_ed.unit_filling_bases(L, ed["n_max"])
+        bases = bh_ed.unit_filling_bases(L, ed["n_max"], ed["periodic"])
         results += [bh_ed.diagnostics(L, ed["n_max"], r,
                                       periodic=ed["periodic"], bases=bases)
                     for r in ed["ratios"]]

@@ -345,10 +345,19 @@ def _first_crossing(base: optics.OpticalConfig, delta_p: float,
         raise NoBracket(f"{what} has no sign change over {bracket} at "
                         f"Delta_p = {delta_p}")
     i = changes[0]
-    root = _brentq(lambda om: float(field(evaluate(base, delta_p, om))[0]),
-                   float(scan.omega[i]), float(scan.omega[i + 1]),
+    nodes = {}      # Omega -> the chain there, for each node Brent evaluates
+
+    def f_at(om: float) -> float:
+        nodes[om] = evaluate(base, delta_p, om)
+        return float(field(nodes[om])[0])
+
+    # the root is a node Brent evaluated, or a scan end, whose fields the
+    # scan holds only as part of its arrays
+    root = _brentq(f_at, float(scan.omega[i]), float(scan.omega[i + 1]),
                    float(f[i]), float(f[i + 1]))
-    return root, evaluate(base, delta_p, root)
+    if root not in nodes:
+        nodes[root] = evaluate(base, delta_p, root)
+    return root, nodes[root]
 
 
 def _log_uj(nodes: NodeFields) -> tuple:

@@ -156,10 +156,9 @@ def test_criterion_6_nlse_solver():
 
 def test_criterion_7_ed_oracles():
     t0 = time.perf_counter()
-    basis = bh_ed.FockBasis.build(2, 2, 2)
+    basis = bh_ed.FockBasis.build(2, 2, 2, periodic=False)
     u, j = 4.0, 1.0
-    e0, _ = bh_ed.ground_energy(
-        bh_ed.build_hamiltonian(basis, j, u, periodic=False))
+    e0, _ = bh_ed.ground_energy(bh_ed.build_hamiltonian(basis, j, u))
     analytic = (u - math.sqrt(u**2 + 16 * j**2)) / 2
     two_site_ok = abs(e0 - analytic) <= 1e-12 * abs(analytic)
 
@@ -171,8 +170,10 @@ def test_criterion_7_ed_oracles():
                                              tol=0)[0][0])
     agree_ok = abs(e_dense - e_iter) <= 1e-10 * abs(e_dense)
 
-    gap_ok = bh_ed.charge_gap(4, 4, 0.0, 7.0) == pytest.approx(7.0,
-                                                               abs=1e-12)
+    # atomic limit, J = 0: the gap of the three unit-filling solves is U
+    e_n = {n: bh_ed.ground_energy(bh_ed.build_hamiltonian(b, 0.0, 7.0))[0]
+           for n, b in bh_ed.unit_filling_bases(4, 4).items()}
+    gap_ok = e_n[5] + e_n[3] - 2 * e_n[4] == pytest.approx(7.0, abs=1e-12)
 
     est = bh_ed.estimate_critical_ratio([4, 6],
                                         [1, 2, 3, 4, 5, 6, 7, 8])

@@ -10,7 +10,6 @@ from polariton_phases import bh_ed
 from polariton_phases.bh_ed import (
     FockBasis,
     build_hamiltonian,
-    charge_gap,
     count_states,
     diagnostics,
     estimate_critical_ratio,
@@ -36,12 +35,12 @@ def move_boson(state, src, dst):
     return tuple(new)
 
 
-def full_basis_oracle(basis, periodic):
+def full_basis_oracle(basis):
     """Dense hopping (J = 1) and on-site (U = 1) parts of H on the whole
     basis, state by state: both directions of every bond are tried on each
     occupation tuple and the moved tuple is looked up by value."""
     L = basis.sites
-    ring = periodic and L > 2
+    ring = basis.periodic and L > 2
     bonds = [(i, (i + 1) % L) for i in range(L if ring else L - 1)]
     states = list(map(tuple, basis.occ.tolist()))
     index = {s: i for i, s in enumerate(states)}
@@ -96,12 +95,11 @@ class TestBasis:
             FockBasis.build(10, 10, 4)
 
     def test_codes_rank_every_hop(self):
-        basis = FockBasis.build(5, 5, 3)
+        basis = FockBasis.build(5, 5, 3, periodic=False)
         base = basis.n_max + 1
         assert np.all(np.diff(basis.codes) > 0)
         for src, dst in [(0, 1), (1, 0), (4, 0), (2, 4)]:
-            rows, cols, amp = basis.hops(False, np.array([src]),
-                                         np.array([dst]))
+            rows, cols, amp = basis.hops(np.array([src]), np.array([dst]))
             moved = basis.occ[cols].copy()
             moved[:, src] -= 1
             moved[:, dst] += 1
@@ -125,9 +123,9 @@ class TestBasis:
 
 class TestHamiltonian:
     def test_two_site_analytic(self):
-        basis = FockBasis.build(2, 2, 2)
+        basis = FockBasis.build(2, 2, 2, periodic=False)
         for j, u in [(1.0, 4.0), (0.5, 1.0), (2.0, 0.0), (1.0, 20.0)]:
-            h = build_hamiltonian(basis, j, u, periodic=False)
+            h = build_hamiltonian(basis, j, u)
             assert h.shape == (3, 3)
             e0, _ = ground_energy(h)
             assert e0 == pytest.approx(two_site_ground(j, u), rel=1e-12)
@@ -140,9 +138,8 @@ class TestHamiltonian:
         assert e0 == 0.0   # unit filling: no double occupancy needed
 
     def test_free_two_site(self):
-        basis = FockBasis.build(2, 2, 2)
-        e0, _ = ground_energy(build_hamiltonian(basis, 1.0, 0.0,
-                                                periodic=False))
+        basis = FockBasis.build(2, 2, 2, periodic=False)
+        e0, _ = ground_energy(build_hamiltonian(basis, 1.0, 0.0))
         assert e0 == pytest.approx(-2.0, rel=1e-12)
 
     def test_exact_hermiticity(self):
@@ -159,10 +156,10 @@ class TestHamiltonian:
 
     def test_periodic_not_above_open_at_u0(self):
         for L in (4, 6):
-            basis = FockBasis.build(L, L, 4)
-            e_per, _ = ground_energy(build_hamiltonian(basis, 1.0, 0.0, True))
-            e_open, _ = ground_energy(build_hamiltonian(basis, 1.0, 0.0,
-                                                        False))
+            e_per, e_open = (
+                ground_energy(build_hamiltonian(
+                    FockBasis.build(L, L, 4, periodic), 1.0, 0.0))[0]
+                for periodic in (True, False))
             assert e_per <= e_open + 1e-12
 
     def test_tables_reused_linearly(self):
@@ -176,31 +173,32 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("sites, bosons, n_max, periodic", [
         (5, 5, 3, True), (6, 7, 4, True), (4, 4, 2, True), (3, 2, 4, True),
-        (2, 2, 2, True), (1, 1, 2, True), (5, 5, 3, False)])
+        (2, 2, 2, True), (1, 1, 2, True), (5, 5, 3, False),
+        (6, 7, 4, False)])
     def test_one_row_per_orbit(self, sites, bosons, n_max, periodic):
-        basis = FockBasis.build(sites, bosons, n_max)
-        orbits = basis.orbits(periodic)
-        if periodic and sites > 2:
+        basis = FockBasis.build(sites, bosons, n_max, periodic)
+        assert basis.ring == (periodic and sites > 2)
+        if basis.ring:
             orbit = translation_orbits(basis)
             want = sorted(set(orbit))
             states = list(map(tuple, basis.occ.tolist()))
-            assert [states[r] for r in orbits.reps] == want
-            assert [want[i] for i in orbits.index] == orbit
-            assert orbits.size.tolist() == [orbit.count(r) for r in want]
+            assert [states[r] for r in basis.reps] == want
+            assert [want[i] for i in basis.index] == orbit
+            assert basis.size.tolist() == [orbit.count(r) for r in want]
         else:   # open chain, or the two-site ring: single-state orbits
-            assert orbits.reps.tolist() == list(range(basis.dim))
-            assert orbits.size.tolist() == [1] * basis.dim
-        assert np.array_equal(orbits.occ, basis.occ[orbits.reps])
-        assert orbits.size.sum() == basis.dim
-        assert basis.tables(periodic).indptr.size - 1 == orbits.reps.size
+            assert basis.reps.tolist() == list(range(basis.dim))
+            assert basis.size.tolist() == [1] * basis.dim
+        assert np.array_equal(basis.rep_occ, basis.occ[basis.reps])
+        assert basis.size.sum() == basis.dim
+        assert basis.tables.indptr.size - 1 == basis.reps.size
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_reverse_hop_is_transpose(self, periodic):
         # H(1, 0) is Q^T H_oracle Q on a ring of five sites (k = 0 sector)
         # and exactly the oracle on the open chain (single-state orbits)
-        basis = FockBasis.build(5, 5, 3)
-        want, _ = full_basis_oracle(basis, periodic)
-        got = build_hamiltonian(basis, 1.0, 0.0, periodic).toarray()
+        basis = FockBasis.build(5, 5, 3, periodic)
+        want, _ = full_basis_oracle(basis)
+        got = build_hamiltonian(basis, 1.0, 0.0).toarray()
         if periodic:
             q = sector_projector(basis)
             assert got.shape == (q.shape[1],) * 2
@@ -213,7 +211,7 @@ class TestHamiltonian:
     def test_sector_ground_energy_matches_full_basis(self, sites, n_max):
         for bosons in (sites - 1, sites, sites + 1):
             basis = FockBasis.build(sites, bosons, n_max)
-            hop, onsite = full_basis_oracle(basis, True)
+            hop, onsite = full_basis_oracle(basis)
             for u in (0.0, 1.0, 3.85, 20.0):
                 want = scipy.linalg.eigvalsh(hop + u * onsite,
                                              subset_by_index=[0, 0])[0]
@@ -273,17 +271,21 @@ class TestGroundEnergy:
 
 class TestChargeGap:
     def test_atomic_limit_gap_is_u(self):
+        # J = 0: the three diagonal solves at unit filling
         for L, u in [(4, 3.0), (6, 5.0), (8, 3.0)]:
-            assert charge_gap(L, 4, 0.0, u) == pytest.approx(u, abs=1e-12)
+            e0 = {n: ground_energy(build_hamiltonian(basis, 0.0, u))[0]
+                  for n, basis in bh_ed.unit_filling_bases(L, 4).items()}
+            gap = e0[L + 1] + e0[L - 1] - 2 * e0[L]
+            assert gap == pytest.approx(u, abs=1e-12)
 
     def test_mott_plateau(self):
-        gap = charge_gap(6, 4, 1.0, 20.0)
+        gap = diagnostics(6, 4, 20.0).gap
         assert 0.6 <= gap / 20.0 <= 1.0
         # cross-check against a larger occupation cap
-        assert charge_gap(6, 5, 1.0, 20.0) == pytest.approx(gap, abs=1e-6)
+        assert diagnostics(6, 5, 20.0).gap == pytest.approx(gap, abs=1e-6)
 
     def test_superfluid_gap_shrinks_with_size(self):
-        gaps = [charge_gap(L, 4, 1.0, 1.0) for L in (4, 6, 8)]
+        gaps = [diagnostics(L, 4, 1.0).gap for L in (4, 6, 8)]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_nmax_convergence_of_ground_energy(self):
@@ -299,7 +301,7 @@ class TestChargeGap:
 
     def test_gap_non_negative(self):
         for u in (0.5, 2.0, 10.0):
-            assert charge_gap(4, 4, 1.0, u) >= -1e-10
+            assert diagnostics(4, 4, u).gap >= -1e-10
 
 
 class TestDiagnostics:
@@ -316,8 +318,8 @@ class TestDiagnostics:
                 (4, 3, 2.5, True), (4, 3, 2.5, False), (6, 3, 3.85, True),
                 (5, 2, 0.0, True), (8, 2, 3.3, True)]:
             res = diagnostics(sites, n_max, uj, periodic=periodic)
-            basis = FockBasis.build(sites, sites, n_max)
-            hop, onsite = full_basis_oracle(basis, periodic)
+            basis = FockBasis.build(sites, sites, n_max, periodic)
+            hop, onsite = full_basis_oracle(basis)
             vec = scipy.linalg.eigh(hop + uj * onsite,
                                     subset_by_index=[0, 0])[1][:, 0]
             states = list(map(tuple, basis.occ.tolist()))
@@ -340,7 +342,9 @@ class TestDiagnostics:
                             lambda h: calls.append(h.shape) or solve(h))
         res = diagnostics(4, 4, 3.0)
         assert len(calls) == 3
-        assert res.gap == charge_gap(4, 4, 1.0, 3.0)
+        e0 = [solve(build_hamiltonian(FockBasis.build(4, n, 4), 1.0, 3.0))[0]
+              for n in (3, 4, 5)]
+        assert res.gap == e0[2] + e0[0] - 2 * e0[1]
 
     def test_shared_bases(self):
         bases = bh_ed.unit_filling_bases(4, 4)
@@ -348,6 +352,16 @@ class TestDiagnostics:
         for uj in (1.0, 3.0):
             shared = diagnostics(4, 4, uj, bases=bases)
             assert shared == diagnostics(4, 4, uj)
+
+    @pytest.mark.parametrize("sites, n_max, periodic, bases", [
+        (4, 4, True, (4, 3, True)),      # another occupation cap
+        (6, 4, True, (4, 4, True)),      # another chain length
+        (4, 4, False, (4, 4, True)),     # another boundary condition
+    ])
+    def test_mismatched_bases_rejected(self, sites, n_max, periodic, bases):
+        with pytest.raises(DomainError, match="unit-filling bases"):
+            diagnostics(sites, n_max, 3.3, periodic=periodic,
+                        bases=bh_ed.unit_filling_bases(*bases))
 
     def test_mott_suppresses_fluctuations(self):
         weak = diagnostics(4, 4, 1.0)

@@ -261,6 +261,14 @@ class TestSubcommands:
         assert all(b["model"] in ("BH", "SG") for b in doc["boundaries"])
         assert (out / "phase_grid.csv").exists()
 
+    def test_phase_without_boundary_writes_nothing(self, tmp_path):
+        # no boundary crosses this grid: exit 2 and no partial output
+        code, out = run(tmp_path, "phase", {
+            "sweep": {"delta_p_range": [-3.0, 40.0, 23],
+                      "omega_range": [0.05, 0.3, 31]}})
+        assert code == 2
+        assert list(out.iterdir()) == []
+
     def test_nlse_outputs(self, tmp_path):
         code, out = run(tmp_path, "nlse", SMALL_CONFIG)
         assert code == 0

@@ -295,20 +295,29 @@ def test_brentq_failure_is_no_convergence(baseline, monkeypatch, find,
 
 
 @pytest.mark.parametrize("find, delta_p, bracket, fixed", [
-    # the bracket scan and the fields at the root
-    (find_mott_crossing, 50.0, (0.9, 1.2), 2),
-    (find_pinning_crossing, 10.0, (1.0, 3.0), 2),
+    # the bracket scan; the fields at the root come from the node Brent's
+    # method evaluated there
+    (find_mott_crossing, 50.0, (0.9, 1.2), 1),
+    (find_pinning_crossing, 10.0, (1.0, 3.0), 1),
+    (find_mott_crossing, 10.0, (0.5, 3.0), 1),
+    (find_mott_crossing, 42.0, (0.5, 3.0), 1),
+    (find_mott_crossing, 80.0, (0.5, 3.0), 1),
+    (find_pinning_crossing, 8.0, (2.0, 6.0), 1),
 ])
 def test_brentq_reuses_bracket_ends(baseline, monkeypatch, find, delta_p,
                                     bracket, fixed):
     # brentq's count includes the two bracket ends, which the root finder
-    # already holds: two evaluate calls fewer than fixed + that count
+    # already holds: two evaluate calls fewer than fixed + that count, and
+    # no Omega, the root's included, is evaluated twice
     counts = {"evaluate": 0, "brentq": 0}
+    omegas = []
     real_evaluate, real_brentq = sweep.evaluate, scipy.optimize.brentq
 
-    def counted_evaluate(*args):
+    def counted_evaluate(base, dp, omega):
         counts["evaluate"] += 1
-        return real_evaluate(*args)
+        if np.ndim(omega) == 0:
+            omegas.append(omega)
+        return real_evaluate(base, dp, omega)
 
     def counted_brentq(f, lo, hi, **kwargs):
         root, info = real_brentq(f, lo, hi, full_output=True, **kwargs)
@@ -316,9 +325,11 @@ def test_brentq_reuses_bracket_ends(baseline, monkeypatch, find, delta_p,
         return root
     monkeypatch.setattr(sweep, "evaluate", counted_evaluate)
     monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
-    find(baseline, delta_p, bracket)
+    root = find(baseline, delta_p, bracket)
     assert counts["brentq"] > 2
     assert counts["evaluate"] == fixed + counts["brentq"] - 2
+    assert len(set(omegas)) == len(omegas)
+    assert (root[0] if isinstance(root, tuple) else root) in omegas
 
 
 class TestPinningCrossing:
