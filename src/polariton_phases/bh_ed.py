@@ -4,17 +4,20 @@ Fixed-particle-number Fock basis with a per-site occupation cap, ranked by
 base-(n_max+1) code; on a ring, the k = 0 sector of the translation group,
 where every ground state needed here lies: one row per orbit of digit
 rotations, hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc.
-1297, 135 (2010)).  One hop enumerator builds the hopping tables, once per
-basis for every (J, U), and reads <b+_0 b_d> off the sector vector as the
-mean over the L translations (equal at d and L - d: the vector is real).
-The sector is fixed when a basis is built.  Lowest eigenpair by dense or
-Lanczos diagonalization; the charge gap as Mott diagnostic, and a
-scaled-gap crossing estimate of the critical U/J.
+1297, 135 (2010)).  One hop enumerator builds the hopping tables and the
+hops of <b+_0 b_d>, each once per basis for every (J, U); <b+_0 b_d> is
+read off the sector vector as the mean over the L translations (equal at
+d and L - d: the vector is real).  The sector is fixed when a basis is
+built.  Lowest eigenpair by dense diagonalization, or above DENSE_CUTOFF
+rows by Lanczos with full reorthogonalization from the uniform vector;
+the charge gap as Mott diagnostic, and a scaled-gap crossing estimate of
+the critical U/J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +34,9 @@ from .errors import (
 DENSE_CUTOFF = 160
 BASIS_CAP = 2_000_000
 RESIDUAL_TOL = 1e-10
+# Lanczos: Krylov vectors kept at most, and steps between Ritz checks
+LANCZOS_MAXITER = 300
+RITZ_EVERY = 4
 
 
 def count_states(sites: int, bosons: int, n_max: int) -> int:
@@ -80,7 +86,8 @@ class FockBasis:
     one row per state.  `reps` holds the basis row of each sector row's
     representative (increasing), `rep_occ` its occupations, `index` the
     sector row of every basis state, `size` the number R of states in each
-    orbit and `tables` H on the sector.
+    orbit and `tables` H on the sector; `correlator_hops`, built on first
+    use, holds the hops of <b+_0 b_d>.
     """
 
     sites: int
@@ -170,6 +177,18 @@ class FockBasis:
         pair."""
         return self.periodic and self.sites > 2
 
+    @cached_property
+    def correlator_hops(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """`hops` from site i + d to i for d = 1, 2, ..., the terms of
+        <b+_0 b_d>: every i on a ring, up to d = L/2 (the k = 0 vector is
+        real, so d and L - d agree); i = 0 alone on an open chain, up to
+        d = L - 1.  Enumerated once per basis, for every U/J."""
+        L = self.sites
+        dst = np.arange(L if self.ring else 1)
+        last = L // 2 if self.ring else L - 1
+        return tuple(self.hops((dst + d) % L, dst)
+                     for d in range(1, last + 1))
+
     def hops(self, src: np.ndarray, dst: np.ndarray):
         """b+_dst b_src, pair by pair (src[k] -> dst[k]), on every
         representative: (target sector rows, source rows, increasing within
@@ -238,19 +257,20 @@ def build_hamiltonian(basis: FockBasis, j: float,
     return basis.tables.matrix(j, u)
 
 
-def ground_energy(h: scipy.sparse.spmatrix) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair.
+def ground_energy(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a real symmetric CSR matrix.
 
     A diagonal H is read off directly; otherwise dense eigh up to
-    DENSE_CUTOFF and Lanczos (ARPACK) above, started from the uniform vector:
-    for J > 0 the ground state has all-positive amplitudes, so the start
-    overlaps it, and a fixed start makes the result reproducible.
+    DENSE_CUTOFF and `_lanczos` above, started from the uniform vector: for
+    J > 0 the ground state has all-positive amplitudes, so the start
+    overlaps it, and a fixed start makes the result reproducible.  Every
+    eigenpair must pass the residual test |H v - E v| <= RESIDUAL_TOL
+    max(|E|, 1).
     """
     import scipy.linalg
-    import scipy.sparse.linalg
     dim = h.shape[0]
-    coo = h.tocoo()
-    if not np.any(coo.data[coo.row != coo.col]):
+    rows = np.repeat(np.arange(dim), np.diff(h.indptr))
+    if not np.any(h.data[h.indices != rows]):
         diag = h.diagonal()
         k = int(np.argmin(diag))
         vec = np.zeros(dim)
@@ -258,18 +278,58 @@ def ground_energy(h: scipy.sparse.spmatrix) -> tuple[float, np.ndarray]:
         return float(diag[k]), vec
     if dim <= DENSE_CUTOFF:
         w, v = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 0])
+        e0, vec = float(w[0]), v[:, 0]
     else:
-        try:
-            w, v = scipy.sparse.linalg.eigsh(h, k=1, which="SA", tol=0,
-                                             v0=np.ones(dim))
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise NoConvergence("Lanczos did not converge") from exc
-    e0, vec = float(w[0]), v[:, 0]
+        e0, vec = _lanczos(h)
     with np.errstate(over="ignore"):         # an inf residual fails below
         res = np.linalg.norm(h @ vec - e0 * vec)
     if res > RESIDUAL_TOL * max(abs(e0), 1.0):
         raise NoConvergence(f"eigen residual {res} too large for e0 = {e0}")
     return e0, vec
+
+
+def _lanczos(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
+    """Lowest Ritz pair of H by Lanczos from the uniform vector.
+
+    Each step subtracts alpha_j v_j + beta_{j-1} v_{j-1} from H v_j and then
+    makes one Gram-Schmidt pass against every stored Krylov vector: once
+    the Ritz vector converges, the plain recurrence loses orthogonality
+    (Paige, J. Inst. Math. Appl. 10, 373 (1972)) and returns spurious
+    eigenvalues.  Every RITZ_EVERY steps the lowest eigenpair (theta, y)
+    of the tridiagonal T_m is found; the residual of its Ritz vector is
+    |beta_m y_m|, and the run stops once that is <= RESIDUAL_TOL
+    max(|theta|, 1) / 10, which a breakdown (beta_m ~ 0, an invariant
+    Krylov space) meets at once.  One stored vector per step, at most
+    LANCZOS_MAXITER of them.
+    """
+    import scipy.linalg
+    dim = h.shape[0]
+    steps = min(dim, LANCZOS_MAXITER)
+    krylov = np.empty((steps, dim))
+    krylov[0] = 1.0 / np.sqrt(dim)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    stop = 0.1 * RESIDUAL_TOL
+    with np.errstate(over="ignore", invalid="ignore"):   # checked on beta
+        for m in range(1, steps + 1):
+            v, done = krylov[m - 1], krylov[:m]
+            w = h @ v
+            alpha[m - 1] = a = v @ w
+            w -= a * v
+            if m > 1:
+                w -= beta[m - 2] * krylov[m - 2]
+            w -= (done @ w) @ done
+            beta[m - 1] = b = np.linalg.norm(w)
+            if not np.isfinite(b):
+                raise NoConvergence(f"Lanczos overflows at step {m}")
+            if m % RITZ_EVERY == 0 or m == steps or b <= stop:
+                theta, y = scipy.linalg.eigh_tridiagonal(
+                    alpha[:m], beta[:m - 1], select="i",
+                    select_range=(0, 0), check_finite=False)
+                if abs(b * y[-1, 0]) <= stop * max(abs(theta[0]), 1.0):
+                    return float(theta[0]), y[:, 0] @ done
+            if m < steps:
+                krylov[m] = w / b
+    raise NoConvergence(f"Lanczos did not converge in {steps} steps")
 
 
 @dataclass(frozen=True)
@@ -330,14 +390,11 @@ def diagnostics(sites: int, n_max: int, u_over_j: float,
     var_n = float(np.mean(mean_n2 - mean_n**2))
 
     # <b+_0 b_d>, on a ring averaged over the L translations (i + d -> i)
-    dst = np.arange(sites if ring else 1)
+    pairs = sites if ring else 1
     corr = [float(mean_n[0])]
-    for d in range(1, sites):
-        if ring and 2 * d > sites:        # the k = 0 vector is real
-            corr.append(corr[sites - d])
-        else:
-            rows, cols, amp = basis.hops((dst + d) % sites, dst)
-            corr.append(float(vec[rows] @ (amp * vec[cols])) / dst.size)
+    corr += [float(vec[rows] @ (amp * vec[cols])) / pairs
+             for rows, cols, amp in basis.correlator_hops]
+    corr += [corr[sites - d] for d in range(len(corr), sites)]  # ring only
 
     return EdResult(sites, sites, n_max, u_over_j, e0, gap, var_n, tuple(corr))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ class TestGroundEnergy:
         assert abs(e_dense - w[0]) <= 1e-10 * abs(e_dense)
 
     def test_lanczos_path_large_basis(self):
-        basis = FockBasis.build(8, 8, 3)       # dim 2919 > dense cutoff
+        basis = FockBasis.build(8, 8, 3)   # 483 k = 0 rows > dense cutoff
         h = build_hamiltonian(basis, 1.0, 4.0)
         e0, vec = ground_energy(h)
         res = np.linalg.norm(h @ vec - e0 * vec)
@@ -255,6 +256,44 @@ class TestGroundEnergy:
         assert e0 == -1.5
         assert vec[1234] == 1.0 and np.count_nonzero(vec) == 1
 
+    @pytest.mark.parametrize("sites, n_max, periodic", [
+        (7, 4, True), (8, 4, True), (7, 2, False), (8, 2, False)])
+    def test_lanczos_matches_dense(self, monkeypatch, sites, n_max,
+                                   periodic):
+        # every sector on the Lanczos path (the L = 7 ring's N - 1 sector
+        # has 125 rows, under the cutoff), against dense eigh of the same H
+        monkeypatch.setattr(bh_ed, "DENSE_CUTOFF", 0)
+        for basis in bh_ed.unit_filling_bases(sites, n_max, periodic).values():
+            for uj in (0.0, 1.0, 3.3, 8.0, 20.0, 1e4):
+                h = build_hamiltonian(basis, 1.0, uj)
+                dense = h.toarray()
+                w, v = scipy.linalg.eigh(dense, subset_by_index=[0, 0])
+                e0, vec = ground_energy(h)
+                norm = max(np.abs(dense).sum(axis=1).max(), 1.0)
+                assert abs(e0 - w[0]) <= 1e-12 * norm
+                assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+                assert abs(vec @ v[:, 0]) >= 1.0 - 1e-12
+
+    def test_lanczos_breakdown(self):
+        # -A of a 400-site ring: the uniform start is its lowest
+        # eigenvector, so the first step leaves beta ~ 0 and ends the run
+        # (one matvec there, one for the residual test)
+        class Counted(scipy.sparse.csr_matrix):
+            def __matmul__(self, other):
+                self.matvecs += 1
+                return super().__matmul__(other)
+
+        n = 400
+        h = Counted(-scipy.sparse.diags(
+            [1.0, 1.0, 1.0, 1.0], [-(n - 1), -1, 1, n - 1], shape=(n, n)))
+        h.matvecs = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e0, vec = ground_energy(h)
+        assert h.matvecs == 2
+        assert e0 == pytest.approx(-2.0, rel=0, abs=1e-14)
+        assert np.allclose(vec, 1 / math.sqrt(n), rtol=0, atol=1e-15)
+
     def test_lanczos_values_match_frozen(self):
         # L = 8 takes the Lanczos path (sector dims 393-1100 on the ring,
         # 3144-8800 states open).  The ring values were computed by a
@@ -266,7 +305,7 @@ class TestGroundEnergy:
             rel=1e-10)
         res = diagnostics(8, 4, 1.0, periodic=False)
         assert (res.e0, res.gap, res.var_n) == (
-            -11.670545102536888, 0.12384619376955186, 0.5883726129621769)
+            -11.670545102536897, 0.12384619376954831, 0.5883726129622282)
 
 
 class TestChargeGap:
@@ -394,9 +433,9 @@ class TestCriticalRatio:
     def test_solver_sizes_match_frozen(self):
         # the benchmark's solver sizes, frozen to the last bit
         est = estimate_critical_ratio([4, 6, 8], [1.2, 2.6, 4.0, 5.4, 6.8])
-        assert est.crossings == (2.6656721919093864, 2.6481374259930752,
-                                 2.6261891477967834)
-        assert est.mean == 2.646666255233082
+        assert est.crossings == (2.6656721919093864, 2.648137425992335,
+                                 2.6261891477950954)
+        assert est.mean == 2.6466662552322724
 
     def test_deep_mott_no_crossing(self):
         with pytest.raises(NoCrossing):

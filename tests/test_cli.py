@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polariton_phases
-from polariton_phases import cli, nlse, sweep
+from polariton_phases import bh_ed, cli, nlse, sweep
 from polariton_phases.cli import main
 from polariton_phases.config import (
     RunConfig,
@@ -645,6 +646,31 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
             blobs.append((out / "ed.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_ed_hops_enumerated_once_per_basis(self, tmp_path, monkeypatch,
+                                               periodic):
+        # over 8 ratios, each basis enumerates its H tables once and the N
+        # basis each correlator distance once: d <= L/2 on a ring, d < L on
+        # an open chain
+        calls = []
+        hops = bh_ed.FockBasis.hops
+
+        def counted(basis, src, dst):
+            calls.append((basis.sites, basis.bosons))
+            return hops(basis, src, dst)
+
+        monkeypatch.setattr(bh_ed.FockBasis, "hops", counted)
+        sizes = [4, 5]
+        code, _ = run(tmp_path, "ed", {"ed": {
+            "sizes": sizes, "ratios": [1, 2, 3, 4, 5, 6, 7, 8],
+            "periodic": periodic}})
+        assert code == 0
+        want = {}
+        for L in sizes:
+            distances = L // 2 if periodic else L - 1
+            want.update({(L, L - 1): 1, (L, L): 1 + distances, (L, L + 1): 1})
+        assert Counter(calls) == want
 
 
 # 1-3 optics fields set to any finite float; hypothesis draws subnormals,
