@@ -1,7 +1,8 @@
 """Exact diagonalization of small 1D Bose-Hubbard chains.
 
-Fixed-particle-number Fock basis with a per-site occupation cap, ranked by
-base-(n_max+1) code; on a ring, the k = 0 sector of the translation group,
+Fixed-particle-number Fock basis with a per-site occupation cap, kept as
+its base-(n_max+1) codes alone (occupations are read off the digits) and
+ranked by them; on a ring, the k = 0 sector of the translation group,
 where every ground state needed here lies: one row per orbit of digit
 rotations, hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc.
 1297, 135 (2010)).  One hop enumerator builds the hopping tables and the
@@ -9,13 +10,15 @@ hops of <b+_0 b_d>, each once per basis for every (J, U); <b+_0 b_d> is
 read off the sector vector as the mean over the L translations (equal at
 d and L - d: the vector is real).  The sector is fixed when a basis is
 built.  Lowest eigenpair by dense diagonalization, or above DENSE_CUTOFF
-rows by Lanczos with full reorthogonalization from the uniform vector;
-the charge gap as Mott diagnostic, and a scaled-gap crossing estimate of
+rows by Lanczos with full reorthogonalization from the uniform vector,
+its Ritz pairs from LAPACK's dstebz and dstein called directly; the
+charge gap as Mott diagnostic, and a scaled-gap crossing estimate of
 the critical U/J.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,12 +80,14 @@ class HubbardTables:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation vectors in lexicographic order, one row of `occ` each, and
+    """Occupation vectors in lexicographic order, kept as their codes, and
     the symmetry sector H is solved in, fixed with the boundary condition.
 
-    `codes` reads each row as a base-(n_max+1) number; lexicographic order
-    makes the codes increasing, so `np.searchsorted` ranks any state.  On a
-    `ring` the sector is k = 0, one row per translation orbit; otherwise
+    `codes` reads each vector as a base-(n_max+1) number, site 0 the most
+    significant digit; lexicographic order makes the codes increasing, so
+    `np.searchsorted` ranks any state.  `occ`, one row of occupations per
+    state, is read off the codes on first use; solving never needs it.  On
+    a `ring` the sector is k = 0, one row per translation orbit; otherwise
     one row per state.  `reps` holds the basis row of each sector row's
     representative (increasing), `rep_occ` its occupations, `index` the
     sector row of every basis state, `size` the number R of states in each
@@ -94,7 +99,6 @@ class FockBasis:
     bosons: int
     n_max: int
     periodic: bool
-    occ: np.ndarray                  # (dim, sites) occupations
     codes: np.ndarray                # (dim,) strictly increasing
     reps: np.ndarray = field(init=False, repr=False)      # (rows,)
     rep_occ: np.ndarray = field(init=False, repr=False)   # (rows, sites)
@@ -122,9 +126,10 @@ class FockBasis:
             raise DimensionOverflow(
                 f"basis dimension {dim} exceeds cap {BASIS_CAP}")
         # Site by site, each prefix takes every occupation that leaves a
-        # remainder the later sites can still hold, in increasing order.
-        occ = np.zeros((1, 0), dtype=np.int64)
-        left = np.array([bosons])
+        # remainder the later sites can still hold, in increasing order; a
+        # prefix's code gains one base-(n_max+1) digit per site.
+        codes = np.zeros(1, dtype=np.int64)
+        left = np.array([bosons], dtype=np.int64)
         for site in range(sites):
             room = n_max * (sites - site - 1)
             lo = np.maximum(left - room, 0)
@@ -132,14 +137,13 @@ class FockBasis:
             parent = np.repeat(np.arange(left.size), counts)
             first = np.cumsum(counts) - counts
             k = lo[parent] + np.arange(parent.size) - first[parent]
-            occ = np.column_stack((occ[parent], k))
+            codes = codes[parent] * (n_max + 1) + k
             left = left[parent] - k
-        if len(occ) != dim:
+        if len(codes) != dim:
             raise PolaritonError(
-                f"enumerated {len(occ)} states, expected {dim}"
+                f"enumerated {len(codes)} states, expected {dim}"
             )
-        weights = (n_max + 1) ** np.arange(sites - 1, -1, -1, dtype=np.int64)
-        return cls(sites, bosons, n_max, periodic, occ, occ @ weights)
+        return cls(sites, bosons, n_max, periodic, codes)
 
     def __post_init__(self):
         """The sector: translation orbits on a ring, single-state orbits
@@ -158,11 +162,11 @@ class FockBasis:
                 np.minimum(rep, rotated, out=rep)
                 fixed += rotated == codes
             reps = np.flatnonzero(rep == codes)
-            sector = (reps, self.occ[reps], np.searchsorted(codes[reps], rep),
-                      (L // fixed)[reps])
+            sector = (reps, self.digits(codes[reps]),
+                      np.searchsorted(codes[reps], rep), (L // fixed)[reps])
         else:
             rows = np.arange(self.dim)
-            sector = (rows, self.occ, rows, np.ones_like(rows))
+            sector = (rows, self.digits(codes), rows, np.ones_like(rows))
         for name, value in zip(("reps", "rep_occ", "index", "size"), sector):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "tables", self._hubbard_tables())
@@ -170,6 +174,22 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return self.codes.size
+
+    @property
+    def place(self) -> np.ndarray:
+        """(sites,) the weight b^(L-1-i) of site i's digit in a code,
+        b = n_max + 1."""
+        return (self.n_max + 1) ** np.arange(self.sites - 1, -1, -1,
+                                             dtype=np.int64)
+
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """(codes.size, sites) occupations of the given codes."""
+        return codes[:, None] // self.place % (self.n_max + 1)
+
+    @cached_property
+    def occ(self) -> np.ndarray:
+        """(dim, sites) occupations of every state, one row per code."""
+        return self.digits(self.codes)
 
     @property
     def ring(self) -> bool:
@@ -197,10 +217,8 @@ class FockBasis:
         n_src, n_dst = self.rep_occ[:, src].T, self.rep_occ[:, dst].T
         move = (n_src > 0) & (n_dst < self.n_max)     # (pairs, rows)
         pair, col = np.nonzero(move)
-        weights = (self.n_max + 1) ** np.arange(self.sites - 1, -1, -1,
-                                                dtype=np.int64)
-        moved = self.codes[self.reps[col]] \
-            + (weights[dst] - weights[src])[pair]
+        place = self.place
+        moved = self.codes[self.reps[col]] + (place[dst] - place[src])[pair]
         row = self.index[np.searchsorted(self.codes, moved)]
         amp = np.sqrt(n_src[move] * (n_dst[move] + 1.0)) \
             * np.sqrt(self.size[col] / self.size[row])
@@ -221,10 +239,10 @@ class FockBasis:
         row, col, amp = self.hops(src, (src + 1) % L)
         # hops from one representative into one orbit add up before the
         # transpose is taken, so H[a, b] and H[b, a] are the same sum
-        rows, cols, amp = _coalesce(row, col, -amp)
+        rows, cols, amp = _coalesce(dim, row, col, -amp)
         occ, diag = self.rep_occ, np.arange(dim)
         rows, cols, hop, onsite = _coalesce(
-            np.concatenate((diag, rows, cols)),
+            dim, np.concatenate((diag, rows, cols)),
             np.concatenate((diag, cols, rows)),
             np.concatenate((np.zeros(dim), amp, amp)),
             np.concatenate((0.5 * (occ * (occ - 1)).sum(axis=1),
@@ -234,9 +252,14 @@ class FockBasis:
         return HubbardTables(indptr, cols, hop, onsite)
 
 
-def _coalesce(rows, cols, *values):
-    """Entries sorted by (row, col), the values of repeated entries summed."""
-    order = np.lexsort((cols, rows))
+def _coalesce(dim, rows, cols, *values):
+    """Entries sorted by (row, col), the values of repeated entries summed.
+
+    Rows and columns lie in [0, dim): the key row * dim + col orders the
+    entries as the (row, col) pairs do, and a stable sort keeps repeated
+    entries in their given order, so the sums add in a fixed order.
+    """
+    order = np.argsort(rows * dim + cols, kind="stable")
     rows, cols = rows[order], cols[order]
     first = np.ones(rows.size, dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -302,7 +325,6 @@ def _lanczos(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
     Krylov space) meets at once.  One stored vector per step, at most
     LANCZOS_MAXITER of them.
     """
-    import scipy.linalg
     dim = h.shape[0]
     steps = min(dim, LANCZOS_MAXITER)
     krylov = np.empty((steps, dim))
@@ -318,18 +340,42 @@ def _lanczos(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
             if m > 1:
                 w -= beta[m - 2] * krylov[m - 2]
             w -= (done @ w) @ done
-            beta[m - 1] = b = np.linalg.norm(w)
-            if not np.isfinite(b):
+            beta[m - 1] = b = math.sqrt(w @ w)
+            if not math.isfinite(b):
                 raise NoConvergence(f"Lanczos overflows at step {m}")
             if m % RITZ_EVERY == 0 or m == steps or b <= stop:
-                theta, y = scipy.linalg.eigh_tridiagonal(
-                    alpha[:m], beta[:m - 1], select="i",
-                    select_range=(0, 0), check_finite=False)
-                if abs(b * y[-1, 0]) <= stop * max(abs(theta[0]), 1.0):
-                    return float(theta[0]), y[:, 0] @ done
+                theta, y = _lowest_ritz(alpha[:m], beta[:m - 1])
+                if abs(b * y[-1]) <= stop * max(abs(theta), 1.0):
+                    return theta, y @ done
             if m < steps:
                 krylov[m] = w / b
     raise NoConvergence(f"Lanczos did not converge in {steps} steps")
+
+
+def _lowest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e.
+
+    The LAPACK calls of scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=(0, 0)), bisection (dstebz) and inverse iteration
+    (dstein), made directly: the same bits without its argument checks and
+    routine lookup, which cost more than the two routines on a Lanczos T_m
+    (~40 us against 6-15 us).  A nonzero LAPACK info raises NoConvergence.
+    """
+    if d.size == 1:
+        return float(d[0]), np.ones(1)
+    from scipy.linalg import lapack
+    # range 2 (by index; vl, vu unused), il = iu = 1, abstol 0 (LAPACK's
+    # own tolerance, eigh_tridiagonal's default), eigenvalues ordered by
+    # split block, as dstein needs
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1,
+                                               0.0, "B")
+    if info == 0:
+        y, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise NoConvergence(f"LAPACK tridiagonal eigensolver info = {info} "
+                            f"on a Lanczos T of order {d.size}")
+    return float(w[0]), y[:, 0]
 
 
 @dataclass(frozen=True)

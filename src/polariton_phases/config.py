@@ -115,13 +115,12 @@ def _merge_section(doc: dict, name: str) -> dict:
     unknown = set(given) - set(keys)
     if unknown:
         raise UnknownKey(f"unknown key(s) in section '{name}': {sorted(unknown)}")
-    merged = {}
-    for key, (default, _, _) in keys.items():
-        if key in given:
-            merged[key] = given[key]
-        else:
-            merged[key] = default
-            log.info("config: %s.%s defaulted to %r", name, key, default)
+    merged = {key: given.get(key, default)
+              for key, (default, _, _) in keys.items()}
+    defaulted = [key for key in keys if key not in given]
+    if defaulted and log.isEnabledFor(logging.INFO):  # one record a section
+        log.info("; ".join(f"config: {name}.{key} defaulted to "
+                           f"{merged[key]!r}" for key in defaulted))
     for key, (_, check, kind) in keys.items():
         if key in given and not check(given[key]):
             raise ParseError(f"{name}.{key} must be {kind}, "

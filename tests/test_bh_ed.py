@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from polariton_phases import bh_ed
 from polariton_phases.bh_ed import (
@@ -19,6 +21,7 @@ from polariton_phases.bh_ed import (
 from polariton_phases.errors import (
     DimensionOverflow,
     DomainError,
+    NoConvergence,
     NoCrossing,
 )
 
@@ -73,7 +76,53 @@ def sector_projector(basis):
     return q / np.sqrt(q.sum(axis=0))
 
 
+def enumerated_basis(sites, bosons, n_max, periodic):
+    """Brute force: every occupation tuple by itertools.product (which
+    yields them in lexicographic order), its code summed digit by digit,
+    and on a ring of three or more sites each state's orbit as the smallest
+    of its rotations."""
+    states = [s for s in itertools.product(range(n_max + 1), repeat=sites)
+              if sum(s) == bosons]
+    codes = [sum(n * (n_max + 1) ** (sites - 1 - i) for i, n in enumerate(s))
+             for s in states]
+    if periodic and sites > 2:
+        orbit = [min(s[k:] + s[:k] for k in range(sites)) for s in states]
+    else:
+        orbit = states
+    want = sorted(set(orbit))
+    return {"codes": codes, "occ": [list(s) for s in states],
+            "reps": [states.index(r) for r in want],
+            "rep_occ": [list(r) for r in want],
+            "index": [want.index(r) for r in orbit],
+            "size": [orbit.count(r) for r in want]}
+
+
+@st.composite
+def basis_args(draw):
+    sites = draw(st.integers(1, 7))
+    n_max = draw(st.integers(1, 4))
+    bosons = draw(st.integers(0, sites * n_max))
+    return sites, bosons, n_max, draw(st.booleans())
+
+
 class TestBasis:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(args=basis_args())
+    @example(args=(1, 0, 1, False))      # open single site: no bond
+    @example(args=(1, 3, 4, True))
+    @example(args=(2, 0, 2, False))      # no boson to hop
+    @example(args=(2, 4, 2, False))      # full: no hop has room
+    @example(args=(2, 3, 3, True))       # the two-site ring is the pair
+    @example(args=(7, 0, 4, True))
+    @example(args=(7, 28, 4, True))
+    @example(args=(7, 7, 4, False))
+    def test_build_matches_enumeration(self, args):
+        basis = FockBasis.build(*args)
+        want = enumerated_basis(*args)
+        for name, value in want.items():
+            assert getattr(basis, name).tolist() == value, name
+        assert basis.dim == len(want["codes"])
+
     def test_dimension_matches_combinatorial_count(self):
         for L, N, nmax in [(2, 2, 2), (4, 4, 4), (5, 3, 2), (6, 7, 4)]:
             basis = FockBasis.build(L, N, nmax)
@@ -294,6 +343,39 @@ class TestGroundEnergy:
         assert e0 == pytest.approx(-2.0, rel=0, abs=1e-14)
         assert np.allclose(vec, 1 / math.sqrt(n), rtol=0, atol=1e-15)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+           split=st.floats(0.0, 1.0))
+    @example(n=2, seed=0, split=1.0)
+    @example(n=80, seed=1, split=0.5)
+    def test_lowest_ritz_matches_eigh_tridiagonal(self, n, seed, split):
+        # the direct dstebz/dstein calls give eigh_tridiagonal's bits; a
+        # share `split` of the off-diagonal is zero (T splits into blocks)
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        e = rng.normal(size=n - 1)
+        e[rng.random(n - 1) < split] = 0.0
+        w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i",
+                                             select_range=(0, 0))
+        theta, y = bh_ed._lowest_ritz(d, e)
+        assert type(theta) is float and theta == w[0]
+        assert np.array_equal(y, v[:, 0])
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_is_no_convergence(self, monkeypatch, routine):
+        # a nonzero LAPACK info ends the solve as NoConvergence, not as
+        # LinAlgError (tests/test_cli.py: CLI ed exits 3)
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        h = build_hamiltonian(FockBasis.build(8, 8, 3), 1.0, 4.0)
+        with pytest.raises(NoConvergence, match="info = 1"):
+            ground_energy(h)
+
     def test_lanczos_values_match_frozen(self):
         # L = 8 takes the Lanczos path (sector dims 393-1100 on the ring,
         # 3144-8800 states open).  The ring values were computed by a
@@ -384,6 +466,16 @@ class TestDiagnostics:
         e0 = [solve(build_hamiltonian(FockBasis.build(4, n, 4), 1.0, 3.0))[0]
               for n in (3, 4, 5)]
         assert res.gap == e0[2] + e0[0] - 2 * e0[1]
+
+    def test_full_occupations_never_built(self):
+        # the solve reads the representatives' occupations only; `occ`, the
+        # whole basis's, is derived on first use
+        bases = bh_ed.unit_filling_bases(8, 4)
+        diagnostics(8, 4, 3.3, bases=bases)
+        for basis in bases.values():
+            assert "occ" not in basis.__dict__
+        assert np.array_equal(bases[8].rep_occ, bases[8].occ[bases[8].reps])
+        assert "occ" in bases[8].__dict__
 
     def test_shared_bases(self):
         bases = bh_ed.unit_filling_bases(4, 4)

@@ -393,6 +393,22 @@ class TestSubcommands:
         levels = [r.levelname for r in caplog.records]
         assert levels == ["INFO"] * (len(levels) - 1) + ["ERROR"]
 
+    def test_ed_lapack_failure_exits_3(self, tmp_path, caplog, monkeypatch):
+        # the Lanczos Ritz check's LAPACK call reports a failure (info != 0)
+        import scipy.linalg.lapack
+        real = scipy.linalg.lapack.dstein
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein",
+                            lambda *args: (real(*args)[0], 2))
+        with caplog.at_level(logging.INFO, logger="polariton_phases"):
+            code, _ = run(tmp_path, "ed", {"ed": {"sizes": [8],
+                                                  "ratios": [3.3]}})
+        assert code == 3
+        errors = [r.message for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("NoConvergence: ")
+        assert "info = 2" in errors[0]
+
     def test_strong_coupling_ground_state_exits_0(self, tmp_path):
         # g = 1e3, far past g dt ~ 1 for any explicit time step: the
         # preconditioner takes it in a few iterations
@@ -646,6 +662,21 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
             blobs.append((out / "ed.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("doc, digest", [
+        # ring, L = 8: every sector on the Lanczos path
+        ({"sizes": [8], "ratios": [1, 2, 3, 3.3, 4, 5, 6, 7, 8]},
+         "144b01c98fd999a8b6f6210270e7f936a5697460244eba1756ab418022aa705a"),
+        # open chain, L = 7: dense N - 1 sector, Lanczos N and N + 1
+        ({"sizes": [7], "ratios": [1, 2, 3, 3.3, 4, 5, 6, 7, 8],
+          "periodic": False},
+         "b2091e58f1bc555e5714dedf1066889bfd04e6695edbaf6194affcc2fb8bb449"),
+    ])
+    def test_ed_csv_matches_frozen_hash(self, tmp_path, doc, digest):
+        code, out = run(tmp_path, "ed", {"ed": doc})
+        assert code == 0
+        got = hashlib.sha256((out / "ed.csv").read_bytes()).hexdigest()
+        assert got == digest
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_ed_hops_enumerated_once_per_basis(self, tmp_path, monkeypatch,
