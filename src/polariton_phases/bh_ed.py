@@ -6,14 +6,14 @@ ranked by them; on a ring, the k = 0 sector of the translation group,
 where every ground state needed here lies: one row per orbit of digit
 rotations, hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc.
 1297, 135 (2010)).  One hop enumerator builds the hopping tables and the
-hops of <b+_0 b_d>, each once per basis for every (J, U); <b+_0 b_d> is
-read off the sector vector as the mean over the L translations (equal at
-d and L - d: the vector is real).  The sector is fixed when a basis is
-built.  Lowest eigenpair by dense diagonalization, or above DENSE_CUTOFF
-rows by Lanczos with full reorthogonalization from the uniform vector,
-its Ritz pairs from LAPACK's dstebz and dstein called directly; the
-charge gap as Mott diagnostic, and a scaled-gap crossing estimate of
-the critical U/J.
+hops of <b+_0 b_d>, each on first use, once per basis for every (J, U);
+<b+_0 b_d> is read off the sector vector as the mean over the L
+translations (equal at d and L - d: the vector is real).  The sector is
+fixed when a basis is built.  Lowest eigenpair by dense diagonalization,
+or above DENSE_CUTOFF rows by Lanczos with full reorthogonalization from
+the uniform vector, its Ritz pairs from LAPACK's dstebz and dstein
+called directly; the charge gap as Mott diagnostic, and a scaled-gap
+crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ class HubbardTables:
     hop: np.ndarray
     onsite: np.ndarray
 
-    def matrix(self, j: float, u: float) -> scipy.sparse.csr_matrix:
-        import scipy.sparse   # ~0.3 s to import; only the ED solves use it
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = j * self.hop + u * self.onsite
-        if not np.all(np.isfinite(data)):
-            raise DomainError(f"H overflows at J = {j}, U = {u}")
-        dim = self.indptr.size - 1
-        return scipy.sparse.csr_matrix(
-            (data, self.indices, self.indptr), shape=(dim, dim), copy=True)
-
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
@@ -90,9 +80,9 @@ class FockBasis:
     a `ring` the sector is k = 0, one row per translation orbit; otherwise
     one row per state.  `reps` holds the basis row of each sector row's
     representative (increasing), `rep_occ` its occupations, `index` the
-    sector row of every basis state, `size` the number R of states in each
-    orbit and `tables` H on the sector; `correlator_hops`, built on first
-    use, holds the hops of <b+_0 b_d>.
+    sector row of every basis state and `size` the number R of states in
+    each orbit.  `tables`, H on the sector, and `correlator_hops`, the hops
+    of <b+_0 b_d>, are built on first use.
     """
 
     sites: int
@@ -104,7 +94,6 @@ class FockBasis:
     rep_occ: np.ndarray = field(init=False, repr=False)   # (rows, sites)
     index: np.ndarray = field(init=False, repr=False)     # (dim,)
     size: np.ndarray = field(init=False, repr=False)      # (rows,)
-    tables: HubbardTables = field(init=False, repr=False)
 
     @classmethod
     def build(cls, sites: int, bosons: int, n_max: int,
@@ -147,7 +136,7 @@ class FockBasis:
 
     def __post_init__(self):
         """The sector: translation orbits on a ring, single-state orbits
-        otherwise, and the tables of H on it.
+        otherwise.
 
         A translation rotates a code's digits, (code % b^(L-1)) * b +
         code // b^(L-1) with b = n_max + 1; the smallest of the L rotations
@@ -169,7 +158,6 @@ class FockBasis:
             sector = (rows, self.digits(codes), rows, np.ones_like(rows))
         for name, value in zip(("reps", "rep_occ", "index", "size"), sector):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "tables", self._hubbard_tables())
 
     @property
     def dim(self) -> int:
@@ -224,8 +212,10 @@ class FockBasis:
             * np.sqrt(self.size[col] / self.size[row])
         return row, col, amp
 
-    def _hubbard_tables(self) -> HubbardTables:
-        """Hopping and interaction tables on the sector rows.
+    @cached_property
+    def tables(self) -> HubbardTables:
+        """Hopping and interaction tables on the sector rows, built on first
+        use, once the temporaries of `build` are gone.
 
         Only hops to the right (i -> i + 1, and L - 1 -> 0 on a ring) are
         enumerated, by `hops`, each with amplitude -sqrt(n_src (n_dst + 1))
@@ -272,12 +262,21 @@ def build_hamiltonian(basis: FockBasis, j: float,
                       u: float) -> scipy.sparse.csr_matrix:
     """H = -J sum_i (b+_i b_{i+1} + h.c.) + (U/2) sum_i n_i (n_i - 1).
 
-    Real symmetric, on the basis's sector; assembled from its tables, so a
-    scan over (J, U) on one basis enumerates the hops once.
+    Real symmetric, on the basis's sector; assembled from its tables (the
+    first call on a basis builds them), so a scan over (J, U) on one basis
+    enumerates the hops once.
     """
     if j < 0 or u < 0:
         raise DomainError("j and u must be non-negative")
-    return basis.tables.matrix(j, u)
+    import scipy.sparse   # ~0.3 s to import; only the ED solves use it
+    tables = basis.tables
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = j * tables.hop + u * tables.onsite
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"H overflows at J = {j}, U = {u}")
+    dim = tables.indptr.size - 1
+    return scipy.sparse.csr_matrix(
+        (data, tables.indices, tables.indptr), shape=(dim, dim), copy=True)
 
 
 def ground_energy(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:

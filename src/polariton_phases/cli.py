@@ -30,6 +30,24 @@ CONVERGENCE_ERRORS = (NoConvergence, NonFinite)
 _BLOCK_ROWS = 1024
 
 
+def _distinct_text(column: np.ndarray):
+    """(sorted distinct bit patterns, their "%.17g" text) of a float64
+    column that holds at most half as many distinct values as rows, or
+    None for any other column."""
+    if column.dtype != np.float64:
+        return None
+    # sorted and compared: np.unique, which hashes in numpy 2.4, took 16x
+    # as long on a 3600-row column
+    keys = np.sort(column.view(np.int64))
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    if 2 * keys.size > column.size:
+        return None
+    text = ["%.17g" % v for v in keys.view(np.float64).tolist()]
+    return keys, np.array(text, dtype=object)
+
+
 def _write_csv(path: Path, header: list[str], columns,
                cfg_hash: str) -> None:
     """One row per index of the equal-length columns, streamed in blocks.
@@ -39,43 +57,32 @@ def _write_csv(path: Path, header: list[str], columns,
     round-trip.  Rows are formatted and written _BLOCK_ROWS at a time, so
     the text and the Python objects of the whole table never exist.
 
-    Within a block, a float64 column that holds at most half as many
-    distinct values as rows (a grid axis, or a field of one axis) formats
-    each distinct value once and repeats its text.  Values are keyed by
-    their bit pattern, so 0.0 and -0.0 never share text and the bytes are
-    those of "%.17g" on every row.
+    A float64 column that holds at most half as many distinct values as
+    rows (a grid axis, or a field of one axis) formats each distinct value
+    once and repeats its text in every block.  Values are keyed by their
+    bit pattern, so 0.0 and -0.0 never share text and the bytes are those
+    of "%.17g" on every row.
     """
     # Per 1024-row float column, one pinned CPU: "%.17g" in the row format
-    # costs ~560 us.  Formatting the distinct values once and gathering
-    # their text costs ~140 us at 1/64 of them distinct, ~250 us at 1/8,
-    # ~480 us at half and break even near 3/4, so "at most half" keeps
-    # every choice a gain.  Sorting the bit patterns to count them costs
-    # ~4 us per column at 50 rows and ~9 us at 1024 (a set of the values:
-    # ~3 and ~50 us).
+    # costs ~460 us more than "%s" of text gathered by rank, the gather
+    # included (17-80 us at 16-512 distinct values).  A distinct value
+    # costs ~0.7 us to format alone, so at most half distinct is a gain.
     columns = [np.ravel(c) for c in columns]
+    distinct = [_distinct_text(c) for c in columns]
+    formats = ",".join("%s" if c.dtype.kind in "OU" or d is not None
+                       else "%.17g"
+                       for c, d in zip(columns, distinct)) + "\n"
     with path.open("w", newline="\n") as f:
         f.write(f"# config_hash={cfg_hash}\n{','.join(header)}\n")
         for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            formats, cells = [], []
-            for c in columns:
+            cells = []
+            for c, d in zip(columns, distinct):
                 part = c[lo:lo + _BLOCK_ROWS]
-                fmt = "%s" if c.dtype.kind in "OU" else "%.17g"
-                vals = None
-                if c.dtype == np.float64:
-                    bits = part.view(np.int64)
-                    keys = np.sort(bits)
-                    new = keys[1:] != keys[:-1]
-                    if 2 * (np.count_nonzero(new) + 1) <= len(bits):
-                        keys = keys[np.concatenate(([True], new))]
-                        text = np.array(["%.17g" % v for v in
-                                         keys.view(np.float64).tolist()],
-                                        dtype=object)
-                        fmt = "%s"
-                        vals = text[np.searchsorted(keys, bits)].tolist()
-                formats.append(fmt)
-                cells.append(part.tolist() if vals is None else vals)
-            row_format = ",".join(formats) + "\n"
-            f.write("".join([row_format % row for row in zip(*cells)]))
+                if d is not None:
+                    keys, text = d
+                    part = text[np.searchsorted(keys, part.view(np.int64))]
+                cells.append(part.tolist())
+            f.write("".join([formats % row for row in zip(*cells)]))
 
 
 def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
@@ -156,7 +163,8 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     base = cfg.optics
     # the root finder checks the bracket before the table spans it
     root, at_root = sweep_mod._mott_crossing(base, base.delta_p, (lo, hi))
-    table = sweep_mod.evaluate(base, base.delta_p, np.linspace(lo, hi, count))
+    table = sweep_mod.evaluate(base, base.delta_p,
+                               sweep_mod.range_nodes(lo, hi, count))
     _write_csv(out / "crossing.csv",
                ["omega_over_gamma", "j_over_er", "u_over_er", "u_over_j"],
                [table.omega, table.j_over_er, table.u_over_er,

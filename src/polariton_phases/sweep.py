@@ -41,6 +41,18 @@ def check_node_count(count: int) -> None:
         raise DimensionOverflow(f"{count} scan nodes exceed cap {NODE_CAP}")
 
 
+def range_nodes(lo, hi, count: int) -> np.ndarray:
+    """`count` evenly spaced nodes from lo to hi, both ends included.
+
+    The ends are made floats first: np.linspace holds a JSON integer past
+    int64 as an object and cannot subtract it.  Near the float maximum the
+    step times the last index overflows; linspace sets the last node to hi
+    itself, so the overflow reaches no node and is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return np.linspace(float(lo), float(hi), count)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular scan grid; counts >= 2 per axis; ranges in Gamma units."""
@@ -62,12 +74,10 @@ class GridSpec:
         check_node_count(self.delta_p_range[2] * self.omega_range[2])
 
     def delta_p_values(self) -> np.ndarray:
-        lo, hi, n = self.delta_p_range
-        return np.linspace(lo, hi, n)
+        return range_nodes(*self.delta_p_range)
 
     def omega_values(self) -> np.ndarray:
-        lo, hi, n = self.omega_range
-        return np.linspace(lo, hi, n)
+        return range_nodes(*self.omega_range)
 
 
 @dataclass(frozen=True)
@@ -333,7 +343,7 @@ def _first_crossing(base: optics.OpticalConfig, delta_p: float,
             <= hi + optics.EPS_POLE:
         raise PoleError(f"bracket [{lo}, {hi}] touches the Lambda pole at "
                         f"Omega = {math.sqrt(pole_sq)}")
-    scan = evaluate(base, delta_p, np.linspace(lo, hi, SCAN_POINTS))
+    scan = evaluate(base, delta_p, range_nodes(lo, hi, SCAN_POINTS))
     scan.require_ok()
     f, valid = field(scan)
     if not valid.any():

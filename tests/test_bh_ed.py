@@ -221,6 +221,22 @@ class TestHamiltonian:
         assert np.array_equal(h, 1.3 * t + 2.7 * d)
         assert np.array_equal(h, build_hamiltonian(basis, 1.3, 2.7).toarray())
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_tables_built_on_first_use(self, monkeypatch, periodic):
+        # building a basis enumerates no hop; its first H enumerates the
+        # tables once, and H at other (J, U) reuses them
+        calls = []
+        hops = FockBasis.hops
+        monkeypatch.setattr(FockBasis, "hops", lambda basis, src, dst:
+                            calls.append(basis) or hops(basis, src, dst))
+        basis = FockBasis.build(5, 5, 3, periodic)
+        assert calls == []
+        build_hamiltonian(basis, 1.0, 2.0)
+        assert calls == [basis]
+        for j, u in [(1.3, 2.7), (0.0, 1.0), (1.0, 0.0)]:
+            build_hamiltonian(basis, j, u)
+        assert calls == [basis]
+
     @pytest.mark.parametrize("sites, bosons, n_max, periodic", [
         (5, 5, 3, True), (6, 7, 4, True), (4, 4, 2, True), (3, 2, 4, True),
         (2, 2, 2, True), (1, 1, 2, True), (5, 5, 3, False),

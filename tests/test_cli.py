@@ -377,21 +377,45 @@ class TestSubcommands:
         ("nlse", {"schedule": [[0, 1, 0.1, 0], [0.001, 1, 1e308, 0]]}, 3),
         # so do the kinetic factors k^2 dt / 2
         ("nlse", {"dt": 1e308}, 3),
+        # a range end that is an integer past int64, and a range whose
+        # last node lies one overflowing step from the first: the exits of
+        # the range [1, 1e20, 13]
+        *[(sub, {"omega_range": omega_range}, code)
+          for omega_range in ([1, 10**20, 13],
+                              [1e155, 1.7976931348623157e308, 16])
+          for sub, code in [("sweep", 0), ("phase", 2), ("crossing", 2)]],
     ])
     def test_solver_input_exit_code(self, tmp_path, caplog, sub, section,
                                     code):
         if sub == "nlse":
             section = {"grid_points": 16, "n_periods": 1, "steps": 5,
                        **section}
+        # sweep, phase and crossing read the sweep section
+        doc = {sub if sub in ("ed", "nlse") else "sweep": section}
         # main writes to stderr only through logging and warnings: INFO
-        # lines, then the one ERROR line, and no numpy RuntimeWarning
+        # lines, then one ERROR line on a failure, and no numpy
+        # RuntimeWarning
         with warnings.catch_warnings(record=True) as caught, \
                 caplog.at_level(logging.INFO, logger="polariton_phases"):
             warnings.simplefilter("always")
-            assert run(tmp_path, sub, {sub: section})[0] == code
+            assert run(tmp_path, sub, doc)[0] == code
         assert [str(w.message) for w in caught] == []
         levels = [r.levelname for r in caplog.records]
-        assert levels == ["INFO"] * (len(levels) - 1) + ["ERROR"]
+        errors = ["ERROR"] if code else []
+        assert levels == ["INFO"] * (len(levels) - len(errors)) + errors
+
+    def test_integer_range_end_spans_its_float(self, tmp_path):
+        # a range end past int64 gives the nodes of the same float end
+        blobs = []
+        for end in (10**20, 1e20):
+            run_dir = tmp_path / repr(end)
+            run_dir.mkdir()
+            code, out = run(run_dir, "sweep",
+                            {"sweep": {"omega_range": [1, end, 13]}})
+            assert code == 0
+            blobs.append((out / "sweep.csv").read_bytes().split(b"\n", 1))
+        assert blobs[0][0] != blobs[1][0]    # the config hashes differ
+        assert blobs[0][1] == blobs[1][1]
 
     def test_ed_lapack_failure_exits_3(self, tmp_path, caplog, monkeypatch):
         # the Lanczos Ritz check's LAPACK call reports a failure (info != 0)
@@ -501,8 +525,8 @@ _LABELS = ["", "SF", "MOTT_BH", "POLE", "bh_valid;k_formula_valid"]
 
 @st.composite
 def _csv_tables(draw):
-    """1-6 columns of one length: pooled (repeating) and distinct floats,
-    ints, and text as numpy "U" and as object arrays."""
+    """1-6 columns of one length: pooled (repeating), cycled and distinct
+    floats, ints, and text as numpy "U" and as object arrays."""
     rows = draw(st.integers(0, 40))
     column = lambda elements: st.lists(elements, min_size=rows,
                                        max_size=rows)
@@ -511,6 +535,12 @@ def _csv_tables(draw):
             lambda bits: np.array(bits, dtype=np.int64).view(np.float64)),
         "distinct": st.lists(st.floats(), min_size=rows, max_size=rows,
                              unique=True).map(np.array),
+        # up to 7 floats repeated in turn: a block of up to 7 rows may hold
+        # more than half distinct values, a column of 14 rows or more
+        # holds at most half
+        "cycled": st.lists(st.floats(), min_size=1, max_size=7,
+                           unique=True).map(
+            lambda v: np.resize(np.array(v, dtype=np.float64), rows)),
         "int": column(st.integers(-2**62, 2**62)).map(
             lambda v: np.array(v, dtype=np.int64)),
         "U": column(st.sampled_from(_LABELS)).map(
