@@ -1,25 +1,26 @@
 """Exact diagonalization of small 1D Bose-Hubbard chains.
 
 Fixed-particle-number Fock basis with a per-site occupation cap, kept as
-its base-(n_max+1) codes alone (occupations are read off the digits) and
-ranked by them; on a ring, the k = 0 sector of the translation group,
-where every ground state needed here lies: one row per orbit of digit
-rotations, hops weighted by sqrt(R_src / R_dst) (Sandvik, AIP Conf. Proc.
-1297, 135 (2010)).  One hop enumerator builds the hopping tables and the
-hops of <b+_0 b_d>, each on first use, once per basis for every (J, U);
-<b+_0 b_d> is read off the sector vector as the mean over the L
-translations (equal at d and L - d: the vector is real).  The sector is
-fixed when a basis is built.  Lowest eigenpair by dense diagonalization,
-or above DENSE_CUTOFF rows by Lanczos with full reorthogonalization from
-the uniform vector, its Ritz pairs from LAPACK's dstebz and dstein
-called directly; the charge gap as Mott diagnostic, and a scaled-gap
-crossing estimate of the critical U/J.
+its base-(n_max+1) codes and ranked by them; on a ring, the k = 0 sector
+of the translation group, where every ground state needed here lies: one
+row per orbit of digit rotations, hops weighted by sqrt(R_src / R_dst)
+(Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  Building a basis makes the
+codes and the orbit arrays alone, and fixes the sector; the occupations
+are read off the codes' digits on first use.  One hop enumerator builds
+the hopping tables and the hops of <b+_0 b_d>, each on first use, once
+per basis for every (J, U); <b+_0 b_d> is read off the sector vector as
+the mean over the L translations (equal at d and L - d: the vector is
+real).  Lowest eigenpair by dense diagonalization, or above DENSE_CUTOFF
+rows by Lanczos with full reorthogonalization from the uniform vector,
+its Ritz pairs from LAPACK's dstebz and dstein called directly; the
+charge gap as Mott diagnostic, and a scaled-gap crossing estimate of the
+critical U/J.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,14 +76,15 @@ class FockBasis:
 
     `codes` reads each vector as a base-(n_max+1) number, site 0 the most
     significant digit; lexicographic order makes the codes increasing, so
-    `np.searchsorted` ranks any state.  `occ`, one row of occupations per
-    state, is read off the codes on first use; solving never needs it.  On
-    a `ring` the sector is k = 0, one row per translation orbit; otherwise
-    one row per state.  `reps` holds the basis row of each sector row's
-    representative (increasing), `rep_occ` its occupations, `index` the
-    sector row of every basis state and `size` the number R of states in
-    each orbit.  `tables`, H on the sector, and `correlator_hops`, the hops
-    of <b+_0 b_d>, are built on first use.
+    `np.searchsorted` ranks any state.  On a `ring` the sector is k = 0,
+    one row per translation orbit; otherwise one row per state.  `reps`
+    holds the basis row of each sector row's representative (increasing),
+    `index` the sector row of every basis state and `size` the number R of
+    states in each orbit.  `build` makes the codes and these orbit arrays,
+    nothing else; the rest is derived on first use: `rep_occ`, the
+    representatives' occupations, and `occ`, one row per state (which no
+    solve needs), are read off the codes, and `tables`, H on the sector,
+    and `correlator_hops`, the hops of <b+_0 b_d>, are enumerated from them.
     """
 
     sites: int
@@ -90,10 +92,9 @@ class FockBasis:
     n_max: int
     periodic: bool
     codes: np.ndarray                # (dim,) strictly increasing
-    reps: np.ndarray = field(init=False, repr=False)      # (rows,)
-    rep_occ: np.ndarray = field(init=False, repr=False)   # (rows, sites)
-    index: np.ndarray = field(init=False, repr=False)     # (dim,)
-    size: np.ndarray = field(init=False, repr=False)      # (rows,)
+    reps: np.ndarray                 # (rows,)
+    index: np.ndarray                # (dim,)
+    size: np.ndarray                 # (rows,)
 
     @classmethod
     def build(cls, sites: int, bosons: int, n_max: int,
@@ -114,50 +115,14 @@ class FockBasis:
         if dim > BASIS_CAP:
             raise DimensionOverflow(
                 f"basis dimension {dim} exceeds cap {BASIS_CAP}")
-        # Site by site, each prefix takes every occupation that leaves a
-        # remainder the later sites can still hold, in increasing order; a
-        # prefix's code gains one base-(n_max+1) digit per site.
-        codes = np.zeros(1, dtype=np.int64)
-        left = np.array([bosons], dtype=np.int64)
-        for site in range(sites):
-            room = n_max * (sites - site - 1)
-            lo = np.maximum(left - room, 0)
-            counts = np.minimum(left, n_max) - lo + 1
-            parent = np.repeat(np.arange(left.size), counts)
-            first = np.cumsum(counts) - counts
-            k = lo[parent] + np.arange(parent.size) - first[parent]
-            codes = codes[parent] * (n_max + 1) + k
-            left = left[parent] - k
+        codes = _codes(sites, bosons, n_max)
         if len(codes) != dim:
             raise PolaritonError(
                 f"enumerated {len(codes)} states, expected {dim}"
             )
-        return cls(sites, bosons, n_max, periodic, codes)
-
-    def __post_init__(self):
-        """The sector: translation orbits on a ring, single-state orbits
-        otherwise.
-
-        A translation rotates a code's digits, (code % b^(L-1)) * b +
-        code // b^(L-1) with b = n_max + 1; the smallest of the L rotations
-        is the representative, and R = L / #{rotations equal to the code}.
-        """
-        L, base, codes = self.sites, self.n_max + 1, self.codes
-        if self.ring:
-            top = base ** (L - 1)
-            rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
-            for _ in range(L - 1):
-                rotated = rotated % top * base + rotated // top
-                np.minimum(rep, rotated, out=rep)
-                fixed += rotated == codes
-            reps = np.flatnonzero(rep == codes)
-            sector = (reps, self.digits(codes[reps]),
-                      np.searchsorted(codes[reps], rep), (L // fixed)[reps])
-        else:
-            rows = np.arange(self.dim)
-            sector = (rows, self.digits(codes), rows, np.ones_like(rows))
-        for name, value in zip(("reps", "rep_occ", "index", "size"), sector):
-            object.__setattr__(self, name, value)
+        ring = periodic and sites > 2             # the `ring` property
+        return cls(sites, bosons, n_max, periodic, codes,
+                   *_orbits(codes, sites, n_max + 1, ring))
 
     @property
     def dim(self) -> int:
@@ -178,6 +143,11 @@ class FockBasis:
     def occ(self) -> np.ndarray:
         """(dim, sites) occupations of every state, one row per code."""
         return self.digits(self.codes)
+
+    @cached_property
+    def rep_occ(self) -> np.ndarray:
+        """(rows, sites) occupations of the representatives."""
+        return self.digits(self.codes[self.reps])
 
     @property
     def ring(self) -> bool:
@@ -240,6 +210,50 @@ class FockBasis:
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
         return HubbardTables(indptr, cols, hop, onsite)
+
+
+def _codes(sites: int, bosons: int, n_max: int) -> np.ndarray:
+    """Codes of every occupation vector of `sites` sites summing to
+    `bosons`, each entry <= n_max, increasing.
+
+    Site by site, each prefix takes every occupation that leaves a
+    remainder the later sites can still hold, in increasing order; a
+    prefix's code gains one base-(n_max+1) digit per site.
+    """
+    codes = np.zeros(1, dtype=np.int64)
+    left = np.array([bosons], dtype=np.int64)
+    for site in range(sites):
+        room = n_max * (sites - site - 1)
+        lo = np.maximum(left - room, 0)
+        counts = np.minimum(left, n_max) - lo + 1
+        parent = np.repeat(np.arange(left.size), counts)
+        first = np.cumsum(counts) - counts
+        k = lo[parent] + np.arange(parent.size) - first[parent]
+        codes = codes[parent] * (n_max + 1) + k
+        left = left[parent] - k
+    return codes
+
+
+def _orbits(codes: np.ndarray, sites: int, base: int,
+            ring: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(reps, index, size) of the sector: translation orbits on a ring,
+    single-state orbits otherwise.
+
+    A translation rotates a code's digits, (code % b^(L-1)) * b +
+    code // b^(L-1) with b = `base`; the smallest of the L rotations is
+    the representative, and R = L / #{rotations equal to the code}.
+    """
+    if not ring:
+        rows = np.arange(codes.size)
+        return rows, rows, np.ones_like(rows)
+    top = base ** (sites - 1)
+    rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
+    for _ in range(sites - 1):
+        rotated = rotated % top * base + rotated // top
+        np.minimum(rep, rotated, out=rep)
+        fixed += rotated == codes
+    reps = np.flatnonzero(rep == codes)
+    return reps, np.searchsorted(codes[reps], rep), (sites // fixed)[reps]
 
 
 def _coalesce(dim, rows, cols, *values):

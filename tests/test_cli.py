@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import logging.handlers
 import math
 import os
 import subprocess
@@ -148,7 +149,7 @@ _sections = st.fixed_dictionaries({}, optional={
     for name, keys in _KEYS.items()})
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.one_of(_sections, _json))
 def test_from_dict_returns_config_or_package_error(doc):
     try:
@@ -734,6 +735,28 @@ class TestDeterminism:
         assert Counter(calls) == want
 
 
+def check_contract(tmp_path, sub, doc):
+    """Run `sub` on `doc` in process: exit 0, 2 or 3, one ERROR record on a
+    failure and none on success, and a failed `phase` writes nothing.
+
+    The records are caught by a handler of this run alone: pytest's
+    `caplog` is not reset between the examples of one hypothesis test.
+    """
+    errors = logging.handlers.BufferingHandler(capacity=1000)
+    errors.setLevel(logging.ERROR)
+    logger = logging.getLogger("polariton_phases")
+    logger.addHandler(errors)
+    try:
+        code, out = run(tmp_path, sub, doc)
+    finally:
+        logger.removeHandler(errors)
+    assert code in (0, 2, 3)
+    assert len(errors.buffer) == (code != 0), \
+        [r.getMessage() for r in errors.buffer]
+    if sub == "phase" and code:
+        assert not out.exists() or not any(out.iterdir())
+
+
 # 1-3 optics fields set to any finite float; hypothesis draws subnormals,
 # signed zeros and values near +-1e308 among them
 _optics = st.dictionaries(
@@ -761,9 +784,8 @@ _sweep = st.just({"delta_p_range": [2.0, 100.0, 4],
 @given(sub=st.sampled_from(["map", "sweep", "phase", "crossing"]),
        optics=_optics, sweep_section=_sweep)
 def test_cli_error_contract(tmp_path_factory, sub, optics, sweep_section):
-    tmp = tmp_path_factory.mktemp("contract")
-    code, _ = run(tmp, sub, {"optics": optics, "sweep": sweep_section})
-    assert code in (0, 2, 3)
+    check_contract(tmp_path_factory.mktemp("contract"), sub,
+                   {"optics": optics, "sweep": sweep_section})
 
 
 def _one_bad_key(valid, bad):
@@ -820,9 +842,7 @@ _nlse_section = _one_bad_key(st.fixed_dictionaries({
                  st.tuples(st.just("nlse"), _nlse_section)))
 def test_solver_error_contract(tmp_path_factory, sub_section):
     sub, section = sub_section
-    tmp = tmp_path_factory.mktemp("contract")
-    code, _ = run(tmp, sub, {sub: section})
-    assert code in (0, 2, 3)
+    check_contract(tmp_path_factory.mktemp("contract"), sub, {sub: section})
 
 
 def _loaded_after(module: str, package: str) -> list[str]:
