@@ -1,7 +1,8 @@
 """Charge-gap scaling in small Bose-Hubbard chains.
 
-Diagonalizes periodic chains at unit filling, shows the gap opening with
-U/J, and estimates the critical ratio from the crossing of the scaled gaps
+Diagonalizes periodic chains at unit filling, one `UnitFilling` chain per
+size built once and solved at every U/J, shows the gap opening with U/J,
+and estimates the critical ratio from the crossing of the scaled gaps
 L * Delta(L) for successive sizes.  The crossing of each size pair is
 printed too: it drifts down as the chains grow, which is why the estimate's
 spread is not an error bar.
@@ -19,11 +20,10 @@ def main():
     print("scaled charge gap L * Delta(L) / J:")
     header = "U/J " + "".join(f"   L={L}" for L in sizes)
     print(header)
-    # each size's bases and tables are built once for the whole table
-    bases = {L: bh_ed.unit_filling_bases(L, 4) for L in sizes}
+    # one chain per size: its bases and tables are built once for the table
+    chains = {L: bh_ed.UnitFilling.build(L, 4) for L in sizes}
     for u in ratios:
-        row = [f"{L * bh_ed.diagnostics(L, 4, u, bases=bases[L]).gap:6.3f}"
-               for L in sizes]
+        row = [f"{L * chains[L].diagnostics(u).gap:6.3f}" for L in sizes]
         print(f"{u:3d} " + " ".join(row))
 
     # the crossings interpolate linearly between samples: a finer grid

@@ -12,9 +12,10 @@ per basis for every (J, U); <b+_0 b_d> is read off the sector vector as
 the mean over the L translations (equal at d and L - d: the vector is
 real).  Lowest eigenpair by dense diagonalization, or above DENSE_CUTOFF
 rows by Lanczos with full reorthogonalization from the uniform vector,
-its Ritz pairs from LAPACK's dstebz and dstein called directly; the
-charge gap as Mott diagnostic, and a scaled-gap crossing estimate of the
-critical U/J.
+its Ritz pairs from LAPACK's dstebz and dstein called directly.  A
+`UnitFilling` chain holds the N - 1, N and N + 1 bases of one (L, n_max,
+boundary), built once per size and solved at every U/J: the charge gap as
+Mott diagnostic, and a scaled-gap crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
@@ -403,59 +404,59 @@ class EdResult:
     corr: tuple[float, ...]   # <b+_0 b_d> for d = 0 .. L-1
 
 
-def unit_filling_bases(sites: int, n_max: int,
-                       periodic: bool = True) -> dict[int, FockBasis]:
-    """Bases of N - 1, N and N + 1 bosons at unit filling N = sites."""
-    return {n: FockBasis.build(sites, n, n_max, periodic)
-            for n in (sites - 1, sites, sites + 1)}
+@dataclass(frozen=True, eq=False)
+class UnitFilling:
+    """One chain at unit filling N = sites: the bases of N - 1, N and N + 1
+    bosons, built once, so a scan over U/J reuses them and their tables."""
 
+    sites: int
+    n_max: int
+    periodic: bool
+    bases: dict[int, FockBasis]      # boson number -> basis
 
-def _unit_filling(bases: dict, sites: int,
-                  u: float) -> tuple[float, np.ndarray, float]:
-    """E0(N), its eigenvector and the charge gap E0(N+1) + E0(N-1) - 2 E0(N)
-    at unit filling N = sites and J = 1: the three solves behind every ED
-    result."""
-    def solve(bosons):
-        return ground_energy(build_hamiltonian(bases[bosons], 1.0, u))
+    @classmethod
+    def build(cls, sites: int, n_max: int,
+              periodic: bool = True) -> "UnitFilling":
+        return cls(sites, n_max, periodic,
+                   {n: FockBasis.build(sites, n, n_max, periodic)
+                    for n in (sites - 1, sites, sites + 1)})
 
-    e0, vec = solve(sites)
-    e_hi, e_lo = solve(sites + 1)[0], solve(sites - 1)[0]
-    return e0, vec, e_hi + e_lo - 2 * e0
+    def solve(self, u: float) -> tuple[float, np.ndarray, float]:
+        """E0(N), its eigenvector and the charge gap E0(N+1) + E0(N-1) -
+        2 E0(N) at J = 1: the three solves behind every ED result."""
+        def lowest(bosons):
+            return ground_energy(build_hamiltonian(self.bases[bosons], 1.0, u))
+
+        e0, vec = lowest(self.sites)
+        e_hi, e_lo = lowest(self.sites + 1)[0], lowest(self.sites - 1)[0]
+        return e0, vec, e_hi + e_lo - 2 * e0
+
+    def diagnostics(self, u_over_j: float) -> EdResult:
+        """Full set of ground-state diagnostics at J = 1."""
+        sites = self.sites
+        e0, vec, gap = self.solve(float(u_over_j))
+        basis = self.bases[sites]
+        occ, ring = basis.rep_occ, basis.ring
+        mean_n, mean_n2 = vec**2 @ occ, vec**2 @ occ**2     # per site
+        if ring:   # translation invariant: every site holds the site mean
+            mean_n, mean_n2 = np.mean([mean_n, mean_n2], axis=1,
+                                      keepdims=True)
+        var_n = float(np.mean(mean_n2 - mean_n**2))
+
+        # <b+_0 b_d>, on a ring averaged over the L translations (i + d -> i)
+        pairs = sites if ring else 1
+        corr = [float(mean_n[0])]
+        corr += [float(vec[rows] @ (amp * vec[cols])) / pairs
+                 for rows, cols, amp in basis.correlator_hops]
+        corr += [corr[sites - d] for d in range(len(corr), sites)]  # ring
+        return EdResult(sites, sites, self.n_max, u_over_j, e0, gap, var_n,
+                        tuple(corr))
 
 
 def diagnostics(sites: int, n_max: int, u_over_j: float,
-                periodic: bool = True,
-                bases: dict | None = None) -> EdResult:
-    """Full set of ground-state diagnostics at unit filling, J = 1.
-
-    `bases` (from `unit_filling_bases`) lets a scan over U/J reuse the bases
-    and their tables; bases of other (sites, n_max, periodic) raise
-    DomainError.
-    """
-    want = {n: (sites, n, n_max, periodic)
-            for n in (sites - 1, sites, sites + 1)}
-    if bases is None:
-        bases = unit_filling_bases(sites, n_max, periodic)
-    elif {n: (b.sites, b.bosons, b.n_max, b.periodic)
-          for n, b in bases.items()} != want:
-        raise DomainError(f"bases are not the unit-filling bases of {sites} "
-                          f"sites, n_max = {n_max}, periodic = {periodic}")
-    e0, vec, gap = _unit_filling(bases, sites, float(u_over_j))
-    basis = bases[sites]
-    occ, ring = basis.rep_occ, basis.ring
-    mean_n, mean_n2 = vec**2 @ occ, vec**2 @ occ**2     # per site
-    if ring:   # translation invariant: every site holds the site mean
-        mean_n, mean_n2 = np.mean([mean_n, mean_n2], axis=1, keepdims=True)
-    var_n = float(np.mean(mean_n2 - mean_n**2))
-
-    # <b+_0 b_d>, on a ring averaged over the L translations (i + d -> i)
-    pairs = sites if ring else 1
-    corr = [float(mean_n[0])]
-    corr += [float(vec[rows] @ (amp * vec[cols])) / pairs
-             for rows, cols, amp in basis.correlator_hops]
-    corr += [corr[sites - d] for d in range(len(corr), sites)]  # ring only
-
-    return EdResult(sites, sites, n_max, u_over_j, e0, gap, var_n, tuple(corr))
+                periodic: bool = True) -> EdResult:
+    """`UnitFilling.diagnostics` at one U/J, on a chain built for it."""
+    return UnitFilling.build(sites, n_max, periodic).diagnostics(u_over_j)
 
 
 @dataclass(frozen=True)
@@ -486,9 +487,8 @@ def estimate_critical_ratio(sizes: list[int], ratios: list[float],
     ratios = sorted(float(r) for r in ratios)
     scaled = {}
     for L in sizes:
-        bases = unit_filling_bases(L, n_max, periodic)
-        scaled[L] = np.array([L * _unit_filling(bases, L, r)[2]
-                              for r in ratios])
+        chain = UnitFilling.build(L, n_max, periodic)
+        scaled[L] = np.array([L * chain.solve(r)[2] for r in ratios])
     crossings = []
     for i, l1 in enumerate(sizes):
         for l2 in sizes[i + 1:]:

@@ -220,10 +220,8 @@ def cmd_ed(cfg: RunConfig, out: Path) -> None:
     ed = cfg.ed
     results = []
     for L in ed["sizes"]:
-        bases = bh_ed.unit_filling_bases(L, ed["n_max"], ed["periodic"])
-        results += [bh_ed.diagnostics(L, ed["n_max"], r,
-                                      periodic=ed["periodic"], bases=bases)
-                    for r in ed["ratios"]]
+        chain = bh_ed.UnitFilling.build(L, ed["n_max"], ed["periodic"])
+        results += [chain.diagnostics(r) for r in ed["ratios"]]
     _write_csv(out / "ed.csv", list(ED_FIELDS),
                [[getattr(res, f) for res in results]
                 for f in ED_FIELDS.values()], cfg.hash())

@@ -485,12 +485,12 @@ def phase_boundaries(spec: GridSpec,
                      nodes: NodeFields | None = None) -> list[BoundaryPolyline]:
     """Zero contours of both decision functions, tagged by model of origin.
 
-    nodes, when given, is evaluate_grid(spec), already computed.
+    nodes defaults to evaluate_grid(spec); the contours are drawn on the
+    axes the nodes were evaluated on, so spec is read only to evaluate.
     """
-    dps = spec.delta_p_values()
-    oms = spec.omega_values()
     if nodes is None:
         nodes = evaluate_grid(spec)
+    dps, oms = nodes.delta_p[:, 0], nodes.omega[0]
     out = []
     for model, f in (("BH", nodes.f_bh), ("SG", nodes.f_sg)):
         for chain in _marching_squares(dps, oms, f):

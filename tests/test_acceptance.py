@@ -172,7 +172,7 @@ def test_criterion_7_ed_oracles():
 
     # atomic limit, J = 0: the gap of the three unit-filling solves is U
     e_n = {n: bh_ed.ground_energy(bh_ed.build_hamiltonian(b, 0.0, 7.0))[0]
-           for n, b in bh_ed.unit_filling_bases(4, 4).items()}
+           for n, b in bh_ed.UnitFilling.build(4, 4).bases.items()}
     gap_ok = e_n[5] + e_n[3] - 2 * e_n[4] == pytest.approx(7.0, abs=1e-12)
 
     est = bh_ed.estimate_critical_ratio([4, 6],

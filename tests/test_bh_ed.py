@@ -351,7 +351,8 @@ class TestGroundEnergy:
         # every sector on the Lanczos path (the L = 7 ring's N - 1 sector
         # has 125 rows, under the cutoff), against dense eigh of the same H
         monkeypatch.setattr(bh_ed, "DENSE_CUTOFF", 0)
-        for basis in bh_ed.unit_filling_bases(sites, n_max, periodic).values():
+        chain = bh_ed.UnitFilling.build(sites, n_max, periodic)
+        for basis in chain.bases.values():
             for uj in (0.0, 1.0, 3.3, 8.0, 20.0, 1e4):
                 h = build_hamiltonian(basis, 1.0, uj)
                 dense = h.toarray()
@@ -434,7 +435,7 @@ class TestChargeGap:
         # J = 0: the three diagonal solves at unit filling
         for L, u in [(4, 3.0), (6, 5.0), (8, 3.0)]:
             e0 = {n: ground_energy(build_hamiltonian(basis, 0.0, u))[0]
-                  for n, basis in bh_ed.unit_filling_bases(L, 4).items()}
+                  for n, basis in bh_ed.UnitFilling.build(L, 4).bases.items()}
             gap = e0[L + 1] + e0[L - 1] - 2 * e0[L]
             assert gap == pytest.approx(u, abs=1e-12)
 
@@ -509,29 +510,21 @@ class TestDiagnostics:
     def test_full_occupations_never_built(self):
         # the solve reads the representatives' occupations only; `occ`, the
         # whole basis's, is derived on first use
-        bases = bh_ed.unit_filling_bases(8, 4)
-        diagnostics(8, 4, 3.3, bases=bases)
+        chain = bh_ed.UnitFilling.build(8, 4)
+        chain.diagnostics(3.3)
+        bases = chain.bases
         for basis in bases.values():
             assert "occ" not in basis.__dict__
         assert np.array_equal(bases[8].rep_occ, bases[8].occ[bases[8].reps])
         assert "occ" in bases[8].__dict__
 
     def test_shared_bases(self):
-        bases = bh_ed.unit_filling_bases(4, 4)
-        assert sorted(bases) == [3, 4, 5]
+        # one chain solved at several U/J gives what a chain built for each
+        # U/J gives
+        chain = bh_ed.UnitFilling.build(4, 4)
+        assert sorted(chain.bases) == [3, 4, 5]
         for uj in (1.0, 3.0):
-            shared = diagnostics(4, 4, uj, bases=bases)
-            assert shared == diagnostics(4, 4, uj)
-
-    @pytest.mark.parametrize("sites, n_max, periodic, bases", [
-        (4, 4, True, (4, 3, True)),      # another occupation cap
-        (6, 4, True, (4, 4, True)),      # another chain length
-        (4, 4, False, (4, 4, True)),     # another boundary condition
-    ])
-    def test_mismatched_bases_rejected(self, sites, n_max, periodic, bases):
-        with pytest.raises(DomainError, match="unit-filling bases"):
-            diagnostics(sites, n_max, 3.3, periodic=periodic,
-                        bases=bh_ed.unit_filling_bases(*bases))
+            assert chain.diagnostics(uj) == diagnostics(4, 4, uj)
 
     def test_mott_suppresses_fluctuations(self):
         weak = diagnostics(4, 4, 1.0)

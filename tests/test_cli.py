@@ -712,17 +712,23 @@ class TestDeterminism:
     @pytest.mark.parametrize("periodic", [True, False])
     def test_ed_hops_enumerated_once_per_basis(self, tmp_path, monkeypatch,
                                                periodic):
-        # over 8 ratios, each basis enumerates its H tables once and the N
-        # basis each correlator distance once: d <= L/2 on a ring, d < L on
-        # an open chain
-        calls = []
-        hops = bh_ed.FockBasis.hops
+        # over 8 ratios, each size builds its three bases once, each basis
+        # enumerates its H tables once and the N basis each correlator
+        # distance once: d <= L/2 on a ring, d < L on an open chain
+        calls, built = [], []
+        hops, build = bh_ed.FockBasis.hops, bh_ed.FockBasis.build
 
         def counted(basis, src, dst):
             calls.append((basis.sites, basis.bosons))
             return hops(basis, src, dst)
 
+        def counted_build(cls, sites, bosons, *args):
+            built.append((sites, bosons))
+            return build(sites, bosons, *args)
+
         monkeypatch.setattr(bh_ed.FockBasis, "hops", counted)
+        monkeypatch.setattr(bh_ed.FockBasis, "build",
+                            classmethod(counted_build))
         sizes = [4, 5]
         code, _ = run(tmp_path, "ed", {"ed": {
             "sizes": sizes, "ratios": [1, 2, 3, 4, 5, 6, 7, 8],
@@ -733,6 +739,7 @@ class TestDeterminism:
             distances = L // 2 if periodic else L - 1
             want.update({(L, L - 1): 1, (L, L): 1 + distances, (L, L + 1): 1})
         assert Counter(calls) == want
+        assert built == [(L, n) for L in sizes for n in (L - 1, L, L + 1)]
 
 
 def check_contract(tmp_path, sub, doc):
@@ -843,6 +850,55 @@ _nlse_section = _one_bad_key(st.fixed_dictionaries({
 def test_solver_error_contract(tmp_path_factory, sub_section):
     sub, section = sub_section
     check_contract(tmp_path_factory.mktemp("contract"), sub, {sub: section})
+
+
+# One small valid config; each case below replaces exactly one of its
+# numbers (a scalar field, or one entry of a list field) with an edge value
+_PERTURB_BASE = {
+    "optics": {},
+    "sweep": {"delta_p_range": [20.0, 100.0, 12],
+              "omega_range": [0.8, 1.5, 12]},
+    "ed": {"sizes": [4], "n_max": 3, "ratios": [3.3]},
+    "nlse": {"grid_points": 64, "n_periods": 4, "steps": 50, "dt": 1e-3,
+             "record_every": 10, "v1_over_er": None, "g_int": None,
+             "schedule": [[0.0, 2.0, 0.1, 0.0]]},
+}
+_EDGE_VALUES = [0, -1, 0.5, 1e-300, 5e-324, 1e300, -1e300, -0.0, 2**63,
+                10**30]
+# the subcommands that read each section
+_READERS = {"optics": ["map", "sweep", "phase", "crossing", "nlse"],
+            "sweep": ["sweep", "phase", "crossing"],
+            "nlse": ["nlse"], "ed": ["ed"]}
+_PERTURBED = [
+    *[("optics", key) for key in default_config().resolved()["optics"]],
+    *[("sweep", key, i) for key in ("delta_p_range", "omega_range")
+      for i in range(3)],
+    *[("nlse", key) for key in ("grid_points", "n_periods", "steps", "dt",
+                                "record_every", "v1_over_er", "g_int",
+                                "kappa_dimless")],
+    *[("nlse", "schedule", 0, i) for i in range(4)],
+    ("ed", "sizes", 0), ("ed", "n_max"), ("ed", "ratios", 0),
+]
+
+
+@pytest.mark.parametrize("path", _PERTURBED,
+                         ids=lambda path: ".".join(map(str, path)))
+def test_one_field_perturbed_contract(tmp_path, path):
+    # a run of 2^63 steps (or records that far apart) is valid and never
+    # ends, so those two counts stay small
+    values = [v for v in _EDGE_VALUES
+              if path[1] not in ("steps", "record_every") or abs(v) <= 1e4]
+    for k, value in enumerate(values):
+        doc = json.loads(json.dumps(_PERTURB_BASE))
+        *parents, last = path
+        leaf = doc
+        for key in parents:
+            leaf = leaf[key]
+        leaf[last] = value
+        for sub in _READERS[path[0]]:
+            run_dir = tmp_path / f"{k}-{sub}"
+            run_dir.mkdir()
+            check_contract(run_dir, sub, doc)
 
 
 def _loaded_after(module: str, package: str) -> list[str]:

@@ -421,6 +421,14 @@ class TestPhaseBoundaries:
         assert len(sg) == 1
         assert len(sg[0].vertices) == 8
 
+    def test_contours_drawn_on_the_nodes_axes(self, baseline):
+        # nodes of another grid of the same shape are drawn on their own
+        # axes, not on those of the spec passed beside them
+        spec_a = GridSpec((10.0, 90.0, 15), (0.9, 1.6, 15), baseline)
+        spec_b = GridSpec((20.0, 100.0, 15), (0.8, 1.5, 15), baseline)
+        nodes_b = sweep.evaluate_grid(spec_b)
+        assert phase_boundaries(spec_a, nodes_b) == phase_boundaries(spec_b)
+
     def test_polylines_tagged_and_ordered(self, baseline):
         spec = GridSpec((20.0, 100.0, 15), (0.8, 1.5, 15), baseline)
         for b in phase_boundaries(spec):
