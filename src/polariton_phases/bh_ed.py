@@ -10,12 +10,14 @@ are read off the codes' digits on first use.  One hop enumerator builds
 the hopping tables and the hops of <b+_0 b_d>, each on first use, once
 per basis for every (J, U); <b+_0 b_d> is read off the sector vector as
 the mean over the L translations (equal at d and L - d: the vector is
-real).  Lowest eigenpair by dense diagonalization, or above DENSE_CUTOFF
-rows by Lanczos with full reorthogonalization from the uniform vector,
-its Ritz pairs from LAPACK's dstebz and dstein called directly.  A
-`UnitFilling` chain holds the N - 1, N and N + 1 bases of one (L, n_max,
-boundary), built once per size and solved at every U/J: the charge gap as
-Mott diagnostic, and a scaled-gap crossing estimate of the critical U/J.
+real).  Lowest eigenpair of a sector of up to DENSE_CUTOFF rows from
+LAPACK's dsyevr called directly on H scattered densely from the tables,
+with no sparse matrix built; above, by Lanczos with full
+reorthogonalization from the uniform vector on CSR H, its Ritz pairs from
+LAPACK's dstebz and dstein called directly.  A `UnitFilling` chain holds
+the N - 1, N and N + 1 bases of one (L, n_max, boundary), built once per
+size and solved at every U/J: the charge gap as Mott diagnostic, and a
+scaled-gap crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .errors import (
     PolaritonError,
 )
 
-# Largest dimension solved by dense eigh; Lanczos above.  Measured crossover
-# of the two lowest-eigenpair solvers on unit-filling chains (see README).
+# Largest dimension solved densely (dsyevr); Lanczos above.  Measured
+# crossover of the two lowest-eigenpair solvers on unit-filling chains (see
+# README).
 DENSE_CUTOFF = 160
 BASIS_CAP = 2_000_000
 RESIDUAL_TOL = 1e-10
@@ -273,6 +276,18 @@ def _coalesce(dim, rows, cols, *values):
             *(np.add.reduceat(v[order], starts) for v in values))
 
 
+def _entries(tables: HubbardTables, j: float, u: float) -> np.ndarray:
+    """J * hop + U * onsite on the tables' pattern, checked: J, U >= 0 and
+    every entry finite."""
+    if j < 0 or u < 0:
+        raise DomainError("j and u must be non-negative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = j * tables.hop + u * tables.onsite
+    if not np.all(np.isfinite(data)):
+        raise DomainError(f"H overflows at J = {j}, U = {u}")
+    return data
+
+
 def build_hamiltonian(basis: FockBasis, j: float,
                       u: float) -> scipy.sparse.csr_matrix:
     """H = -J sum_i (b+_i b_{i+1} + h.c.) + (U/2) sum_i n_i (n_i - 1).
@@ -281,47 +296,91 @@ def build_hamiltonian(basis: FockBasis, j: float,
     first call on a basis builds them), so a scan over (J, U) on one basis
     enumerates the hops once.
     """
-    if j < 0 or u < 0:
-        raise DomainError("j and u must be non-negative")
-    import scipy.sparse   # ~0.3 s to import; only the ED solves use it
     tables = basis.tables
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = j * tables.hop + u * tables.onsite
-    if not np.all(np.isfinite(data)):
-        raise DomainError(f"H overflows at J = {j}, U = {u}")
+    data = _entries(tables, j, u)
+    import scipy.sparse   # ~0.3 s to import; only the large ED solves use it
     dim = tables.indptr.size - 1
     return scipy.sparse.csr_matrix(
         (data, tables.indices, tables.indptr), shape=(dim, dim), copy=True)
 
 
-def ground_energy(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a real symmetric CSR matrix.
+def _hamiltonian(basis: FockBasis, j: float, u: float):
+    """H as `ground_energy` solves it: a dense array up to DENSE_CUTOFF
+    rows, scattered straight from the tables (the array
+    `build_hamiltonian(basis, j, u).toarray()` gives), and CSR above."""
+    tables = basis.tables
+    dim = tables.indptr.size - 1
+    if dim > DENSE_CUTOFF:
+        return build_hamiltonian(basis, j, u)
+    h = np.zeros((dim, dim))
+    rows = np.repeat(np.arange(dim), np.diff(tables.indptr))
+    h[rows, tables.indices] = _entries(tables, j, u)
+    return h
 
-    A diagonal H is read off directly; otherwise dense eigh up to
-    DENSE_CUTOFF and `_lanczos` above, started from the uniform vector: for
-    J > 0 the ground state has all-positive amplitudes, so the start
-    overlaps it, and a fixed start makes the result reproducible.  Every
-    eigenpair must pass the residual test |H v - E v| <= RESIDUAL_TOL
-    max(|E|, 1).
+
+def ground_energy(h) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a real symmetric matrix: CSR, or a dense array
+    of at most DENSE_CUTOFF rows.
+
+    A diagonal H is read off directly; otherwise `_dense_lowest` solves H
+    up to DENSE_CUTOFF rows (a CSR H as its dense array) and `_lanczos`
+    above, started from the uniform vector: for J > 0 the ground state has
+    all-positive amplitudes, so the start overlaps it, and a fixed start
+    makes the result reproducible.  Every eigenpair must pass the residual
+    test |H v - E v| <= RESIDUAL_TOL max(|E|, 1).
     """
-    import scipy.linalg
+    if not isinstance(h, np.ndarray) and h.shape[0] <= DENSE_CUTOFF:
+        h = h.toarray()
+    if isinstance(h, np.ndarray):
+        return _dense_lowest(h)
     dim = h.shape[0]
     rows = np.repeat(np.arange(dim), np.diff(h.indptr))
     if not np.any(h.data[h.indices != rows]):
-        diag = h.diagonal()
-        k = int(np.argmin(diag))
-        vec = np.zeros(dim)
-        vec[k] = 1.0
-        return float(diag[k]), vec
-    if dim <= DENSE_CUTOFF:
-        w, v = scipy.linalg.eigh(h.toarray(), subset_by_index=[0, 0])
-        e0, vec = float(w[0]), v[:, 0]
-    else:
-        e0, vec = _lanczos(h)
+        return _read_off(h.diagonal())
+    e0, vec = _lanczos(h)
+    _check_residual(h, e0, vec)
+    return e0, vec
+
+
+def _read_off(diag: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a diagonal H: its lowest entry, that unit
+    vector."""
+    k = int(np.argmin(diag))
+    vec = np.zeros(diag.size)
+    vec[k] = 1.0
+    return float(diag[k]), vec
+
+
+def _check_residual(h, e0: float, vec: np.ndarray) -> None:
     with np.errstate(over="ignore"):         # an inf residual fails below
         res = np.linalg.norm(h @ vec - e0 * vec)
     if res > RESIDUAL_TOL * max(abs(e0), 1.0):
         raise NoConvergence(f"eigen residual {res} too large for e0 = {e0}")
+
+
+def _dense_lowest(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a dense real symmetric H.
+
+    The LAPACK call of scipy.linalg.eigh(h, subset_by_index=[0, 0]),
+    dsyevr by index with its work sizes from dsyevr_lwork, made directly:
+    the same bits without its argument checks and routine lookup, which
+    cost more than the routine on a small sector.  A nonzero LAPACK info
+    raises NoConvergence.
+    """
+    diag = np.diagonal(h)
+    if np.count_nonzero(h) == np.count_nonzero(diag):
+        return _read_off(diag)
+    from scipy.linalg import lapack
+    n = h.shape[0]
+    lwork, liwork, info = lapack.dsyevr_lwork(n, lower=1)
+    if info == 0:
+        w, v, _, _, info = lapack.dsyevr(h, range="I", lower=1, il=1, iu=1,
+                                         lwork=int(lwork), liwork=liwork)
+    if info != 0:
+        raise NoConvergence(f"LAPACK dsyevr info = {info} on an H of "
+                            f"order {n}")
+    e0, vec = float(w[0]), v[:, 0]
+    _check_residual(h, e0, vec)
     return e0, vec
 
 
@@ -425,26 +484,32 @@ class UnitFilling:
         """E0(N), its eigenvector and the charge gap E0(N+1) + E0(N-1) -
         2 E0(N) at J = 1: the three solves behind every ED result."""
         def lowest(bosons):
-            return ground_energy(build_hamiltonian(self.bases[bosons], 1.0, u))
+            return ground_energy(_hamiltonian(self.bases[bosons], 1.0, u))
 
         e0, vec = lowest(self.sites)
         e_hi, e_lo = lowest(self.sites + 1)[0], lowest(self.sites - 1)[0]
         return e0, vec, e_hi + e_lo - 2 * e0
 
+    def number_moments(self, vec: np.ndarray) -> tuple[np.ndarray, float]:
+        """<n_i> per site (one entry, the site mean, on a ring: translation
+        invariant) and the site-averaged variance of n_i in the N sector
+        vector `vec`."""
+        occ = self.bases[self.sites].rep_occ
+        mean_n, mean_n2 = vec**2 @ occ, vec**2 @ occ**2     # per site
+        if self.bases[self.sites].ring:   # every site holds the site mean
+            mean_n, mean_n2 = np.mean([mean_n, mean_n2], axis=1,
+                                      keepdims=True)
+        return mean_n, float(np.mean(mean_n2 - mean_n**2))
+
     def diagnostics(self, u_over_j: float) -> EdResult:
         """Full set of ground-state diagnostics at J = 1."""
         sites = self.sites
         e0, vec, gap = self.solve(float(u_over_j))
-        basis = self.bases[sites]
-        occ, ring = basis.rep_occ, basis.ring
-        mean_n, mean_n2 = vec**2 @ occ, vec**2 @ occ**2     # per site
-        if ring:   # translation invariant: every site holds the site mean
-            mean_n, mean_n2 = np.mean([mean_n, mean_n2], axis=1,
-                                      keepdims=True)
-        var_n = float(np.mean(mean_n2 - mean_n**2))
+        mean_n, var_n = self.number_moments(vec)
 
         # <b+_0 b_d>, on a ring averaged over the L translations (i + d -> i)
-        pairs = sites if ring else 1
+        basis = self.bases[sites]
+        pairs = sites if basis.ring else 1
         corr = [float(mean_n[0])]
         corr += [float(vec[rows] @ (amp * vec[cols])) / pairs
                  for rows, cols, amp in basis.correlator_hops]

@@ -100,10 +100,9 @@ GRID_FIELDS = {
     "j_over_er": "j_over_er", "u_over_er": "u_over_er",
     "u_over_j": "u_over_j", "v_g_m_per_s": "v_g", "kappa_per_s": "kappa",
 }
-# ed.csv header name -> the bh_ed.EdResult field of its column.
-ED_FIELDS = {"L": "sites", "N": "bosons", "n_max": "n_max",
-             "u_over_j": "u_over_j", "e0_over_j": "e0", "gap_over_j": "gap",
-             "var_n": "var_n"}
+# ed.csv header: one row per (L, U/J) at unit filling N = L.
+ED_HEADER = ["L", "N", "n_max", "u_over_j", "e0_over_j", "gap_over_j",
+             "var_n"]
 
 
 def _grid_table(nodes: sweep_mod.NodeFields) -> tuple[list[str], list]:
@@ -218,13 +217,18 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
 
 def cmd_ed(cfg: RunConfig, out: Path) -> None:
     ed = cfg.ed
-    results = []
+    columns = [[] for _ in ED_HEADER]
     for L in ed["sizes"]:
         chain = bh_ed.UnitFilling.build(L, ed["n_max"], ed["periodic"])
-        results += [chain.diagnostics(r) for r in ed["ratios"]]
-    _write_csv(out / "ed.csv", list(ED_FIELDS),
-               [[getattr(res, f) for res in results]
-                for f in ED_FIELDS.values()], cfg.hash())
+        for r in ed["ratios"]:
+            # the columns of `chain.diagnostics(r)` but <b+_0 b_d>, which
+            # ed.csv does not hold
+            e0, vec, gap = chain.solve(float(r))
+            row = (L, L, ed["n_max"], r, e0, gap,
+                   chain.number_moments(vec)[1])
+            for column, value in zip(columns, row):
+                column.append(value)
+    _write_csv(out / "ed.csv", ED_HEADER, columns, cfg.hash())
 
 
 # plot_<subcommand>.gp, written when output.emit_plot_script is set.

@@ -173,10 +173,13 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     energy and contrast.
 
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
-    never grows and max|psi| <= sqrt(n) max|psi_0| on n grid points.  The
-    only guard is therefore NonFinite: it reads the |psi|^2 of every
-    nonlinear stage and the norm and energy of every record, the start's
-    included.
+    never grows and max|psi|^2 <= n norm(psi_0) on n grid points.  A step's
+    phase is then at most dt (k_max^2 + max s + max g n norm(psi_0)), over
+    the static coefficients and the schedule's; once that bound reaches
+    1/eps radians, where rounding alone exceeds a radian, DomainError is
+    raised after the start is recorded.  Otherwise the only guard is
+    NonFinite: it reads the |psi|^2 of every nonlinear stage and the norm
+    and energy of every record, the start's included.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -214,6 +217,15 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         half_kin = np.exp(-1j * k2 * dt / 2)
         full_kin = half_kin * half_kin
         record(0)
+        # |phase| of a step <= dt (k^2 + s + g max|psi|^2), and max|psi|^2
+        # <= n norm: from 1/eps radians on, rounding alone is a radian
+        s_max = max([params.v1_over_er, *(p[1] for p in params.schedule)])
+        g_max = max([params.g_int, *(p[2] for p in params.schedule)])
+        bound = dt * (float(k2.max()) + s_max + g_max * psi.size * norms[0])
+        if not bound < 1 / np.finfo(float).eps:
+            raise DomainError(f"a step's phase may reach {bound:.3g} rad "
+                              "(dt, s or g too large): its rounding alone "
+                              "exceeds a radian")
         kin = half_kin
         for step in range(1, steps + 1):
             if params.schedule:

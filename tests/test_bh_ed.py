@@ -416,6 +416,60 @@ class TestGroundEnergy:
         with pytest.raises(NoConvergence, match="info = 1"):
             ground_energy(h)
 
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_dense_path_matches_eigh(self, periodic):
+        # every sector of at most DENSE_CUTOFF rows at L = 2-7, n_max = 2-4
+        # (N - 1, N and N + 1): H scattered from the tables is the CSR H's
+        # array, and the direct dsyevr call gives scipy.linalg.eigh's e0 and
+        # vector to the last bit, alone and inside `UnitFilling.solve`
+        for sites, n_max in itertools.product(range(2, 8), range(2, 5)):
+            chain = bh_ed.UnitFilling.build(sites, n_max, periodic)
+            for uj in (0.0, 0.3, 3.3, 12.0, 1e4):
+                want = {}
+                for bosons, basis in chain.bases.items():
+                    if basis.reps.size > bh_ed.DENSE_CUTOFF:
+                        continue
+                    csr = build_hamiltonian(basis, 1.0, uj)
+                    h = bh_ed._hamiltonian(basis, 1.0, uj)
+                    assert np.array_equal(h, csr.toarray())
+                    w, v = scipy.linalg.eigh(csr.toarray(),
+                                             subset_by_index=[0, 0])
+                    want[bosons] = w[0], v[:, 0]
+                    for e0, vec in (ground_energy(h), ground_energy(csr)):
+                        assert type(e0) is float and e0 == w[0]
+                        assert np.array_equal(vec, v[:, 0])
+                if len(want) == 3:
+                    e0, vec, gap = chain.solve(uj)
+                    assert e0 == want[sites][0]
+                    assert np.array_equal(vec, want[sites][1])
+                    assert gap == (want[sites + 1][0] + want[sites - 1][0]
+                                   - 2 * want[sites][0])
+
+    def test_dense_solve_builds_no_sparse_matrix(self, monkeypatch):
+        # the L = 6 sectors (<= 111 rows) are solved from the tables alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        for name in ("csr_matrix", "csr_array", "coo_matrix", "diags"):
+            monkeypatch.setattr(scipy.sparse, name, refuse)
+        chain = bh_ed.UnitFilling.build(6, 4)
+        assert all(basis.reps.size <= bh_ed.DENSE_CUTOFF
+                   for basis in chain.bases.values())
+        e0, vec, gap = chain.solve(3.3)
+        assert math.isfinite(e0) and gap > 0
+
+    def test_dsyevr_failure_is_no_convergence(self, monkeypatch):
+        real = scipy.linalg.lapack.dsyevr
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+        basis = FockBasis.build(4, 4, 4)
+        with pytest.raises(NoConvergence, match="info = 1"):
+            ground_energy(bh_ed._hamiltonian(basis, 1.0, 3.3))
+
     def test_lanczos_values_match_frozen(self):
         # L = 8 takes the Lanczos path (sector dims 393-1100 on the ring,
         # 3144-8800 states open).  The ring values were computed by a

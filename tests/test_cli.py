@@ -374,10 +374,10 @@ class TestSubcommands:
         # field is finite: no trajectory of inf energies
         ("nlse", {"schedule": [[0, 1e308, 1, 0], [0.001, 1e308, 1, 0]],
                   "steps": 3}, 3),
-        # the phase factor of the first step overflows
-        ("nlse", {"schedule": [[0, 1, 0.1, 0], [0.001, 1, 1e308, 0]]}, 3),
-        # so do the kinetic factors k^2 dt / 2
-        ("nlse", {"dt": 1e308}, 3),
+        # the bound on a step's phase, dt (k_max^2 + max s + max g n norm),
+        # overflows: refused before the first step
+        ("nlse", {"schedule": [[0, 1, 0.1, 0], [0.001, 1, 1e308, 0]]}, 2),
+        ("nlse", {"dt": 1e308}, 2),
         # a range end that is an integer past int64, and a range whose
         # last node lies one overflowing step from the first: the exits of
         # the range [1, 1e20, 13]
@@ -385,6 +385,10 @@ class TestSubcommands:
           for omega_range in ([1, 10**20, 13],
                               [1e155, 1.7976931348623157e308, 16])
           for sub, code in [("sweep", 0), ("phase", 2), ("crossing", 2)]],
+        # a step's phase may reach 1/eps radians or more, where rounding
+        # alone exceeds a radian: both ran to exit 0 on noise
+        ("nlse", {"dt": 1e300}, 2),
+        ("nlse", {"schedule": [[0, 1, 0.1, 0], [1, 1e300, 0.1, 0]]}, 2),
     ])
     def test_solver_input_exit_code(self, tmp_path, caplog, sub, section,
                                     code):
@@ -712,9 +716,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("periodic", [True, False])
     def test_ed_hops_enumerated_once_per_basis(self, tmp_path, monkeypatch,
                                                periodic):
-        # over 8 ratios, each size builds its three bases once, each basis
-        # enumerates its H tables once and the N basis each correlator
-        # distance once: d <= L/2 on a ring, d < L on an open chain
+        # over 8 ratios, each size builds its three bases once and each
+        # basis enumerates its H tables once; ed.csv holds no <b+_0 b_d>, so
+        # CLI ed enumerates no correlator distance, while a library
+        # `diagnostics` scan enumerates each once on the N basis: d <= L/2
+        # on a ring, d < L on an open chain
         calls, built = [], []
         hops, build = bh_ed.FockBasis.hops, bh_ed.FockBasis.build
 
@@ -729,17 +735,22 @@ class TestDeterminism:
         monkeypatch.setattr(bh_ed.FockBasis, "hops", counted)
         monkeypatch.setattr(bh_ed.FockBasis, "build",
                             classmethod(counted_build))
-        sizes = [4, 5]
+        sizes, ratios = [4, 5], [1, 2, 3, 4, 5, 6, 7, 8]
         code, _ = run(tmp_path, "ed", {"ed": {
-            "sizes": sizes, "ratios": [1, 2, 3, 4, 5, 6, 7, 8],
-            "periodic": periodic}})
+            "sizes": sizes, "ratios": ratios, "periodic": periodic}})
         assert code == 0
-        want = {}
+        tables = {(L, n): 1 for L in sizes for n in (L - 1, L, L + 1)}
+        assert Counter(calls) == tables
+        assert built == list(tables)
+
+        calls.clear()
         for L in sizes:
-            distances = L // 2 if periodic else L - 1
-            want.update({(L, L - 1): 1, (L, L): 1 + distances, (L, L + 1): 1})
-        assert Counter(calls) == want
-        assert built == [(L, n) for L in sizes for n in (L - 1, L, L + 1)]
+            chain = bh_ed.UnitFilling.build(L, 4, periodic)
+            for r in ratios:
+                chain.diagnostics(r)
+        distances = {L: L // 2 if periodic else L - 1 for L in sizes}
+        assert Counter(calls) == {
+            key: 1 + distances[key[0]] * (key[1] == key[0]) for key in tables}
 
 
 def check_contract(tmp_path, sub, doc):
@@ -901,22 +912,62 @@ def test_one_field_perturbed_contract(tmp_path, path):
             check_contract(run_dir, sub, doc)
 
 
+def _loaded_by(code: str, package: str, cwd=None) -> list[str]:
+    """The `package` modules a fresh interpreter holds after running `code`
+    with this tree on its path."""
+    src = Path(polariton_phases.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (f"{code}\nimport sys\n"
+             "print(' '.join(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r})))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
 def _loaded_after(module: str, package: str) -> list[str]:
     """The `package` modules a fresh interpreter holds after importing
     `module` from this tree."""
-    src = Path(polariton_phases.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = (f"import sys, {module}; "
-             "print(' '.join(sorted(m for m in sys.modules "
-             f"if m.split('.')[0] == {package!r})))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return _loaded_by(f"import {module}", package)
+
+
+def _loaded_by_run(tmp_path, sub: str, doc: dict) -> list[str]:
+    """The scipy modules a fresh interpreter holds after CLI `sub` ran on
+    `doc` and exited 0."""
+    config = write_config(tmp_path, doc)
+    code = ("from polariton_phases import cli\n"
+            f"assert cli.main([{sub!r}, '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    return _loaded_by(code, "scipy", cwd=tmp_path)
 
 
 def test_cli_import_leaves_scipy_out():
     # scipy costs ~0.3 s to import; only the ED solves and root finders use it
     assert _loaded_after("polariton_phases.cli", "scipy") == []
+
+
+def test_config_load_leaves_scipy_out(tmp_path):
+    # the start every subcommand pays
+    config = write_config(tmp_path, SMALL_CONFIG)
+    code = ("from polariton_phases import cli\n"
+            f"cli.load_config({str(config)!r})")
+    assert _loaded_by(code, "scipy") == []
+
+
+@pytest.mark.parametrize("sub", ["map", "sweep", "phase", "nlse"])
+def test_subcommand_leaves_scipy_out(tmp_path, sub):
+    # only the root finders (crossing) and the ED solves import scipy
+    assert _loaded_by_run(tmp_path, sub, SMALL_CONFIG) == []
+
+
+def test_dense_ed_leaves_scipy_sparse_out(tmp_path):
+    # every sector of L = 4 and 6 is solved densely through LAPACK: no
+    # scipy.sparse module beyond those scipy.linalg itself imports
+    own = set(_loaded_by("import scipy.linalg", "scipy"))
+    loaded = _loaded_by_run(tmp_path, "ed", {"ed": {"sizes": [4, 6]}})
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.sparse")
+            and m not in own] == []
 
 
 @pytest.mark.parametrize("module", ["polariton_phases.optics",
