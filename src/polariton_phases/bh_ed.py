@@ -10,11 +10,12 @@ are read off the codes' digits on first use.  One hop enumerator builds
 the hopping tables and the hops of <b+_0 b_d>, each on first use, once
 per basis for every (J, U); <b+_0 b_d> is read off the sector vector as
 the mean over the L translations (equal at d and L - d: the vector is
-real).  Lowest eigenpair of a sector of up to DENSE_CUTOFF rows from
-LAPACK's dsyevr called directly on H scattered densely from the tables,
-with no sparse matrix built; above, by Lanczos with full
-reorthogonalization from the uniform vector on CSR H, its Ritz pairs from
-LAPACK's dstebz and dstein called directly.  A `UnitFilling` chain holds
+real).  H is scattered from the tables into a dense array for a sector
+of up to DENSE_CUTOFF rows, with no sparse matrix built, and into CSR
+above; its form picks the solver of its lowest eigenpair: LAPACK's dsyevr
+called directly for an array, and for CSR of any size Lanczos with full
+reorthogonalization from the uniform vector, its Ritz pairs from LAPACK's
+dstebz and dstein called directly.  A `UnitFilling` chain holds
 the N - 1, N and N + 1 bases of one (L, n_max, boundary), built once per
 size and solved at every U/J: the charge gap as Mott diagnostic, and a
 scaled-gap crossing estimate of the critical U/J.
@@ -36,9 +37,9 @@ from .errors import (
     PolaritonError,
 )
 
-# Largest dimension solved densely (dsyevr); Lanczos above.  Measured
-# crossover of the two lowest-eigenpair solvers on unit-filling chains (see
-# README).
+# Largest sector whose H is built dense (dsyevr); CSR and Lanczos above.
+# Measured crossover of the two lowest-eigenpair solvers on unit-filling
+# chains (see README).
 DENSE_CUTOFF = 160
 BASIS_CAP = 2_000_000
 RESIDUAL_TOL = 1e-10
@@ -276,86 +277,57 @@ def _coalesce(dim, rows, cols, *values):
             *(np.add.reduceat(v[order], starts) for v in values))
 
 
-def _entries(tables: HubbardTables, j: float, u: float) -> np.ndarray:
-    """J * hop + U * onsite on the tables' pattern, checked: J, U >= 0 and
-    every entry finite."""
+def build_hamiltonian(basis: FockBasis, j: float, u: float):
+    """H = -J sum_i (b+_i b_{i+1} + h.c.) + (U/2) sum_i n_i (n_i - 1).
+
+    Real symmetric, on the basis's sector, in the form `ground_energy`
+    solves: a dense array up to DENSE_CUTOFF rows, CSR above.  Assembled
+    from the basis's tables (the first call on a basis builds them), so a
+    scan over (J, U) on one basis enumerates the hops once.  J, U >= 0 and
+    every entry finite, or DomainError.
+    """
     if j < 0 or u < 0:
         raise DomainError("j and u must be non-negative")
+    tables = basis.tables
     with np.errstate(over="ignore", invalid="ignore"):
         data = j * tables.hop + u * tables.onsite
     if not np.all(np.isfinite(data)):
         raise DomainError(f"H overflows at J = {j}, U = {u}")
-    return data
-
-
-def build_hamiltonian(basis: FockBasis, j: float,
-                      u: float) -> scipy.sparse.csr_matrix:
-    """H = -J sum_i (b+_i b_{i+1} + h.c.) + (U/2) sum_i n_i (n_i - 1).
-
-    Real symmetric, on the basis's sector; assembled from its tables (the
-    first call on a basis builds them), so a scan over (J, U) on one basis
-    enumerates the hops once.
-    """
-    tables = basis.tables
-    data = _entries(tables, j, u)
-    import scipy.sparse   # ~0.3 s to import; only the large ED solves use it
     dim = tables.indptr.size - 1
+    if dim <= DENSE_CUTOFF:
+        h = np.zeros((dim, dim))
+        h[np.repeat(np.arange(dim), np.diff(tables.indptr)),
+          tables.indices] = data
+        return h
+    import scipy.sparse   # ~0.3 s to import; only the large ED solves use it
     return scipy.sparse.csr_matrix(
         (data, tables.indices, tables.indptr), shape=(dim, dim), copy=True)
 
 
-def _hamiltonian(basis: FockBasis, j: float, u: float):
-    """H as `ground_energy` solves it: a dense array up to DENSE_CUTOFF
-    rows, scattered straight from the tables (the array
-    `build_hamiltonian(basis, j, u).toarray()` gives), and CSR above."""
-    tables = basis.tables
-    dim = tables.indptr.size - 1
-    if dim > DENSE_CUTOFF:
-        return build_hamiltonian(basis, j, u)
-    h = np.zeros((dim, dim))
-    rows = np.repeat(np.arange(dim), np.diff(tables.indptr))
-    h[rows, tables.indices] = _entries(tables, j, u)
-    return h
-
-
 def ground_energy(h) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a real symmetric matrix: CSR, or a dense array
-    of at most DENSE_CUTOFF rows.
+    """Lowest eigenpair of a real symmetric H, a dense array or CSR.
 
-    A diagonal H is read off directly; otherwise `_dense_lowest` solves H
-    up to DENSE_CUTOFF rows (a CSR H as its dense array) and `_lanczos`
-    above, started from the uniform vector: for J > 0 the ground state has
-    all-positive amplitudes, so the start overlaps it, and a fixed start
-    makes the result reproducible.  Every eigenpair must pass the residual
-    test |H v - E v| <= RESIDUAL_TOL max(|E|, 1).
+    A diagonal H is read off directly: its lowest entry, that unit vector.
+    Otherwise the form of H picks the solver: `_dense_lowest` for an
+    array, `_lanczos` for CSR of any size, started from the uniform vector:
+    for J > 0 the ground state has all-positive amplitudes, so the start
+    overlaps it, and a fixed start makes the result reproducible.  Every
+    eigenpair must pass the residual test |H v - E v| <= RESIDUAL_TOL
+    max(|E|, 1).
     """
-    if not isinstance(h, np.ndarray) and h.shape[0] <= DENSE_CUTOFF:
-        h = h.toarray()
-    if isinstance(h, np.ndarray):
-        return _dense_lowest(h)
-    dim = h.shape[0]
-    rows = np.repeat(np.arange(dim), np.diff(h.indptr))
-    if not np.any(h.data[h.indices != rows]):
-        return _read_off(h.diagonal())
-    e0, vec = _lanczos(h)
-    _check_residual(h, e0, vec)
-    return e0, vec
-
-
-def _read_off(diag: np.ndarray) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a diagonal H: its lowest entry, that unit
-    vector."""
-    k = int(np.argmin(diag))
-    vec = np.zeros(diag.size)
-    vec[k] = 1.0
-    return float(diag[k]), vec
-
-
-def _check_residual(h, e0: float, vec: np.ndarray) -> None:
+    dense = isinstance(h, np.ndarray)
+    diag = h.diagonal()
+    if np.count_nonzero(h if dense else h.data) == np.count_nonzero(diag):
+        k = int(np.argmin(diag))
+        vec = np.zeros(diag.size)
+        vec[k] = 1.0
+        return float(diag[k]), vec
+    e0, vec = _dense_lowest(h) if dense else _lanczos(h)
     with np.errstate(over="ignore"):         # an inf residual fails below
         res = np.linalg.norm(h @ vec - e0 * vec)
     if res > RESIDUAL_TOL * max(abs(e0), 1.0):
         raise NoConvergence(f"eigen residual {res} too large for e0 = {e0}")
+    return e0, vec
 
 
 def _dense_lowest(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -367,9 +339,6 @@ def _dense_lowest(h: np.ndarray) -> tuple[float, np.ndarray]:
     cost more than the routine on a small sector.  A nonzero LAPACK info
     raises NoConvergence.
     """
-    diag = np.diagonal(h)
-    if np.count_nonzero(h) == np.count_nonzero(diag):
-        return _read_off(diag)
     from scipy.linalg import lapack
     n = h.shape[0]
     lwork, liwork, info = lapack.dsyevr_lwork(n, lower=1)
@@ -379,9 +348,7 @@ def _dense_lowest(h: np.ndarray) -> tuple[float, np.ndarray]:
     if info != 0:
         raise NoConvergence(f"LAPACK dsyevr info = {info} on an H of "
                             f"order {n}")
-    e0, vec = float(w[0]), v[:, 0]
-    _check_residual(h, e0, vec)
-    return e0, vec
+    return float(w[0]), v[:, 0]
 
 
 def _lanczos(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
@@ -484,7 +451,8 @@ class UnitFilling:
         """E0(N), its eigenvector and the charge gap E0(N+1) + E0(N-1) -
         2 E0(N) at J = 1: the three solves behind every ED result."""
         def lowest(bosons):
-            return ground_energy(_hamiltonian(self.bases[bosons], 1.0, u))
+            return ground_energy(
+                build_hamiltonian(self.bases[bosons], 1.0, u))
 
         e0, vec = lowest(self.sites)
         e_hi, e_lo = lowest(self.sites + 1)[0], lowest(self.sites - 1)[0]

@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except CONVERGENCE_ERRORS as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 3
-    except PolaritonError as exc:
+    except (PolaritonError, OSError) as exc:   # OSError: an unusable out dir
         log.error("%s: %s", type(exc).__name__, exc)
         return 2
     return 0

@@ -78,7 +78,8 @@ SECTIONS = {
         "periodic": (True, *_BOOL),
     },
     "output": {
-        "directory": ("out", lambda x: isinstance(x, str), "a string"),
+        "directory": ("out", lambda x: isinstance(x, str) and "\0" not in x,
+                      "a string without a NUL byte"),
         "emit_plot_script": (False, *_BOOL),
     },
 }

@@ -50,9 +50,13 @@ def write_config(tmp_path, doc, name="run.json"):
     return path
 
 
-def run(tmp_path, subcommand, doc=None):
+def run(tmp_path, subcommand, doc=None, out_flag=True):
+    """Run `subcommand` with --out tmp_path/out, or without --out (so
+    output.directory of `doc` is used) if `out_flag` is false."""
     out = tmp_path / "out"
-    argv = [subcommand, "--out", str(out)]
+    argv = [subcommand]
+    if out_flag:
+        argv += ["--out", str(out)]
     if doc is not None:
         argv += ["--config", str(write_config(tmp_path, doc))]
     code = main(argv)
@@ -753,9 +757,10 @@ class TestDeterminism:
             key: 1 + distances[key[0]] * (key[1] == key[0]) for key in tables}
 
 
-def check_contract(tmp_path, sub, doc):
-    """Run `sub` on `doc` in process: exit 0, 2 or 3, one ERROR record on a
-    failure and none on success, and a failed `phase` writes nothing.
+def check_contract(tmp_path, sub, doc, out_flag=True):
+    """Run `sub` on `doc` in process (as `run` does): exit 0, 2 or 3, one
+    ERROR record on a failure and none on success, and a failed `phase`
+    writes nothing.  Returns the exit code.
 
     The records are caught by a handler of this run alone: pytest's
     `caplog` is not reset between the examples of one hypothesis test.
@@ -765,7 +770,7 @@ def check_contract(tmp_path, sub, doc):
     logger = logging.getLogger("polariton_phases")
     logger.addHandler(errors)
     try:
-        code, out = run(tmp_path, sub, doc)
+        code, out = run(tmp_path, sub, doc, out_flag)
     finally:
         logger.removeHandler(errors)
     assert code in (0, 2, 3)
@@ -773,6 +778,22 @@ def check_contract(tmp_path, sub, doc):
         [r.getMessage() for r in errors.buffer]
     if sub == "phase" and code:
         assert not out.exists() or not any(out.iterdir())
+    return code
+
+
+# An output directory that cannot be made: --out naming an existing file
+# (None: `run` passes --out), and output.directory under that file or
+# holding a NUL byte
+@pytest.mark.parametrize("directory", [None, "out/sub", "sub\0dir"],
+                         ids=["out-is-a-file", "directory-under-a-file",
+                              "directory-with-nul"])
+def test_unusable_output_directory_exits_2(tmp_path, monkeypatch,
+                                           directory):
+    monkeypatch.chdir(tmp_path)          # output.directory is relative to it
+    (tmp_path / "out").write_text("")    # the --out of `run`: a file
+    doc = {} if directory is None else {"output": {"directory": directory}}
+    assert check_contract(tmp_path, "map", doc,
+                          out_flag=directory is None) == 2
 
 
 # 1-3 optics fields set to any finite float; hypothesis draws subnormals,
