@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bh_ed, many_body, nlse, optics, sweep as sweep_mod
 from .config import RunConfig, default_config, load_config
-from .errors import NoConvergence, NonFinite, PolaritonError
+from .errors import NoConvergence, NonFinite, ParseError, PolaritonError
 
 log = logging.getLogger("polariton_phases")
 
@@ -275,6 +275,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         cfg = load_config(args.config) if args.config else default_config()
+        if args.out and "\0" in str(args.out):
+            raise ParseError("--out must be a path without a NUL byte")
         out = Path(args.out) if args.out else Path(cfg.output["directory"])
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.subcommand](cfg, out)

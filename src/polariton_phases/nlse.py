@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -121,6 +121,44 @@ def _box(params: NlseParams) -> tuple[np.ndarray, np.ndarray]:
     return k**2, np.cos(grid(params)) ** 2
 
 
+@cache
+def _fft_kernels() -> tuple:
+    """The FFTs of this module, (fft, ifft, rfft, irfft): numpy's pocketfft
+    gufuncs, called directly.
+
+    Each is called as kernel(a, scale, out=buf): it writes the transform of
+    a, times scale, into buf and returns buf.  Callers pass np.fft's own
+    scales, 1 forward and 1/n inverse on n points.
+
+    They are the kernels np.fft's wrappers call with the same scale, so the
+    bits are np.fft's, without the ~10 us of Python each np.fft call spends
+    before them.  rfft_n_even serves every grid, whose n is a power of two.
+    The private module they live in exists from numpy 2.0; where it or a
+    kernel is missing, np.fft behind the same call is used.  Resolved on
+    first use: importing numpy.fft costs ~2 ms, which the subcommands that
+    take no FFT need not pay.
+    """
+    try:
+        from numpy.fft import _pocketfft_umath as pfu
+        return pfu.fft, pfu.ifft, pfu.rfft_n_even, pfu.irfft
+    except (ImportError, AttributeError):
+        return _np_fft_kernels()
+
+
+def _np_fft_kernels() -> tuple:
+    """np.fft.fft, ifft, rfft and irfft behind the kernels' call (numpy <
+    2.0, whose np.fft takes no out=): each writes np.fft's result into out,
+    scaled by np.fft itself.  irfft's default length 2 (m - 1) is the even
+    n of every grid."""
+    def into(transform):
+        def kernel(a, scale, out):
+            out[...] = transform(a)
+            return out
+        return kernel
+    return tuple(map(into, (np.fft.fft, np.fft.ifft, np.fft.rfft,
+                            np.fft.irfft)))
+
+
 def norm_of(psi: np.ndarray) -> float:
     return float(np.mean(np.abs(psi) ** 2))
 
@@ -138,7 +176,9 @@ def _energy(spectrum: np.ndarray, dens: np.ndarray, k2: np.ndarray,
 def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
     """Mean energy density: |d psi|^2 + s cos^2 |psi|^2 + (g/2)|psi|^4."""
     s, g, _ = params.coefficients(tau)
-    return _energy(np.fft.fft(psi), np.abs(psi) ** 2, *_box(params), s, g)
+    fft, *_ = _fft_kernels()
+    spectrum = fft(psi, 1.0, out=np.empty(np.shape(psi), dtype=complex))
+    return _energy(spectrum, np.abs(psi) ** 2, *_box(params), s, g)
 
 
 def _contrast(dens: np.ndarray, n_periods: int) -> float:
@@ -166,11 +206,12 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     the field returns to real space at a whole step only to be recorded or
     returned: 1 + 2 steps + records FFTs, records counted after the start.
 
-    A step works in three preallocated buffers: |psi|^2, the real phase
-    -dt (s cos^2 + g |psi|^2) and the rotation cos + i sin of that phase,
-    times the loss factor only when kappa != 0 (the bits of the complex
-    exp times that factor).  A record forms |psi|^2 once for its norm,
-    energy and contrast.
+    A step works in preallocated buffers: the spectrum and the field, which
+    its two FFTs write, |psi|^2, the real phase -dt (s cos^2 + g |psi|^2)
+    and the rotation cos + i sin of that phase, times the loss factor only
+    when kappa != 0 (the bits of the complex exp times that factor).  A
+    record transforms into a fresh psi, which the returned state holds,
+    and forms |psi|^2 once for its norm, energy and contrast.
 
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi|^2 <= n norm(psi_0) on n grid points.  A step's
@@ -189,9 +230,11 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     if norm_of(state.psi) <= 0:
         raise DomainError("initial state has zero norm")
     psi = np.asarray(state.psi, dtype=complex).copy()
+    fft, ifft, _, _ = _fft_kernels()
+    n = psi.size
     k2, cos2 = _box(params)
-    dens, phase = np.empty(psi.size), np.empty(psi.size)
-    rot = np.empty(psi.size, dtype=complex)
+    dens, phase = np.empty(n), np.empty(n)
+    rot, field = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     taus, norms, energies, contrasts = [], [], [], []
 
     def record(step):
@@ -213,7 +256,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     # an overflow (a huge dt, s or g) leaves a non-finite field or energy,
     # which the guard reads at the next step or record
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.fft.fft(psi)
+        spectrum = fft(psi, 1.0, out=np.empty_like(psi))
         half_kin = np.exp(-1j * k2 * dt / 2)
         full_kin = half_kin * half_kin
         record(0)
@@ -221,7 +264,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         # <= n norm: from 1/eps radians on, rounding alone is a radian
         s_max = max([params.v1_over_er, *(p[1] for p in params.schedule)])
         g_max = max([params.g_int, *(p[2] for p in params.schedule)])
-        bound = dt * (float(k2.max()) + s_max + g_max * psi.size * norms[0])
+        bound = dt * (float(k2.max()) + s_max + g_max * n * norms[0])
         if not bound < 1 / np.finfo(float).eps:
             raise DomainError(f"a step's phase may reach {bound:.3g} rad "
                               "(dt, s or g too large): its rounding alone "
@@ -233,7 +276,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
                 potential = s * cos2
             # kin * spectrum, not spectrum * kin: the bits differ
             np.multiply(kin, spectrum, out=spectrum)
-            field = np.fft.ifft(spectrum)
+            ifft(spectrum, 1 / n, out=field)
             np.abs(field, out=dens)
             np.square(dens, out=dens)
             np.multiply(dens, g, out=phase)
@@ -244,7 +287,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
             if kappa:
                 rot *= math.exp(-kappa * dt / 2)
             field *= rot
-            spectrum = np.fft.fft(field)
+            fft(field, 1.0, out=spectrum)
             tau += dt
             if not math.isfinite(dens.max()):
                 raise NonFinite(f"non-finite field at step {step}")
@@ -252,7 +295,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
                 kin = full_kin
                 continue
             spectrum *= half_kin
-            psi = np.fft.ifft(spectrum)
+            psi = ifft(spectrum, 1 / n, out=np.empty_like(spectrum))
             record(step)
             kin = half_kin
 
@@ -282,8 +325,9 @@ def ground_state(params: NlseParams) -> GroundState:
     if params.kappa_dimless != 0 or any(p[3] != 0 for p in params.schedule):
         raise DomainError("ground_state requires kappa = 0")
     n = params.grid_points
+    _, _, rfft, irfft = _fft_kernels()
     k2, cos2 = _box(params)
-    k2 = k2[:n // 2 + 1]                 # the modes np.fft.rfft keeps
+    k2 = k2[:n // 2 + 1]                 # the modes rfft keeps
     s, g, _ = params.coefficients(0.0)
     potential = s * cos2
     precond = 1 / (k2 + s + 2 * g + 1)
@@ -296,12 +340,12 @@ def ground_state(params: NlseParams) -> GroundState:
     # small symmetry-breaking seed so the lattice minima are found quickly
     psi = 1 + 0.05 * np.sin(grid(params)) ** 2
     psi /= math.sqrt(norm_of(psi))
-    spectrum = np.fft.rfft(psi)
+    spectrum = rfft(psi, 1.0, out=np.empty(n // 2 + 1, dtype=complex))
     # an overflow leaves a non-finite residual, which raises NonFinite
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(GROUND_MAX_STEPS + 1):
             dens = psi * psi
-            h_psi = np.fft.irfft(k2 * spectrum, n) \
+            h_psi = irfft(k2 * spectrum, 1 / n, out=np.empty(n)) \
                 + (potential + g * dens) * psi
             mu = float(np.dot(psi, h_psi)) / n
             r = h_psi - mu * psi
@@ -316,11 +360,11 @@ def ground_state(params: NlseParams) -> GroundState:
             if iterations == GROUND_MAX_STEPS:
                 raise NoConvergence(f"residual {residual:.3g} after "
                                     f"{GROUND_MAX_STEPS} iterations")
-            r_hat = np.fft.rfft(r)
+            r_hat = rfft(r, 1.0, out=np.empty_like(spectrum))
             along = np.dot(p_weight, (spectrum.conj() * r_hat).real) \
                 / np.dot(p_weight, np.abs(spectrum) ** 2)
             spectrum -= precond * (r_hat - along * spectrum)
-            psi = np.fft.irfft(spectrum, n)
+            psi = irfft(spectrum, 1 / n, out=np.empty(n))
             scale = math.sqrt(norm_of(psi))
             psi /= scale
             spectrum /= scale

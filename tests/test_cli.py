@@ -781,19 +781,25 @@ def check_contract(tmp_path, sub, doc, out_flag=True):
     return code
 
 
-# An output directory that cannot be made: --out naming an existing file
-# (None: `run` passes --out), and output.directory under that file or
-# holding a NUL byte
-@pytest.mark.parametrize("directory", [None, "out/sub", "sub\0dir"],
-                         ids=["out-is-a-file", "directory-under-a-file",
-                              "directory-with-nul"])
-def test_unusable_output_directory_exits_2(tmp_path, monkeypatch,
+# An output directory that cannot be made: --out naming an existing file or
+# holding a NUL byte (directory None: `run` passes --out, the `out` under
+# `parent`, and no config), and output.directory under that file or holding
+# a NUL byte
+@pytest.mark.parametrize("parent, directory",
+                         [("", None), ("sub\0dir", None), ("", "out/sub"),
+                          ("", "sub\0dir")],
+                         ids=["out-is-a-file", "out-with-nul",
+                              "directory-under-a-file", "directory-with-nul"])
+def test_unusable_output_directory_exits_2(tmp_path, monkeypatch, parent,
                                            directory):
     monkeypatch.chdir(tmp_path)          # output.directory is relative to it
     (tmp_path / "out").write_text("")    # the --out of `run`: a file
-    doc = {} if directory is None else {"output": {"directory": directory}}
-    assert check_contract(tmp_path, "map", doc,
-                          out_flag=directory is None) == 2
+    if directory is None:
+        assert check_contract(tmp_path / parent, "map", None) == 2
+    else:
+        assert check_contract(tmp_path, "map",
+                              {"output": {"directory": directory}},
+                              out_flag=False) == 2
 
 
 # 1-3 optics fields set to any finite float; hypothesis draws subnormals,
@@ -934,13 +940,13 @@ def test_one_field_perturbed_contract(tmp_path, path):
 
 
 def _loaded_by(code: str, package: str, cwd=None) -> list[str]:
-    """The `package` modules a fresh interpreter holds after running `code`
-    with this tree on its path."""
+    """The modules of `package` (itself and its submodules) a fresh
+    interpreter holds after running `code` with this tree on its path."""
     src = Path(polariton_phases.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (f"{code}\nimport sys\n"
              "print(' '.join(sorted(m for m in sys.modules "
-             f"if m.split('.')[0] == {package!r})))")
+             f"if (m + '.').startswith({package + '.'!r}))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
                          capture_output=True, text=True, check=True)
     return out.stdout.split()
@@ -952,19 +958,43 @@ def _loaded_after(module: str, package: str) -> list[str]:
     return _loaded_by(f"import {module}", package)
 
 
-def _loaded_by_run(tmp_path, sub: str, doc: dict) -> list[str]:
-    """The scipy modules a fresh interpreter holds after CLI `sub` ran on
-    `doc` and exited 0."""
+def _loaded_by_run(tmp_path, sub: str, doc: dict,
+                   package: str = "scipy") -> list[str]:
+    """The `package` modules a fresh interpreter holds after CLI `sub` ran
+    on `doc` and exited 0."""
     config = write_config(tmp_path, doc)
     code = ("from polariton_phases import cli\n"
             f"assert cli.main([{sub!r}, '--config', {str(config)!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]) == 0")
-    return _loaded_by(code, "scipy", cwd=tmp_path)
+    return _loaded_by(code, package, cwd=tmp_path)
 
 
 def test_cli_import_leaves_scipy_out():
     # scipy costs ~0.3 s to import; only the ED solves and root finders use it
     assert _loaded_after("polariton_phases.cli", "scipy") == []
+
+
+# numpy 1.x imports numpy.fft with numpy itself; numpy >= 2.0 loads it on
+# first attribute access, so only there can nlse keep it out
+_LAZY_NUMPY_FFT = pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="numpy 1.x imports numpy.fft with numpy")
+
+
+@_LAZY_NUMPY_FFT
+def test_cli_import_and_config_load_leave_numpy_fft_out(tmp_path):
+    # numpy.fft costs ~2 ms to import; nlse loads it on first use
+    config = write_config(tmp_path, SMALL_CONFIG)
+    code = ("from polariton_phases import cli\n"
+            f"cli.load_config({str(config)!r})")
+    assert _loaded_by(code, "numpy.fft") == []
+
+
+@_LAZY_NUMPY_FFT
+@pytest.mark.parametrize("sub", ["map", "sweep", "phase"])
+def test_subcommand_leaves_numpy_fft_out(tmp_path, sub):
+    # crossing and ed import scipy, which loads numpy.fft itself
+    assert _loaded_by_run(tmp_path, sub, SMALL_CONFIG, "numpy.fft") == []
 
 
 def test_config_load_leaves_scipy_out(tmp_path):

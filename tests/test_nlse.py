@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from polariton_phases import nlse, optics
+from polariton_phases.config import default_config
 from polariton_phases.errors import (
     ConfigError,
     DimensionOverflow,
@@ -84,12 +85,12 @@ def _counting(calls, name, fn):
 
 
 def _count_ffts(monkeypatch):
-    """Counts every np.fft.fft, ifft, rfft and irfft call in the "fft"
-    entry."""
+    """Counts every call of nlse's fft, ifft, rfft and irfft kernels in the
+    "fft" entry."""
     calls = {}
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name,
-                            _counting(calls, "fft", getattr(np.fft, name)))
+    counted = tuple(_counting(calls, "fft", kernel)
+                    for kernel in nlse._fft_kernels())
+    monkeypatch.setattr(nlse, "_fft_kernels", lambda: counted)
     return calls
 
 
@@ -168,6 +169,62 @@ _SCHEDULED = NlseParams(n_periods=8, grid_points=64,
                                   (0.1, 6.0, 0.9, 0.4)))
 _SLOW_RAMP = with_(_SCHEDULED, schedule=((0.0, 1.0, 0.2, 0.0),
                                         (5.0, 6.0, 0.9, 0.4)))
+
+
+class TestFftKernels:
+    @pytest.mark.parametrize("resolver", ["_fft_kernels", "_np_fft_kernels"],
+                             ids=["direct", "fallback"])
+    def test_bits_equal_np_fft(self, rng, resolver):
+        # every grid size NlseParams admits up to 4096
+        fft, ifft, rfft, irfft = getattr(nlse, resolver)()
+        for n in (2**e for e in range(4, 13)):
+            z = rng.normal(size=n) + 1j * rng.normal(size=n)
+            x = rng.normal(size=n)
+            half = z[:n // 2 + 1]
+            assert np.array_equal(fft(z, 1.0, out=np.empty(n, complex)),
+                                  np.fft.fft(z))
+            assert np.array_equal(ifft(z, 1 / n, out=np.empty(n, complex)),
+                                  np.fft.ifft(z))
+            assert np.array_equal(
+                rfft(x, 1.0, out=np.empty(n // 2 + 1, complex)),
+                np.fft.rfft(x))
+            assert np.array_equal(irfft(half, 1 / n, out=np.empty(n)),
+                                  np.fft.irfft(half, n))
+
+    def test_direct_kernels_in_use(self):
+        # a numpy >= 2.0 that moves or renames the private module fails
+        # here rather than silently running the np.fft fallback
+        kernels = nlse._fft_kernels()
+        if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+            assert not any(isinstance(k, np.ufunc) for k in kernels)
+            return
+        from numpy.fft import _pocketfft_umath as pfu
+        assert kernels == (pfu.fft, pfu.ifft, pfu.rfft_n_even, pfu.irfft)
+
+    @pytest.mark.parametrize("ramp", [False, True],
+                             ids=["cli-default", "lossy-schedule"])
+    def test_fallback_gives_the_same_bits(self, monkeypatch, ramp):
+        # the CLI default's coupling, and the lossy ramp CI runs
+        optics_cfg = default_config().optics
+        p = NlseParams(
+            v1_over_er=optics.lattice_depth_ratio(optics_cfg),
+            g_int=interaction_strength(
+                optics.lieb_liniger_gamma(optics_cfg).magnitude))
+        if ramp:
+            p = with_(p, kappa_dimless=0.05,
+                      schedule=((0.0, 1.0, 0.2, 0.0), (2.0, 6.0, 0.9, 0.4)))
+
+        def run():
+            gs = ground_state(with_(p, kappa_dimless=0.0, schedule=()))
+            final, obs = evolve(gs, p, dt=1e-3, steps=300, record_every=7)
+            return (gs.psi, gs.iterations, gs.residual, energy_of(gs.psi, p),
+                    final.psi, final.time, obs.tau, obs.norm, obs.energy,
+                    obs.contrast)
+
+        direct = run()
+        monkeypatch.setattr(nlse, "_fft_kernels", nlse._np_fft_kernels)
+        for want, got in zip(direct, run(), strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestEnergy:
