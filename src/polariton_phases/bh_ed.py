@@ -87,9 +87,9 @@ class FockBasis:
     `index` the sector row of every basis state and `size` the number R of
     states in each orbit.  `build` makes the codes and these orbit arrays,
     nothing else; the rest is derived on first use: `rep_occ`, the
-    representatives' occupations, and `occ`, one row per state (which no
-    solve needs), are read off the codes, and `tables`, H on the sector,
-    and `correlator_hops`, the hops of <b+_0 b_d>, are enumerated from them.
+    representatives' occupations, is read off their codes (`digits` gives
+    any state's), and `tables`, H on the sector, and `correlator_hops`, the
+    hops of <b+_0 b_d>, are enumerated from them.
     """
 
     sites: int
@@ -143,11 +143,6 @@ class FockBasis:
     def digits(self, codes: np.ndarray) -> np.ndarray:
         """(codes.size, sites) occupations of the given codes."""
         return codes[:, None] // self.place % (self.n_max + 1)
-
-    @cached_property
-    def occ(self) -> np.ndarray:
-        """(dim, sites) occupations of every state, one row per code."""
-        return self.digits(self.codes)
 
     @cached_property
     def rep_occ(self) -> np.ndarray:

@@ -3,6 +3,12 @@
 Subcommands: map, sweep, phase, crossing, nlse, ed.  All outputs land in the
 configured output directory; every file carries the sha256 hash of the fully
 resolved config so identical configs reproduce identical bytes.
+
+Each run is a fresh process, so the start path holds only what every
+subcommand needs: numpy (the CSV writer), `config`, `optics` (every config
+holds an `OpticalConfig`) and `errors`.  Each `cmd_*` imports the solver
+module it runs: `many_body` for map; `sweep`, which imports `many_body`, for
+sweep, phase and crossing; `nlse` for nlse; `bh_ed` for ed.
 """
 
 from __future__ import annotations
@@ -13,12 +19,16 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bh_ed, many_body, nlse, optics, sweep as sweep_mod
+from . import optics
 from .config import RunConfig, default_config, load_config
 from .errors import NoConvergence, NonFinite, ParseError, PolaritonError
+
+if TYPE_CHECKING:
+    from .sweep import GridSpec, NodeFields
 
 log = logging.getLogger("polariton_phases")
 
@@ -105,7 +115,7 @@ ED_HEADER = ["L", "N", "n_max", "u_over_j", "e0_over_j", "gap_over_j",
              "var_n"]
 
 
-def _grid_table(nodes: sweep_mod.NodeFields) -> tuple[list[str], list]:
+def _grid_table(nodes: NodeFields) -> tuple[list[str], list]:
     """Header and columns, one row per node in row-major (Delta_p, Omega):
     a POLE or DOMAIN node has NaN fields, no phase and its status as flags."""
     return ([*GRID_FIELDS, "phase", "flags"],
@@ -113,8 +123,9 @@ def _grid_table(nodes: sweep_mod.NodeFields) -> tuple[list[str], list]:
              *nodes.labels()])
 
 
-def _grid_spec(cfg: RunConfig) -> sweep_mod.GridSpec:
-    return sweep_mod.GridSpec(
+def _grid_spec(cfg: RunConfig) -> GridSpec:
+    from . import sweep  # only sweep and phase use it
+    return sweep.GridSpec(
         delta_p_range=tuple(cfg.sweep["delta_p_range"]),
         omega_range=tuple(cfg.sweep["omega_range"]),
         base=cfg.optics,
@@ -122,6 +133,7 @@ def _grid_spec(cfg: RunConfig) -> sweep_mod.GridSpec:
 
 
 def cmd_map(cfg: RunConfig, out: Path) -> None:
+    from . import many_body  # only map calls it directly
     optics.validate_config(cfg.optics)
     params = optics.effective_params(cfg.optics)
     gam = optics.lieb_liniger_gamma(cfg.optics)
@@ -136,16 +148,18 @@ def cmd_map(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> None:
-    nodes = sweep_mod.evaluate_grid(_grid_spec(cfg))
+    from . import sweep  # only sweep, phase and crossing use it
+    nodes = sweep.evaluate_grid(_grid_spec(cfg))
     _write_csv(out / "sweep.csv", *_grid_table(nodes), cfg.hash())
 
 
 def cmd_phase(cfg: RunConfig, out: Path) -> None:
+    from . import sweep  # only sweep, phase and crossing use it
     cfg_hash = cfg.hash()
     spec = _grid_spec(cfg)
-    nodes = sweep_mod.evaluate_grid(spec)
+    nodes = sweep.evaluate_grid(spec)
     # a grid no boundary crosses raises here, before any file is written
-    boundaries = sweep_mod.phase_boundaries(spec, nodes)
+    boundaries = sweep.phase_boundaries(spec, nodes)
     _write_csv(out / "phase_grid.csv", *_grid_table(nodes), cfg_hash)
     _write_json(out / "phase_boundaries.json", {
         "boundaries": [
@@ -156,14 +170,15 @@ def cmd_phase(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_crossing(cfg: RunConfig, out: Path) -> None:
+    from . import sweep  # only sweep, phase and crossing use it
     cfg_hash = cfg.hash()
     lo, hi, count = cfg.sweep["omega_range"]
-    sweep_mod.check_node_count(count)
+    sweep.check_node_count(count)
     base = cfg.optics
     # the root finder checks the bracket before the table spans it
-    root, at_root = sweep_mod._mott_crossing(base, base.delta_p, (lo, hi))
-    table = sweep_mod.evaluate(base, base.delta_p,
-                               sweep_mod.range_nodes(lo, hi, count))
+    root, at_root = sweep._mott_crossing(base, base.delta_p, (lo, hi))
+    table = sweep.evaluate(base, base.delta_p,
+                           sweep.range_nodes(lo, hi, count))
     _write_csv(out / "crossing.csv",
                ["omega_over_gamma", "j_over_er", "u_over_er", "u_over_j"],
                [table.omega, table.j_over_er, table.u_over_er,
@@ -178,6 +193,7 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_nlse(cfg: RunConfig, out: Path) -> None:
+    from . import nlse  # only nlse uses it
     cfg_hash = cfg.hash()
     nl = dict(cfg.nlse)
     if nl["v1_over_er"] is None or nl["g_int"] is None:
@@ -216,6 +232,7 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_ed(cfg: RunConfig, out: Path) -> None:
+    from . import bh_ed  # only ed uses it
     ed = cfg.ed
     columns = [[] for _ in ED_HEADER]
     for L in ed["sizes"]:

@@ -312,7 +312,7 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float,
     f_lo and f_hi are f(lo) and f(hi), which the caller already holds;
     brentq asks for both ends first and gets them without calling f.
     """
-    import scipy.optimize   # ~0.2 s to import; only the root finders use it
+    import scipy.optimize   # ~0.45 s to import; only the root finders use it
 
     def known_ends(x: float) -> float:
         return f_lo if x == lo else f_hi if x == hi else f(x)

@@ -47,7 +47,7 @@ def full_basis_oracle(basis):
     L = basis.sites
     ring = basis.periodic and L > 2
     bonds = [(i, (i + 1) % L) for i in range(L if ring else L - 1)]
-    states = list(map(tuple, basis.occ.tolist()))
+    states = list(map(tuple, basis.digits(basis.codes).tolist()))
     index = {s: i for i, s in enumerate(states)}
     hop = np.zeros((basis.dim, basis.dim))
     for col, state in enumerate(states):
@@ -62,7 +62,7 @@ def full_basis_oracle(basis):
 
 def translation_orbits(basis):
     """Brute force: each state's orbit as the smallest of its rotations."""
-    states = list(map(tuple, basis.occ.tolist()))
+    states = list(map(tuple, basis.digits(basis.codes).tolist()))
     return [min(s[k:] + s[:k] for k in range(len(s))) for s in states]
 
 
@@ -120,19 +120,20 @@ class TestBasis:
     def test_build_matches_enumeration(self, args):
         basis = FockBasis.build(*args)
         want = enumerated_basis(*args)
+        assert basis.digits(basis.codes).tolist() == want.pop("occ")
         for name, value in want.items():
             assert getattr(basis, name).tolist() == value, name
         assert basis.dim == len(want["codes"])
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_occupations_derived_on_first_use(self, periodic):
-        # `build` keeps the codes and the orbit arrays; both occupation
-        # tables are read off the codes when first asked for
+        # `build` keeps the codes and the orbit arrays; the representatives'
+        # occupations are read off their codes when first asked for
         basis = FockBasis.build(6, 7, 4, periodic)
         assert "rep_occ" not in basis.__dict__
-        assert "occ" not in basis.__dict__
-        assert np.array_equal(basis.rep_occ, basis.occ[basis.reps])
-        assert {"rep_occ", "occ"} <= basis.__dict__.keys()
+        assert np.array_equal(basis.rep_occ,
+                              basis.digits(basis.codes)[basis.reps])
+        assert "rep_occ" in basis.__dict__
 
     def test_build_peak_memory(self):
         # the enumeration's temporaries are freed before the orbit pass
@@ -157,7 +158,7 @@ class TestBasis:
 
     def test_states_sorted_and_capped(self):
         basis = FockBasis.build(4, 4, 3)
-        states = list(map(tuple, basis.occ.tolist()))
+        states = list(map(tuple, basis.digits(basis.codes).tolist()))
         assert states == sorted(states)
         for s in states:
             assert sum(s) == 4 and max(s) <= 3
@@ -171,13 +172,14 @@ class TestBasis:
         basis = FockBasis.build(5, 5, 3, periodic=False)
         base = basis.n_max + 1
         assert np.all(np.diff(basis.codes) > 0)
+        occ = basis.digits(basis.codes)
         for src, dst in [(0, 1), (1, 0), (4, 0), (2, 4)]:
             rows, cols, amp = basis.hops(np.array([src]), np.array([dst]))
-            moved = basis.occ[cols].copy()
+            moved = occ[cols].copy()
             moved[:, src] -= 1
             moved[:, dst] += 1
-            assert np.array_equal(basis.occ[rows], moved)
-            want = np.sqrt(basis.occ[cols, src] * (basis.occ[cols, dst] + 1))
+            assert np.array_equal(occ[rows], moved)
+            want = np.sqrt(occ[cols, src] * (occ[cols, dst] + 1))
             assert np.array_equal(amp, want)
             assert np.array_equal(
                 basis.codes[rows],
@@ -263,14 +265,15 @@ class TestHamiltonian:
         if basis.ring:
             orbit = translation_orbits(basis)
             want = sorted(set(orbit))
-            states = list(map(tuple, basis.occ.tolist()))
+            states = list(map(tuple, basis.digits(basis.codes).tolist()))
             assert [states[r] for r in basis.reps] == want
             assert [want[i] for i in basis.index] == orbit
             assert basis.size.tolist() == [orbit.count(r) for r in want]
         else:   # open chain, or the two-site ring: single-state orbits
             assert basis.reps.tolist() == list(range(basis.dim))
             assert basis.size.tolist() == [1] * basis.dim
-        assert np.array_equal(basis.rep_occ, basis.occ[basis.reps])
+        assert np.array_equal(basis.rep_occ,
+                              basis.digits(basis.codes)[basis.reps])
         assert basis.size.sum() == basis.dim
         assert basis.tables.indptr.size - 1 == basis.reps.size
 
@@ -551,10 +554,11 @@ class TestDiagnostics:
             hop, onsite = full_basis_oracle(basis)
             vec = scipy.linalg.eigh(hop + uj * onsite,
                                     subset_by_index=[0, 0])[1][:, 0]
-            states = list(map(tuple, basis.occ.tolist()))
+            states = list(map(tuple, basis.digits(basis.codes).tolist()))
             index = {s: i for i, s in enumerate(states)}
-            mean_n = vec**2 @ basis.occ
-            var_n = np.mean(vec**2 @ basis.occ**2 - mean_n**2)
+            occ = basis.digits(basis.codes)
+            mean_n = vec**2 @ occ
+            var_n = np.mean(vec**2 @ occ**2 - mean_n**2)
             assert res.var_n == pytest.approx(var_n, rel=0, abs=1e-12)
             for d in range(1, sites):
                 total = 0.0
@@ -576,15 +580,18 @@ class TestDiagnostics:
         assert res.gap == e0[2] + e0[0] - 2 * e0[1]
 
     def test_full_occupations_never_built(self):
-        # the solve reads the representatives' occupations only; `occ`, the
-        # whole basis's, is derived on first use
+        # the solve reads the representatives' occupations only: no basis
+        # holds a (dim, sites) table of every state's
         chain = bh_ed.UnitFilling.build(8, 4)
         chain.diagnostics(3.3)
-        bases = chain.bases
-        for basis in bases.values():
-            assert "occ" not in basis.__dict__
-        assert np.array_equal(bases[8].rep_occ, bases[8].occ[bases[8].reps])
-        assert "occ" in bases[8].__dict__
+        for basis in chain.bases.values():
+            assert basis.reps.size < basis.dim
+            assert not any(isinstance(v, np.ndarray)
+                           and v.shape == (basis.dim, basis.sites)
+                           for v in basis.__dict__.values())
+        basis = chain.bases[8]
+        assert np.array_equal(basis.rep_occ,
+                              basis.digits(basis.codes)[basis.reps])
 
     def test_shared_bases(self):
         # one chain solved at several U/J gives what a chain built for each

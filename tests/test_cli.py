@@ -1005,6 +1005,35 @@ def test_config_load_leaves_scipy_out(tmp_path):
     assert _loaded_by(code, "scipy") == []
 
 
+# the package modules every subcommand needs; a config holds an
+# OpticalConfig
+_START_MODULES = {"polariton_phases", "polariton_phases.cli",
+                  "polariton_phases.config", "polariton_phases.errors",
+                  "polariton_phases.optics"}
+
+
+def test_config_load_leaves_solver_modules_out(tmp_path):
+    # each fresh CLI process compiles and runs only the solvers it calls
+    config = write_config(tmp_path, SMALL_CONFIG)
+    code = ("from polariton_phases import cli\n"
+            f"cli.load_config({str(config)!r})")
+    assert set(_loaded_by(code, "polariton_phases")) == _START_MODULES
+
+
+# subcommand -> the package modules it adds to the start
+_SOLVER_MODULES = {"map": {"many_body"}, "sweep": {"sweep", "many_body"},
+                   "phase": {"sweep", "many_body"},
+                   "crossing": {"sweep", "many_body"}, "nlse": {"nlse"},
+                   "ed": {"bh_ed"}}
+
+
+@pytest.mark.parametrize("sub", list(_SOLVER_MODULES))
+def test_subcommand_loads_only_its_solvers(tmp_path, sub):
+    loaded = _loaded_by_run(tmp_path, sub, SMALL_CONFIG, "polariton_phases")
+    assert set(loaded) == _START_MODULES | {
+        f"polariton_phases.{m}" for m in _SOLVER_MODULES[sub]}
+
+
 @pytest.mark.parametrize("sub", ["map", "sweep", "phase", "nlse"])
 def test_subcommand_leaves_scipy_out(tmp_path, sub):
     # only the root finders (crossing) and the ED solves import scipy
