@@ -5,10 +5,12 @@ configured output directory; every file carries the sha256 hash of the fully
 resolved config so identical configs reproduce identical bytes.
 
 Each run is a fresh process, so the start path holds only what every
-subcommand needs: numpy (the CSV writer), `config`, `optics` (every config
-holds an `OpticalConfig`) and `errors`.  Each `cmd_*` imports the solver
+subcommand needs: `config`, `optics` (every config holds an `OpticalConfig`)
+and `errors`, none of which imports numpy.  Each `cmd_*` imports the solver
 module it runs: `many_body` for map; `sweep`, which imports `many_body`, for
-sweep, phase and crossing; `nlse` for nlse; `bh_ed` for ed.
+sweep, phase and crossing; `nlse` for nlse; `bh_ed` for ed.  numpy comes in
+with `sweep`, `nlse`, `bh_ed` or the CSV writer, so map and a run refused
+before its solver starts load none.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import optics
 from .config import RunConfig, default_config, load_config
 from .errors import NoConvergence, NonFinite, ParseError, PolaritonError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .sweep import GridSpec, NodeFields
 
 log = logging.getLogger("polariton_phases")
@@ -44,6 +46,7 @@ def _distinct_text(column: np.ndarray):
     """(sorted distinct bit patterns, their "%.17g" text) of a float64
     column that holds at most half as many distinct values as rows, or
     None for any other column."""
+    import numpy as np  # only the CSV writer uses it
     if column.dtype != np.float64:
         return None
     # sorted and compared: np.unique, which hashes in numpy 2.4, took 16x
@@ -77,6 +80,7 @@ def _write_csv(path: Path, header: list[str], columns,
     # costs ~460 us more than "%s" of text gathered by rank, the gather
     # included (17-80 us at 16-512 distinct values).  A distinct value
     # costs ~0.7 us to format alone, so at most half distinct is a gain.
+    import numpy as np  # only the CSV writer uses it
     columns = [np.ravel(c) for c in columns]
     distinct = [_distinct_text(c) for c in columns]
     formats = ",".join("%s" if c.dtype.kind in "OU" or d is not None

@@ -30,6 +30,8 @@ from .errors import (
 ROOT_TOL = 1e-6          # |Delta Omega| tolerance, Gamma units
 RESIDUAL_TOL = 1e-4      # residual of the defining equation at the root
 SCAN_POINTS = 64         # evenly spaced nodes of a root bracket scan
+BRENT_RTOL = 4 * math.ulp(1.0)   # Brent's relative x tolerance, 4 eps
+BRENT_MAXITER = 100      # Brent iterations before NoConvergence
 # Most nodes one scan may hold: a sweep or phase grid, or a crossing table.
 NODE_CAP = 2_000_000
 
@@ -305,21 +307,73 @@ def sweep_grid(spec: GridSpec) -> list[SweepRecord]:
     return records
 
 
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0
+
+
 def _brentq(f: Callable[[float], float], lo: float, hi: float,
-            f_lo: float, f_hi: float) -> float:
-    """Root of f within ROOT_TOL / 2 in [lo, hi], where f changes sign.
+            f_lo: float, f_hi: float, xtol: float = ROOT_TOL / 2) -> float:
+    """Root of f within xtol in [lo, hi], where f_lo = f(lo) and
+    f_hi = f(hi) differ in sign; f is called only at the steps.
 
-    f_lo and f_hi are f(lo) and f(hi), which the caller already holds;
-    brentq asks for both ends first and gets them without calling f.
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) as scipy.optimize.brentq runs it, a line by
+    line port of its brentq.c: the same operations in the same order,
+    rtol = BRENT_RTOL and BRENT_MAXITER iterations, so the same root to
+    the bit.  Raises NoBracket for ends of one sign and NoConvergence when
+    the iterations run out or f is not finite.
     """
-    import scipy.optimize   # ~0.45 s to import; only the root finders use it
-
-    def known_ends(x: float) -> float:
-        return f_lo if x == lo else f_hi if x == hi else f(x)
-    try:
-        return scipy.optimize.brentq(known_ends, lo, hi, xtol=ROOT_TOL / 2)
-    except RuntimeError as exc:
-        raise NoConvergence(f"brentq over [{lo}, {hi}]: {exc}") from exc
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    if not (math.isfinite(fpre) and math.isfinite(fcur)):
+        raise NoConvergence(f"Brent's method over [{lo}, {hi}]: f is "
+                            f"{fpre}, {fcur} at the ends")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise NoBracket(f"f is {fpre}, {fcur} at the ends of [{lo}, {hi}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or NaN, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry         # good short step
+            else:
+                spre = scur = sbis              # bisect
+        else:
+            spre = scur = sbis                  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if not math.isfinite(fcur):
+            raise NoConvergence(f"Brent's method over [{lo}, {hi}]: "
+                                f"f({xcur}) = {fcur}")
+    raise NoConvergence(f"Brent's method over [{lo}, {hi}]: no root within "
+                        f"{xtol} after {BRENT_MAXITER} iterations")
 
 
 def _first_crossing(base: optics.OpticalConfig, delta_p: float,

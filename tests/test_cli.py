@@ -958,20 +958,48 @@ def _loaded_after(module: str, package: str) -> list[str]:
     return _loaded_by(f"import {module}", package)
 
 
-def _loaded_by_run(tmp_path, sub: str, doc: dict,
-                   package: str = "scipy") -> list[str]:
+def _loaded_by_run(tmp_path, sub: str, doc: dict, package: str = "scipy",
+                   status: int = 0) -> list[str]:
     """The `package` modules a fresh interpreter holds after CLI `sub` ran
-    on `doc` and exited 0."""
+    on `doc` and exited with `status`."""
     config = write_config(tmp_path, doc)
     code = ("from polariton_phases import cli\n"
             f"assert cli.main([{sub!r}, '--config', {str(config)!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+            f"'--out', {str(tmp_path / 'out')!r}]) == {status}")
     return _loaded_by(code, package, cwd=tmp_path)
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy costs ~0.3 s to import; only the ED solves and root finders use it
+    # scipy costs ~0.3 s to import; only the ED solves use it
     assert _loaded_after("polariton_phases.cli", "scipy") == []
+
+
+def test_cli_import_and_config_load_leave_numpy_out(tmp_path):
+    # numpy costs ~0.1 s to import; only the CSV writer and the solvers
+    # other than the scalar chain use it
+    config = write_config(tmp_path, SMALL_CONFIG)
+    code = ("from polariton_phases import cli\n"
+            f"cli.load_config({str(config)!r})")
+    assert _loaded_by(code, "numpy") == []
+
+
+def test_map_leaves_numpy_out(tmp_path):
+    # map runs the scalar chain and writes JSON
+    assert _loaded_by_run(tmp_path, "map", SMALL_CONFIG, "numpy") == []
+
+
+@pytest.mark.parametrize("sub", list(cli.COMMANDS))
+def test_rejected_config_leaves_numpy_out(tmp_path, sub):
+    # a config the check refuses exits 2 before any solver is imported
+    doc = {**SMALL_CONFIG, "optics": {"n1_fraction": 1.5}}
+    assert _loaded_by_run(tmp_path, sub, doc, "numpy", status=2) == []
+
+
+def test_rejected_out_leaves_numpy_out(tmp_path):
+    # --out naming a regular file: exit 2 before any solver is imported
+    (tmp_path / "out").write_text("")
+    assert _loaded_by_run(tmp_path, "sweep", SMALL_CONFIG, "numpy",
+                          status=2) == []
 
 
 # numpy 1.x imports numpy.fft with numpy itself; numpy >= 2.0 loads it on
@@ -991,9 +1019,9 @@ def test_cli_import_and_config_load_leave_numpy_fft_out(tmp_path):
 
 
 @_LAZY_NUMPY_FFT
-@pytest.mark.parametrize("sub", ["map", "sweep", "phase"])
+@pytest.mark.parametrize("sub", ["map", "sweep", "phase", "crossing"])
 def test_subcommand_leaves_numpy_fft_out(tmp_path, sub):
-    # crossing and ed import scipy, which loads numpy.fft itself
+    # ed imports scipy, which loads numpy.fft itself
     assert _loaded_by_run(tmp_path, sub, SMALL_CONFIG, "numpy.fft") == []
 
 
@@ -1034,9 +1062,11 @@ def test_subcommand_loads_only_its_solvers(tmp_path, sub):
         f"polariton_phases.{m}" for m in _SOLVER_MODULES[sub]}
 
 
-@pytest.mark.parametrize("sub", ["map", "sweep", "phase", "nlse"])
+@pytest.mark.parametrize("sub", ["map", "sweep", "phase", "crossing",
+                                 "nlse"])
 def test_subcommand_leaves_scipy_out(tmp_path, sub):
-    # only the root finders (crossing) and the ED solves import scipy
+    # only the ED solves import scipy; the root finders run Brent's method
+    # in sweep
     assert _loaded_by_run(tmp_path, sub, SMALL_CONFIG) == []
 
 

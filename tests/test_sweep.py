@@ -264,8 +264,8 @@ class TestMottCrossing:
 
     def test_large_residual_raises(self, baseline, monkeypatch):
         # a root that misses the critical ratio is refused, also under -O
-        monkeypatch.setattr(scipy.optimize, "brentq",
-                            lambda f, lo, hi, **_: lo)
+        monkeypatch.setattr(sweep, "_brentq",
+                            lambda f, lo, hi, f_lo, f_hi: lo)
         with pytest.raises(NoConvergence):
             find_mott_crossing(baseline, 50.0, (0.9, 1.2))
 
@@ -287,9 +287,8 @@ def test_one_modulation_warning_per_root(baseline, find, delta_p, bracket):
                                             (find_pinning_crossing, 10.0)])
 def test_brentq_failure_is_no_convergence(baseline, monkeypatch, find,
                                           delta_p):
-    def fail(*args, **kwargs):
-        raise RuntimeError("Failed to converge after 100 iterations")
-    monkeypatch.setattr(scipy.optimize, "brentq", fail)
+    # two Brent steps leave the scan interval far wider than ROOT_TOL
+    monkeypatch.setattr(sweep, "BRENT_MAXITER", 2)
     with pytest.raises(NoConvergence):
         find(baseline, delta_p, (1.0, 3.0))
 
@@ -306,12 +305,12 @@ def test_brentq_failure_is_no_convergence(baseline, monkeypatch, find,
 ])
 def test_brentq_reuses_bracket_ends(baseline, monkeypatch, find, delta_p,
                                     bracket, fixed):
-    # brentq's count includes the two bracket ends, which the root finder
-    # already holds: two evaluate calls fewer than fixed + that count, and
-    # no Omega, the root's included, is evaluated twice
-    counts = {"evaluate": 0, "brentq": 0}
-    omegas = []
-    real_evaluate, real_brentq = sweep.evaluate, scipy.optimize.brentq
+    # Brent's method gets the two bracket ends' values from the scan and
+    # never calls f there: one evaluate call per f call beyond the fixed
+    # ones, and no Omega, the root's included, is evaluated twice
+    counts = {"evaluate": 0, "f": 0}
+    omegas, ends = [], []
+    real_evaluate, real_brentq = sweep.evaluate, sweep._brentq
 
     def counted_evaluate(base, dp, omega):
         counts["evaluate"] += 1
@@ -319,17 +318,156 @@ def test_brentq_reuses_bracket_ends(baseline, monkeypatch, find, delta_p,
             omegas.append(omega)
         return real_evaluate(base, dp, omega)
 
-    def counted_brentq(f, lo, hi, **kwargs):
-        root, info = real_brentq(f, lo, hi, full_output=True, **kwargs)
-        counts["brentq"] += info.function_calls
-        return root
+    def counted_brentq(f, lo, hi, f_lo, f_hi):
+        ends.extend([lo, hi])
+
+        def counted_f(x):
+            counts["f"] += 1
+            return f(x)
+        return real_brentq(counted_f, lo, hi, f_lo, f_hi)
     monkeypatch.setattr(sweep, "evaluate", counted_evaluate)
-    monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
+    monkeypatch.setattr(sweep, "_brentq", counted_brentq)
     root = find(baseline, delta_p, bracket)
-    assert counts["brentq"] > 2
-    assert counts["evaluate"] == fixed + counts["brentq"] - 2
+    assert counts["f"] > 0
+    assert counts["evaluate"] == fixed + counts["f"]
+    assert len(ends) == 2 and not set(ends) & set(omegas)
     assert len(set(omegas)) == len(omegas)
     assert (root[0] if isinstance(root, tuple) else root) in omegas
+
+
+def _brent_function(rng):
+    """A function with one sign change near a random r: smooth, odd
+    powers flat at r, saturating, and a piecewise one."""
+    r, a = float(rng.uniform(-3, 3)), float(rng.uniform(0.1, 5))
+    p = int(rng.choice([1, 3, 5]))
+    return [
+        lambda x: a * (x - r),
+        lambda x: a * (x - r) ** p + 1e-3 * (x - r),
+        lambda x: math.tanh(a * (x - r)),
+        lambda x: math.expm1(a * (x - r)),
+        lambda x: math.atan(a * (x - r)) ** 3,
+        lambda x: (math.sin(a * (x - r)) if abs(a * (x - r)) < 1.5
+                   else math.copysign(1.0, x - r)),
+        lambda x: (x - r) / (1 + a * abs(x - r) ** 0.5) - 1e-9,
+    ][int(rng.integers(7))]
+
+
+def _brent_cases(seed: int, count: int):
+    """count (f, lo, hi, xtol) with f(lo), f(hi) finite, nonzero and of
+    opposite signs.  One bracket in 20 is 1e-9 wide, and xtol spans 1e-13
+    to 3 bracket widths, so that the last steps, where the step bounds
+    meet xtol, are drawn often.  One f in 4 is scaled by 1e-300 to 1e300:
+    the products of its values that a step divides by underflow to 0 or
+    overflow."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        f = _brent_function(rng)
+        if rng.random() < 0.25:
+            f = (lambda x, f=f, scale=float(10 ** rng.uniform(-300, 300)):
+                 scale * f(x))
+        lo, hi = sorted(float(x) for x in rng.uniform(-6, 6, 2))
+        if rng.random() < 0.05:
+            lo = hi - 1e-9
+        f_lo, f_hi = f(lo), f(hi)
+        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != 0 \
+                and f_hi != 0 and (f_lo < 0) != (f_hi < 0):
+            xtol = (hi - lo) * 10 ** rng.uniform(-13, 0.5)
+            cases.append((f, lo, hi, float(xtol)))
+    return cases
+
+
+def _port(f, lo, hi, xtol):
+    """(root or "NoConvergence", f calls) of sweep._brentq handed f's
+    values at the ends."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+    try:
+        root = sweep._brentq(counted, lo, hi, f(lo), f(hi), xtol)
+    except NoConvergence:
+        root = "NoConvergence"
+    return root, len(calls)
+
+
+def _scipy(f, lo, hi, xtol, **kwargs):
+    """(root or "NoConvergence", f calls) of scipy.optimize.brentq, less
+    the two at the ends."""
+    try:
+        root, info = scipy.optimize.brentq(f, lo, hi, xtol=xtol,
+                                           full_output=True, **kwargs)
+    except RuntimeError:        # "Failed to converge after n iterations"
+        return "NoConvergence", None
+    return root, info.function_calls - 2
+
+
+class TestBrentq:
+    """sweep._brentq against scipy.optimize.brentq, whose brentq.c it
+    ports line by line."""
+
+    def test_bits_equal_scipy(self):
+        cases = _brent_cases(20261020, 3000)
+        failed = 0
+        for f, lo, hi, xtol in cases:
+            want, want_calls = _scipy(f, lo, hi, xtol)
+            got, calls = _port(f, lo, hi, xtol)
+            if want == "NoConvergence":
+                failed += 1
+                assert got == want
+            else:
+                assert got.hex() == want.hex(), (lo, hi, xtol)
+                assert calls == want_calls
+        # the flat odd powers at small xtol run out of iterations
+        assert 0 < failed < len(cases) // 10
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_root_at_bracket_end(self, zero):
+        for f, lo, hi, xtol in _brent_cases(7, 50):
+            def never(x):
+                raise AssertionError("f called")
+            assert sweep._brentq(never, lo, hi, zero, f(hi), xtol) == lo
+            assert sweep._brentq(never, lo, hi, f(lo), zero, xtol) == hi
+        # scipy's brentq returns an end where f is 0 without a step
+        assert scipy.optimize.brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+        assert scipy.optimize.brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    @pytest.mark.parametrize("maxiter", [1, 3, 8])
+    def test_iterations_exhausted(self, monkeypatch, maxiter):
+        # scipy fails at the same count, and the port calls f once a step
+        monkeypatch.setattr(sweep, "BRENT_MAXITER", maxiter)
+        exhausted = 0
+        for f, lo, hi, xtol in _brent_cases(11, 200):
+            want, _ = _scipy(f, lo, hi, xtol, maxiter=maxiter)
+            got, calls = _port(f, lo, hi, xtol)
+            assert (got == "NoConvergence") == (want == "NoConvergence")
+            if got == "NoConvergence":
+                exhausted += 1
+                assert calls == maxiter
+        assert exhausted > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_is_no_convergence(self, bad):
+        with pytest.raises(NoConvergence):
+            sweep._brentq(lambda x: bad, 0.0, 1.0, -1.0, 1.0)
+        with pytest.raises(NoConvergence):
+            sweep._brentq(lambda x: x - 0.3, 0.0, 1.0, bad, 0.7)
+        # NaN after a few finite steps
+        calls = []
+
+        def late(x):
+            calls.append(x)
+            return bad if len(calls) == 3 else x ** 3 - 0.3
+        with pytest.raises(NoConvergence):
+            sweep._brentq(late, 0.0, 1.0, -0.3, 0.7, 1e-12)
+        assert len(calls) == 3
+
+    def test_ends_of_one_sign_are_no_bracket(self):
+        with pytest.raises(NoBracket):
+            sweep._brentq(lambda x: x, 1.0, 2.0, 1.0, 2.0)
+        with pytest.raises(NoBracket):
+            sweep._brentq(lambda x: x, -2.0, -1.0, -2.0, -1.0)
 
 
 class TestPinningCrossing:
