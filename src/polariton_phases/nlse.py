@@ -7,6 +7,11 @@ Working equation (lattice units: xi = pi n_ph z, tau = E_R t / hbar):
 with s = V1/E_R, g = 4|gamma|/pi^2 when |psi|^2 is normalized to unit spatial
 mean, and kappa the loss rate in recoil units.  Periodic box of n_periods
 lattice periods, i.e. xi in [0, pi n_periods).
+
+A field that repeats on every period stays periodic under the equation,
+and the ground state (the nondegenerate q = 0 Bloch state for g >= 0) is
+one.  ground_state and evolve solve such a field on one period of the
+box's grid spacing and tile it to the box: the lattice-periodic sector.
 """
 
 from __future__ import annotations
@@ -110,15 +115,32 @@ class Observables:
 
 def grid(params: NlseParams) -> np.ndarray:
     """Spatial grid xi over the periodic box [0, pi n_periods)."""
-    n = params.grid_points
-    return np.arange(n) * (math.pi * params.n_periods / n)
+    return _grid(params, params.n_periods)
 
 
-def _box(params: NlseParams) -> tuple[np.ndarray, np.ndarray]:
-    """k^2 of the FFT modes and cos^2(xi) on the grid of the periodic box."""
+def _grid(params: NlseParams, periods: int) -> np.ndarray:
+    """xi on the first `periods` lattice periods of the box's grid."""
     n = params.grid_points
-    k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * params.n_periods / n)
-    return k**2, np.cos(grid(params)) ** 2
+    return np.arange(n // params.n_periods * periods) \
+        * (math.pi * params.n_periods / n)
+
+
+def _box(params: NlseParams, periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """k^2 of the FFT modes and cos^2(xi) on the first `periods` lattice
+    periods of the box's grid, periodic on them."""
+    n = params.grid_points
+    xi = _grid(params, periods)
+    k = 2 * math.pi * np.fft.fftfreq(xi.size,
+                                     d=math.pi * params.n_periods / n)
+    return k**2, np.cos(xi) ** 2
+
+
+def _cell_periods(params: NlseParams) -> int:
+    """Lattice periods a periodic field is solved on: one, unless a period
+    holds a single grid point, whose real FFT numpy refuses; that grid
+    stays on the whole box."""
+    return 1 if params.grid_points >= 2 * params.n_periods \
+        else params.n_periods
 
 
 @cache
@@ -178,7 +200,8 @@ def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
     s, g, _ = params.coefficients(tau)
     fft, *_ = _fft_kernels()
     spectrum = fft(psi, 1.0, out=np.empty(np.shape(psi), dtype=complex))
-    return _energy(spectrum, np.abs(psi) ** 2, *_box(params), s, g)
+    return _energy(spectrum, np.abs(psi) ** 2,
+                   *_box(params, params.n_periods), s, g)
 
 
 def _contrast(dens: np.ndarray, n_periods: int) -> float:
@@ -210,17 +233,23 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     its two FFTs write, |psi|^2, the real phase -dt (s cos^2 + g |psi|^2)
     and the rotation cos + i sin of that phase, times the loss factor only
     when kappa != 0 (the bits of the complex exp times that factor).  A
-    record transforms into a fresh psi, which the returned state holds,
-    and forms |psi|^2 once for its norm, energy and contrast.
+    record transforms into a fresh psi and forms |psi|^2 once for its
+    norm, energy and contrast.
+
+    A start that repeats bit for bit on every lattice period stays
+    periodic, so the steps and records run on one period of m = n /
+    n_periods points (see _cell_periods), and the returned psi is that
+    period tiled to the box.  Any other start runs on the whole box.
 
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
-    never grows and max|psi|^2 <= n norm(psi_0) on n grid points.  A step's
-    phase is then at most dt (k_max^2 + max s + max g n norm(psi_0)), over
-    the static coefficients and the schedule's; once that bound reaches
-    1/eps radians, where rounding alone exceeds a radian, DomainError is
-    raised after the start is recorded.  Otherwise the only guard is
-    NonFinite: it reads the |psi|^2 of every nonlinear stage and the norm
-    and energy of every record, the start's included.
+    never grows and max|psi|^2 <= n norm(psi_0) on the n points of the
+    box.  A step's phase is then at most dt (k_max^2 + max s + max g n
+    norm(psi_0)), over the static coefficients and the schedule's, with
+    the box's n also on one period; once that bound reaches 1/eps
+    radians, where rounding alone exceeds a radian, DomainError is raised
+    after the start is recorded.  Otherwise the only guard is NonFinite:
+    it reads the |psi|^2 of every nonlinear stage and the norm and energy
+    of every record, the start's included.
     """
     if dt <= 0:
         raise DomainError(f"dt must be positive, got {dt}")
@@ -229,10 +258,17 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
                           f"{steps} and {record_every}")
     if norm_of(state.psi) <= 0:
         raise DomainError("initial state has zero norm")
-    psi = np.asarray(state.psi, dtype=complex).copy()
+    psi = np.asarray(state.psi, dtype=complex)
+    periods = _cell_periods(params)
+    cells = psi.reshape(params.n_periods // periods, -1)
+    if (cells == cells[0]).all():
+        psi = cells[0]
+    else:
+        periods = params.n_periods
+    psi = psi.copy()
     fft, ifft, _, _ = _fft_kernels()
     n = psi.size
-    k2, cos2 = _box(params)
+    k2, cos2 = _box(params, periods)
     dens, phase = np.empty(n), np.empty(n)
     rot, field = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     taus, norms, energies, contrasts = [], [], [], []
@@ -247,7 +283,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         taus.append(tau)
         norms.append(norm)
         energies.append(energy)
-        contrasts.append(_contrast(density, params.n_periods))
+        contrasts.append(_contrast(density, periods))
 
     tau = state.time
     if not params.schedule:
@@ -261,10 +297,13 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         full_kin = half_kin * half_kin
         record(0)
         # |phase| of a step <= dt (k^2 + s + g max|psi|^2), and max|psi|^2
-        # <= n norm: from 1/eps radians on, rounding alone is a radian
+        # <= n norm on the box's n points: from 1/eps radians on, rounding
+        # alone is a radian.  A period of two or more points has the box's
+        # k_max, the Nyquist mode of their common spacing.
         s_max = max([params.v1_over_er, *(p[1] for p in params.schedule)])
         g_max = max([params.g_int, *(p[2] for p in params.schedule)])
-        bound = dt * (float(k2.max()) + s_max + g_max * n * norms[0])
+        bound = dt * (float(k2.max()) + s_max
+                      + g_max * params.grid_points * norms[0])
         if not bound < 1 / np.finfo(float).eps:
             raise DomainError(f"a step's phase may reach {bound:.3g} rad "
                               "(dt, s or g too large): its rounding alone "
@@ -301,7 +340,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
 
     obs = Observables(np.array(taus), np.array(norms),
                       np.array(energies), np.array(contrasts))
-    return FieldState(psi, tau), obs
+    return FieldState(np.tile(psi, params.n_periods // periods), tau), obs
 
 
 def ground_state(params: NlseParams) -> GroundState:
@@ -315,6 +354,10 @@ def ground_state(params: NlseParams) -> GroundState:
     P r along P psi projected out, and renormalizes: three FFTs.  A density
     ripple on the uniform state has residual (k^2 + 2g) times its
     amplitude, so P brings every mode's step close to one even at large g.
+    The seed and every iterate repeat on each lattice period, so the
+    descent runs on one period of the box's grid (see _cell_periods) and
+    the state is tiled to the box: means, residual and stop are those of
+    the box.
 
     Stops when |r| / |psi| <= GROUND_TOL max(|mu|, 1) + eps (k_max^2 + s +
     g max psi^2); the second term is the float64 rounding of H psi on this
@@ -324,9 +367,10 @@ def ground_state(params: NlseParams) -> GroundState:
     """
     if params.kappa_dimless != 0 or any(p[3] != 0 for p in params.schedule):
         raise DomainError("ground_state requires kappa = 0")
-    n = params.grid_points
+    periods = _cell_periods(params)
+    n = params.grid_points // params.n_periods * periods
     _, _, rfft, irfft = _fft_kernels()
-    k2, cos2 = _box(params)
+    k2, cos2 = _box(params, periods)
     k2 = k2[:n // 2 + 1]                 # the modes rfft keeps
     s, g, _ = params.coefficients(0.0)
     potential = s * cos2
@@ -338,7 +382,7 @@ def ground_state(params: NlseParams) -> GroundState:
     eps = np.finfo(float).eps
 
     # small symmetry-breaking seed so the lattice minima are found quickly
-    psi = 1 + 0.05 * np.sin(grid(params)) ** 2
+    psi = 1 + 0.05 * np.sin(_grid(params, periods)) ** 2
     psi /= math.sqrt(norm_of(psi))
     spectrum = rfft(psi, 1.0, out=np.empty(n // 2 + 1, dtype=complex))
     # an overflow leaves a non-finite residual, which raises NonFinite
@@ -355,8 +399,8 @@ def ground_state(params: NlseParams) -> GroundState:
                                 f"{iterations} iterations")
             if residual <= GROUND_TOL * max(abs(mu), 1.0) \
                     + eps * (k2[-1] + s + g * dens.max()):
-                return GroundState(psi.astype(complex), 0.0, iterations,
-                                   residual)
+                psi = np.tile(psi.astype(complex), params.n_periods // periods)
+                return GroundState(psi, 0.0, iterations, residual)
             if iterations == GROUND_MAX_STEPS:
                 raise NoConvergence(f"residual {residual:.3g} after "
                                     f"{GROUND_MAX_STEPS} iterations")

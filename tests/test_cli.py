@@ -393,6 +393,12 @@ class TestSubcommands:
         # alone exceeds a radian: both ran to exit 0 on noise
         ("nlse", {"dt": 1e300}, 2),
         ("nlse", {"schedule": [[0, 1, 0.1, 0], [1, 1e300, 0.1, 0]]}, 2),
+        # a ground state on 8 periods runs on one period of 8 points, and
+        # the bound keeps the box's 64: 3.8e15 rad runs, 5.1e15 is refused
+        # (5.1e15 / 8 with the period's n)
+        *[("nlse", {"v1_over_er": 2.0, "g_int": g, "grid_points": 64,
+                    "n_periods": 8}, code)
+          for g, code in ((6e16, 0), (8e16, 2))],
     ])
     def test_solver_input_exit_code(self, tmp_path, caplog, sub, section,
                                     code):
@@ -412,6 +418,19 @@ class TestSubcommands:
         levels = [r.levelname for r in caplog.records]
         errors = ["ERROR"] if code else []
         assert levels == ["INFO"] * (len(levels) - len(errors)) + errors
+
+    @pytest.mark.parametrize("grid_points", [16, 64])
+    def test_nlse_every_period_count_exits_0(self, tmp_path, grid_points):
+        # one period to one grid point a period; a one-point period, which
+        # no real FFT takes, runs on the whole box
+        for e in range(grid_points.bit_length()):
+            run_dir = tmp_path / str(e)
+            run_dir.mkdir()
+            code, out = run(run_dir, "nlse", {"nlse": {
+                "grid_points": grid_points, "n_periods": 2**e, "steps": 20}})
+            assert code == 0
+            psi = np.frombuffer((out / "nlse_state.bin").read_bytes(), "<c16")
+            assert psi.size == grid_points and np.isfinite(psi).all()
 
     def test_integer_range_end_spans_its_float(self, tmp_path):
         # a range end past int64 gives the nodes of the same float end

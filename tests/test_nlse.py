@@ -162,11 +162,62 @@ def _evolve_reference(state, params, dt, steps, record_every):
     return FieldState(psi, tau), obs
 
 
+def _textbook_strang(psi, params, dt, steps):
+    """Oracle: the Strang step as usually written, with four FFTs on the
+    whole box: each half kinetic step transforms psi forward and back.
+    Returns the final psi of steps steps from tau = 0."""
+    n = params.grid_points
+    k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * params.n_periods / n)
+    half_kin = np.exp(-1j * k**2 * dt / 2)
+    cos2 = np.cos(grid(params)) ** 2
+    psi = psi.copy()
+    for step in range(steps):
+        s, g, kappa = params.coefficients((step + 0.5) * dt)
+        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+        psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt
+                      - kappa * dt / 2)
+        psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+    return psi
+
+
+def _fft_sizes(monkeypatch):
+    """Lists the length of every transform nlse's fft, ifft, rfft and
+    irfft kernels make, in call order: the size of the real-space side."""
+    sizes = []
+
+    def sizing(kernel):
+        def wrapper(a, scale, out):
+            sizes.append(max(a.size, out.size))
+            return kernel(a, scale, out=out)
+        return wrapper
+    counted = tuple(map(sizing, nlse._fft_kernels()))
+    monkeypatch.setattr(nlse, "_fft_kernels", lambda: counted)
+    return sizes
+
+
+def _periodic(psi, params):
+    """Whether psi repeats bit for bit on every lattice period."""
+    cells = psi.reshape(params.n_periods, -1)
+    return bool((cells == cells[0]).all())
+
+
+def _cli_default(**changes):
+    """NlseParams at the CLI default's coupling, derived from the optics."""
+    optics_cfg = default_config().optics
+    return NlseParams(
+        v1_over_er=optics.lattice_depth_ratio(optics_cfg),
+        g_int=interaction_strength(
+            optics.lieb_liniger_gamma(optics_cfg).magnitude), **changes)
+
+
 _STATIC = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8, grid_points=64)
 _LOSSY = with_(_STATIC, kappa_dimless=0.1)
 _SCHEDULED = NlseParams(n_periods=8, grid_points=64,
                         schedule=((0.0, 1.0, 0.2, 0.0),
                                   (0.1, 6.0, 0.9, 0.4)))
+# the lossy ramp CI runs on the CLI
+_CI_RAMP = dict(kappa_dimless=0.05,
+                schedule=((0.0, 1.0, 0.2, 0.0), (2.0, 6.0, 0.9, 0.4)))
 _SLOW_RAMP = with_(_SCHEDULED, schedule=((0.0, 1.0, 0.2, 0.0),
                                         (5.0, 6.0, 0.9, 0.4)))
 
@@ -205,14 +256,7 @@ class TestFftKernels:
                              ids=["cli-default", "lossy-schedule"])
     def test_fallback_gives_the_same_bits(self, monkeypatch, ramp):
         # the CLI default's coupling, and the lossy ramp CI runs
-        optics_cfg = default_config().optics
-        p = NlseParams(
-            v1_over_er=optics.lattice_depth_ratio(optics_cfg),
-            g_int=interaction_strength(
-                optics.lieb_liniger_gamma(optics_cfg).magnitude))
-        if ramp:
-            p = with_(p, kappa_dimless=0.05,
-                      schedule=((0.0, 1.0, 0.2, 0.0), (2.0, 6.0, 0.9, 0.4)))
+        p = _cli_default(**_CI_RAMP) if ramp else _cli_default()
 
         def run():
             gs = ground_state(with_(p, kappa_dimless=0.0, schedule=()))
@@ -404,7 +448,8 @@ class TestEvolve:
             evolve(FieldState(psi), p, dt=1e-3, steps=0)
 
     def test_non_finite_energy_detected(self):
-        # the field is finite, but the mean of s cos^2 |psi|^2 overflows
+        # the field is finite, but the mean of s cos^2 |psi|^2 overflows;
+        # the start repeats on every period, so this is read on one
         p = NlseParams(v1_over_er=1e308, n_periods=8, grid_points=64)
         with pytest.raises(NonFinite, match="at step 0"):
             evolve(FieldState(np.ones(64, dtype=complex)), p, dt=1e-3,
@@ -466,16 +511,20 @@ class TestEvolve:
 
     @pytest.mark.parametrize("steps", [0, 1, 20])
     def test_returns_fresh_unaliased_field(self, steps):
-        state = _gaussian(_LOSSY, 2.0)
-        before = state.psi.copy()
-        first, _ = evolve(state, _LOSSY, dt=1e-3, steps=steps, record_every=7)
-        second, _ = evolve(state, _LOSSY, dt=1e-3, steps=steps,
-                           record_every=7)
-        assert np.array_equal(state.psi, before)
-        assert np.array_equal(first.psi, second.psi)
-        for psi in (first.psi, second.psi):
-            assert not np.shares_memory(psi, state.psi)
-        assert not np.shares_memory(first.psi, second.psi)
+        # a Gaussian runs on the box; the ground state, which repeats on
+        # every period, on one period, and its psi is tiled to the box
+        for state in (_gaussian(_LOSSY, 2.0), ground_state(_STATIC)):
+            before = state.psi.copy()
+            first, _ = evolve(state, _LOSSY, dt=1e-3, steps=steps,
+                              record_every=7)
+            second, _ = evolve(state, _LOSSY, dt=1e-3, steps=steps,
+                               record_every=7)
+            assert np.array_equal(state.psi, before)
+            assert np.array_equal(first.psi, second.psi)
+            assert first.psi.shape == state.psi.shape
+            for psi in (first.psi, second.psi):
+                assert not np.shares_memory(psi, state.psi)
+            assert not np.shares_memory(first.psi, second.psi)
 
     def test_final_field_independent_of_record_every(self):
         # merged kinetic factors between records, split ones at a record
@@ -491,8 +540,6 @@ class TestEvolve:
             assert np.abs(final.psi - finals[0].psi).max() <= 1e-12
 
     def test_matches_textbook_strang_step(self):
-        # the step as usually written, with four FFTs: each half kinetic
-        # step transforms psi forward and back
         kw = dict(n_periods=8, grid_points=128)
         for p in (NlseParams(schedule=((0.0, 1.0, 0.2, 0.0),
                                        (0.3, 6.0, 0.9, 0.4)), **kw),
@@ -500,17 +547,7 @@ class TestEvolve:
                              **kw)):
             state = _gaussian(p, 2.0)
             dt, steps = 1e-3, 400
-            n = p.grid_points
-            k = 2 * math.pi * np.fft.fftfreq(n, d=math.pi * p.n_periods / n)
-            half_kin = np.exp(-1j * k**2 * dt / 2)
-            cos2 = np.cos(grid(p)) ** 2
-            psi = state.psi.copy()
-            for step in range(steps):
-                s, g, kappa = p.coefficients((step + 0.5) * dt)
-                psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-                psi *= np.exp(-1j * (s * cos2 + g * np.abs(psi) ** 2) * dt
-                              - kappa * dt / 2)
-                psi = np.fft.ifft(half_kin * np.fft.fft(psi))
+            psi = _textbook_strang(state.psi, p, dt, steps)
             final, _ = evolve(state, p, dt=dt, steps=steps, record_every=50)
             assert final.time == pytest.approx(steps * dt, rel=1e-12)
             assert np.abs(final.psi - psi).max() <= 1e-12
@@ -638,6 +675,126 @@ class TestGroundState:
         with pytest.raises(DomainError):
             ground_state(NlseParams(kappa_dimless=0.1, n_periods=8,
                                     grid_points=64))
+
+
+class TestPeriodicSector:
+    @pytest.mark.parametrize("params, steps, record_every", [
+        (_STATIC, 150, 7),
+        (with_(_STATIC, kappa_dimless=0.05), 150, 7),
+        (_cli_default(**_CI_RAMP), 3000, 7),
+        # the benchmark's evolve, at the middle of its drawn depths
+        (NlseParams(v1_over_er=2.3, g_int=0.2, grid_points=1024), 4000, 10),
+    ], ids=["static", "lossy", "ci-ramp", "bench-1024x4000"])
+    def test_matches_box_oracles(self, params, steps, record_every):
+        # the ground state repeats on every period, so evolve runs it on
+        # one; both oracles step the whole box
+        gs = ground_state(with_(params, kappa_dimless=0.0, schedule=()))
+        assert _periodic(gs.psi, params)
+        dt = 1e-3
+        got_psi, got = evolve(gs, params, dt=dt, steps=steps,
+                              record_every=record_every)
+        want_psi, want = _evolve_reference(gs, params, dt, steps,
+                                           record_every)
+        assert _periodic(got_psi.psi, params)
+        assert got_psi.time == want_psi.time
+        np.testing.assert_allclose(got_psi.psi, want_psi.psi, rtol=0,
+                                   atol=1e-12)
+        for field in ("tau", "norm", "energy", "contrast"):
+            np.testing.assert_allclose(getattr(got, field),
+                                       getattr(want, field),
+                                       rtol=0, atol=1e-12)
+        textbook = _textbook_strang(gs.psi, params, dt, steps)
+        assert np.abs(got_psi.psi - textbook).max() <= 1e-12
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_periodic_start_transforms_one_period(self, monkeypatch,
+                                                  record_every):
+        # a periodic start: every FFT of ground_state and evolve has m = n /
+        # n_periods points; a Gaussian's FFTs still have n.  Both make
+        # 1 + 2 steps + records
+        p = with_(_STATIC, kappa_dimless=0.05)
+        m = p.grid_points // p.n_periods
+        records = -(-20 // record_every)
+        gs = ground_state(_STATIC)
+        sizes = _fft_sizes(monkeypatch)
+        ground_state(_STATIC)
+        assert len(sizes) == 3 * gs.iterations + 2
+        assert set(sizes) == {m}
+        for state, points in ((gs, m), (_gaussian(p, 2.0), p.grid_points)):
+            sizes.clear()
+            evolve(state, p, dt=1e-3, steps=20, record_every=record_every)
+            assert len(sizes) == 1 + 2 * 20 + records
+            assert set(sizes) == {points}
+
+    def test_start_off_by_one_bit_runs_on_the_box(self, monkeypatch):
+        # one period differs in one bit of one point: the whole box runs
+        gs = ground_state(_STATIC)
+        psi = gs.psi.copy()
+        psi[-1] = np.nextafter(psi[-1].real, 2.0)
+        sizes = _fft_sizes(monkeypatch)
+        final, _ = evolve(FieldState(psi), _STATIC, dt=1e-3, steps=5)
+        assert set(sizes) == {_STATIC.grid_points}
+        assert not _periodic(final.psi, _STATIC)
+
+    @pytest.mark.parametrize("grid_points, n_periods", [
+        (16, 16), (16, 8), (64, 16), (64, 8)],
+        ids=["cell1", "cell2", "cell4", "cell8"])
+    def test_small_cells_on_both_seams(self, monkeypatch, grid_points,
+                                       n_periods):
+        # numpy's real FFTs take no single point (pocketfft raises
+        # RuntimeError, np.fft.irfft ValueError): a one-point period stays
+        # on the box, in ground_state and in evolve
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=n_periods,
+                       grid_points=grid_points)
+        lossy = with_(p, kappa_dimless=0.05)
+        m = grid_points // n_periods
+        points = grid_points if m == 1 else m
+
+        def run():
+            gs = ground_state(p)
+            start = FieldState(np.ones(grid_points, dtype=complex))
+            return gs, [evolve(state, lossy, dt=1e-3, steps=50,
+                               record_every=7)
+                        for state in (gs, start)]
+
+        sizes = _fft_sizes(monkeypatch)
+        direct = run()
+        assert set(sizes) == {points}
+        monkeypatch.setattr(nlse, "_fft_kernels", nlse._np_fft_kernels)
+        fallback = run()
+        gs, runs = direct
+        assert np.array_equal(fallback[0].psi, gs.psi)
+        assert fallback[0].iterations == gs.iterations
+        check_ground_residual(gs, p)
+        for state, (final, obs), (final_fb, obs_fb) in zip(
+                (gs, FieldState(np.ones(grid_points, dtype=complex))), runs,
+                fallback[1]):
+            assert np.array_equal(final_fb.psi, final.psi)
+            want_psi, want = _evolve_reference(state, lossy, 1e-3, 50, 7)
+            np.testing.assert_allclose(final.psi, want_psi.psi, rtol=0,
+                                       atol=1e-12)
+            for field in ("tau", "norm", "energy", "contrast"):
+                assert np.array_equal(getattr(obs_fb, field),
+                                      getattr(obs, field))
+                np.testing.assert_allclose(getattr(obs, field),
+                                           getattr(want, field),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("grid_points", [16, 32, 64, 128, 256])
+    def test_every_commensurate_grid_runs(self, grid_points):
+        # every n_periods NlseParams accepts with this grid, cells of one
+        # point to the whole box
+        for e in range(grid_points.bit_length()):
+            p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=2**e,
+                           grid_points=grid_points)
+            gs = ground_state(p)
+            check_ground_residual(gs, p)
+            final, obs = evolve(gs, p, dt=1e-3, steps=20, record_every=7)
+            want_psi, want = _evolve_reference(gs, p, 1e-3, 20, 7)
+            np.testing.assert_allclose(final.psi, want_psi.psi, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(obs.energy, want.energy, rtol=0,
+                                       atol=1e-12)
 
 
 class TestReleaseProfile:
