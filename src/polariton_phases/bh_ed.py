@@ -281,7 +281,7 @@ def build_hamiltonian(basis: FockBasis, j: float, u: float):
     scan over (J, U) on one basis enumerates the hops once.  J, U >= 0 and
     every entry finite, or DomainError.
     """
-    if j < 0 or u < 0:
+    if not (j >= 0 and u >= 0):
         raise DomainError("j and u must be non-negative")
     tables = basis.tables
     with np.errstate(over="ignore", invalid="ignore"):

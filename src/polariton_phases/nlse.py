@@ -135,14 +135,6 @@ def _box(params: NlseParams, periods: int) -> tuple[np.ndarray, np.ndarray]:
     return k**2, np.cos(xi) ** 2
 
 
-def _cell_periods(params: NlseParams) -> int:
-    """Lattice periods a periodic field is solved on: one, unless a period
-    holds a single grid point, whose real FFT numpy refuses; that grid
-    stays on the whole box."""
-    return 1 if params.grid_points >= 2 * params.n_periods \
-        else params.n_periods
-
-
 @cache
 def _fft_kernels() -> tuple:
     """The FFTs of this module, (fft, ifft, rfft, irfft): numpy's pocketfft
@@ -154,27 +146,31 @@ def _fft_kernels() -> tuple:
 
     They are the kernels np.fft's wrappers call with the same scale, so the
     bits are np.fft's, without the ~10 us of Python each np.fft call spends
-    before them.  rfft_n_even serves every grid, whose n is a power of two.
-    The private module they live in exists from numpy 2.0; where it or a
-    kernel is missing, np.fft behind the same call is used.  Resolved on
-    first use: importing numpy.fft costs ~2 ms, which the subcommands that
-    take no FFT need not pay.
+    before them.  rfft picks its kernel by parity as np.fft does:
+    rfft_n_even for an even n, rfft_n_odd for the one point of a period of
+    a single grid point.  The private module they live in exists from
+    numpy 2.0; where it or a kernel is missing, np.fft behind the same call
+    is used.  Resolved on first use: importing numpy.fft costs ~2 ms, which
+    the subcommands that take no FFT need not pay.
     """
     try:
         from numpy.fft import _pocketfft_umath as pfu
-        return pfu.fft, pfu.ifft, pfu.rfft_n_even, pfu.irfft
+        even, odd = pfu.rfft_n_even, pfu.rfft_n_odd
     except (ImportError, AttributeError):
         return _np_fft_kernels()
+
+    def rfft(a, scale, out):
+        return (odd if a.size % 2 else even)(a, scale, out=out)
+    return pfu.fft, pfu.ifft, rfft, pfu.irfft
 
 
 def _np_fft_kernels() -> tuple:
     """np.fft.fft, ifft, rfft and irfft behind the kernels' call (numpy <
-    2.0, whose np.fft takes no out=): each writes np.fft's result into out,
-    scaled by np.fft itself.  irfft's default length 2 (m - 1) is the even
-    n of every grid."""
+    2.0, whose np.fft takes no out=): each writes np.fft's result on n
+    points, the longer of a and out, into out, scaled by np.fft itself."""
     def into(transform):
         def kernel(a, scale, out):
-            out[...] = transform(a)
+            out[...] = transform(a, max(a.size, out.size))
             return out
         return kernel
     return tuple(map(into, (np.fft.fft, np.fft.ifft, np.fft.rfft,
@@ -233,48 +229,47 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     its two FFTs write, |psi|^2, the real phase -dt (s cos^2 + g |psi|^2)
     and the rotation cos + i sin of that phase, times the loss factor only
     when kappa != 0 (the bits of the complex exp times that factor).  A
-    record transforms into a fresh psi and forms |psi|^2 once for its
+    record transforms into the field buffer and forms |psi|^2 once for its
     norm, energy and contrast.
 
     A start that repeats bit for bit on every lattice period stays
     periodic, so the steps and records run on one period of m = n /
-    n_periods points (see _cell_periods), and the returned psi is that
-    period tiled to the box.  Any other start runs on the whole box.
+    n_periods points, m = 1 included, and the returned psi is that period
+    tiled to the box.  Any other start runs on the whole box.
 
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi|^2 <= n norm(psi_0) on the n points of the
     box.  A step's phase is then at most dt (k_max^2 + max s + max g n
     norm(psi_0)), over the static coefficients and the schedule's, with
-    the box's n also on one period; once that bound reaches 1/eps
-    radians, where rounding alone exceeds a radian, DomainError is raised
-    after the start is recorded.  Otherwise the only guard is NonFinite:
-    it reads the |psi|^2 of every nonlinear stage and the norm and energy
-    of every record, the start's included.
+    the box's k_max = m and n also on one period; once that bound reaches
+    1/eps radians, where rounding alone exceeds a radian, DomainError is
+    raised after the start is recorded.  Otherwise the only guard is
+    NonFinite: it reads the |psi|^2 of every nonlinear stage and the norm
+    and energy of every record, the start's included.
     """
-    if dt <= 0:
+    psi = np.asarray(state.psi, dtype=complex)
+    if psi.shape != (params.grid_points,):
+        raise DomainError(f"state.psi has shape {psi.shape}, not the "
+                          f"box's ({params.grid_points},)")
+    if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
     if steps < 0 or record_every < 1:
         raise DomainError(f"need steps >= 0 and record_every >= 1, got "
                           f"{steps} and {record_every}")
-    if norm_of(state.psi) <= 0:
+    if norm_of(psi) <= 0:
         raise DomainError("initial state has zero norm")
-    psi = np.asarray(state.psi, dtype=complex)
-    periods = _cell_periods(params)
-    cells = psi.reshape(params.n_periods // periods, -1)
-    if (cells == cells[0]).all():
-        psi = cells[0]
-    else:
-        periods = params.n_periods
-    psi = psi.copy()
+    cells = psi.reshape(params.n_periods, -1)
+    periods = 1 if (cells == cells[0]).all() else params.n_periods
+    field = (cells[0] if periods == 1 else psi).copy()
     fft, ifft, _, _ = _fft_kernels()
-    n = psi.size
+    n = field.size
     k2, cos2 = _box(params, periods)
     dens, phase = np.empty(n), np.empty(n)
-    rot, field = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    rot = np.empty(n, dtype=complex)
     taus, norms, energies, contrasts = [], [], [], []
 
     def record(step):
-        density = np.abs(psi) ** 2
+        density = np.abs(field) ** 2
         norm = float(np.mean(density))
         s, g, _ = params.coefficients(tau)
         energy = _energy(spectrum, density, k2, cos2, s, g)
@@ -292,17 +287,17 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     # an overflow (a huge dt, s or g) leaves a non-finite field or energy,
     # which the guard reads at the next step or record
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = fft(psi, 1.0, out=np.empty_like(psi))
+        spectrum = fft(field, 1.0, out=np.empty_like(field))
         half_kin = np.exp(-1j * k2 * dt / 2)
         full_kin = half_kin * half_kin
         record(0)
         # |phase| of a step <= dt (k^2 + s + g max|psi|^2), and max|psi|^2
         # <= n norm on the box's n points: from 1/eps radians on, rounding
-        # alone is a radian.  A period of two or more points has the box's
-        # k_max, the Nyquist mode of their common spacing.
+        # alone is a radian.  k_max = n / n_periods is the box's Nyquist
+        # mode, bit for bit its k2.max()
         s_max = max([params.v1_over_er, *(p[1] for p in params.schedule)])
         g_max = max([params.g_int, *(p[2] for p in params.schedule)])
-        bound = dt * (float(k2.max()) + s_max
+        bound = dt * ((params.grid_points / params.n_periods) ** 2 + s_max
                       + g_max * params.grid_points * norms[0])
         if not bound < 1 / np.finfo(float).eps:
             raise DomainError(f"a step's phase may reach {bound:.3g} rad "
@@ -334,13 +329,13 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
                 kin = full_kin
                 continue
             spectrum *= half_kin
-            psi = ifft(spectrum, 1 / n, out=np.empty_like(spectrum))
+            ifft(spectrum, 1 / n, out=field)
             record(step)
             kin = half_kin
 
     obs = Observables(np.array(taus), np.array(norms),
                       np.array(energies), np.array(contrasts))
-    return FieldState(np.tile(psi, params.n_periods // periods), tau), obs
+    return FieldState(np.tile(field, params.n_periods // periods), tau), obs
 
 
 def ground_state(params: NlseParams) -> GroundState:
@@ -355,22 +350,23 @@ def ground_state(params: NlseParams) -> GroundState:
     ripple on the uniform state has residual (k^2 + 2g) times its
     amplitude, so P brings every mode's step close to one even at large g.
     The seed and every iterate repeat on each lattice period, so the
-    descent runs on one period of the box's grid (see _cell_periods) and
-    the state is tiled to the box: means, residual and stop are those of
-    the box.
+    descent runs on one period of the box's grid, m = n / n_periods points,
+    and the state is tiled to the box: means, residual and stop are those
+    of the box.
 
     Stops when |r| / |psi| <= GROUND_TOL max(|mu|, 1) + eps (k_max^2 + s +
-    g max psi^2); the second term is the float64 rounding of H psi on this
-    grid.  Raises NonFinite as soon as the residual is not finite and
-    NoConvergence after GROUND_MAX_STEPS iterations.  The state is returned
-    complex, with the iterations taken and its residual.
+    g max psi^2), with the box's k_max = m; the second term is the float64
+    rounding of H psi on this grid.  Raises NonFinite as soon as the
+    residual is not finite and NoConvergence after GROUND_MAX_STEPS
+    iterations.  The state is returned complex, with the iterations taken
+    and its residual.
     """
     if params.kappa_dimless != 0 or any(p[3] != 0 for p in params.schedule):
         raise DomainError("ground_state requires kappa = 0")
-    periods = _cell_periods(params)
-    n = params.grid_points // params.n_periods * periods
+    n = params.grid_points // params.n_periods
+    k2_max = (params.grid_points / params.n_periods) ** 2
     _, _, rfft, irfft = _fft_kernels()
-    k2, cos2 = _box(params, periods)
+    k2, cos2 = _box(params, 1)
     k2 = k2[:n // 2 + 1]                 # the modes rfft keeps
     s, g, _ = params.coefficients(0.0)
     potential = s * cos2
@@ -382,7 +378,7 @@ def ground_state(params: NlseParams) -> GroundState:
     eps = np.finfo(float).eps
 
     # small symmetry-breaking seed so the lattice minima are found quickly
-    psi = 1 + 0.05 * np.sin(_grid(params, periods)) ** 2
+    psi = 1 + 0.05 * np.sin(_grid(params, 1)) ** 2
     psi /= math.sqrt(norm_of(psi))
     spectrum = rfft(psi, 1.0, out=np.empty(n // 2 + 1, dtype=complex))
     # an overflow leaves a non-finite residual, which raises NonFinite
@@ -398,8 +394,8 @@ def ground_state(params: NlseParams) -> GroundState:
                 raise NonFinite(f"non-finite residual {residual} after "
                                 f"{iterations} iterations")
             if residual <= GROUND_TOL * max(abs(mu), 1.0) \
-                    + eps * (k2[-1] + s + g * dens.max()):
-                psi = np.tile(psi.astype(complex), params.n_periods // periods)
+                    + eps * (k2_max + s + g * dens.max()):
+                psi = np.tile(psi.astype(complex), params.n_periods)
                 return GroundState(psi, 0.0, iterations, residual)
             if iterations == GROUND_MAX_STEPS:
                 raise NoConvergence(f"residual {residual:.3g} after "
@@ -423,10 +419,10 @@ def release_profile(state: FieldState, params: NlseParams, v_g: float,
     seconds, intensity); integrating intensity over time gives the state norm
     times the physical box length n_periods / n_ph.
     """
-    if v_g <= 0:
-        raise DomainError(f"v_g must be positive, got {v_g}")
-    if n_ph <= 0:
-        raise DomainError(f"n_ph must be positive, got {n_ph}")
+    if not 0 < v_g < math.inf:
+        raise DomainError(f"v_g must be positive and finite, got {v_g}")
+    if not 0 < n_ph < math.inf:
+        raise DomainError(f"n_ph must be positive and finite, got {n_ph}")
     z = grid(params) / (math.pi * n_ph)
     times = z / v_g
     intensity = np.abs(state.psi) ** 2 * v_g

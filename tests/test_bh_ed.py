@@ -307,6 +307,10 @@ class TestHamiltonian:
         basis = FockBasis.build(2, 2, 2)
         with pytest.raises(DomainError):
             build_hamiltonian(basis, -1.0, 0.0)
+        # NaN fails the sign rule itself, not the overflow check after it
+        for j, u in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="non-negative"):
+                build_hamiltonian(basis, j, u)
         with pytest.raises(DomainError):       # U * n(n-1)/2 = 3U overflows
             build_hamiltonian(FockBasis.build(2, 3, 3), 1.0, 1e308)
 

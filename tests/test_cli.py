@@ -399,6 +399,10 @@ class TestSubcommands:
         *[("nlse", {"v1_over_er": 2.0, "g_int": g, "grid_points": 64,
                     "n_periods": 8}, code)
           for g, code in ((6e16, 0), (8e16, 2))],
+        # the same on 16 one-point periods: 3.2e15 rad runs, 4.8e15 is
+        # refused (2e14 and 3e14 with the period's n)
+        *[("nlse", {"v1_over_er": 2.0, "g_int": g, "n_periods": 16}, code)
+          for g, code in ((2e17, 0), (3e17, 2))],
     ])
     def test_solver_input_exit_code(self, tmp_path, caplog, sub, section,
                                     code):
@@ -421,8 +425,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("grid_points", [16, 64])
     def test_nlse_every_period_count_exits_0(self, tmp_path, grid_points):
-        # one period to one grid point a period; a one-point period, which
-        # no real FFT takes, runs on the whole box
+        # one period to one grid point a period, each solved on one period
         for e in range(grid_points.bit_length()):
             run_dir = tmp_path / str(e)
             run_dir.mkdir()

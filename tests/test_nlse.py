@@ -218,6 +218,8 @@ _SCHEDULED = NlseParams(n_periods=8, grid_points=64,
 # the lossy ramp CI runs on the CLI
 _CI_RAMP = dict(kappa_dimless=0.05,
                 schedule=((0.0, 1.0, 0.2, 0.0), (2.0, 6.0, 0.9, 0.4)))
+_ONE_POINT = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=16,
+                        grid_points=16)
 _SLOW_RAMP = with_(_SCHEDULED, schedule=((0.0, 1.0, 0.2, 0.0),
                                         (5.0, 6.0, 0.9, 0.4)))
 
@@ -226,9 +228,10 @@ class TestFftKernels:
     @pytest.mark.parametrize("resolver", ["_fft_kernels", "_np_fft_kernels"],
                              ids=["direct", "fallback"])
     def test_bits_equal_np_fft(self, rng, resolver):
-        # every grid size NlseParams admits up to 4096
+        # every period length up to 4096: 1 to 8 points only as periods,
+        # 16 and up also as grids
         fft, ifft, rfft, irfft = getattr(nlse, resolver)()
-        for n in (2**e for e in range(4, 13)):
+        for n in (2**e for e in range(13)):
             z = rng.normal(size=n) + 1j * rng.normal(size=n)
             x = rng.normal(size=n)
             half = z[:n // 2 + 1]
@@ -242,7 +245,7 @@ class TestFftKernels:
             assert np.array_equal(irfft(half, 1 / n, out=np.empty(n)),
                                   np.fft.irfft(half, n))
 
-    def test_direct_kernels_in_use(self):
+    def test_direct_kernels_in_use(self, monkeypatch):
         # a numpy >= 2.0 that moves or renames the private module fails
         # here rather than silently running the np.fft fallback
         kernels = nlse._fft_kernels()
@@ -250,7 +253,20 @@ class TestFftKernels:
             assert not any(isinstance(k, np.ufunc) for k in kernels)
             return
         from numpy.fft import _pocketfft_umath as pfu
-        assert kernels == (pfu.fft, pfu.ifft, pfu.rfft_n_even, pfu.irfft)
+        fft, ifft, _, irfft = kernels
+        assert (fft, ifft, irfft) == (pfu.fft, pfu.ifft, pfu.irfft)
+        # rfft picks its kernel by parity, as np.fft does
+        calls = []
+        for name in ("rfft_n_even", "rfft_n_odd"):
+            def spy(a, scale, out, kernel=getattr(pfu, name), name=name):
+                calls.append((name, a.size))
+                return kernel(a, scale, out=out)
+            monkeypatch.setattr(pfu, name, spy)
+        _, _, rfft, _ = nlse._fft_kernels.__wrapped__()
+        for n in (1, 2, 4, 16):
+            rfft(np.ones(n), 1.0, out=np.empty(n // 2 + 1, complex))
+        assert calls == [("rfft_n_odd", 1), ("rfft_n_even", 2),
+                         ("rfft_n_even", 4), ("rfft_n_even", 16)]
 
     @pytest.mark.parametrize("ramp", [False, True],
                              ids=["cli-default", "lossy-schedule"])
@@ -458,14 +474,20 @@ class TestEvolve:
     def test_input_validation(self):
         p = NlseParams(n_periods=8, grid_points=64)
         state = FieldState(np.ones(64, dtype=complex))
-        # record_every = 0 divided by zero; steps < 0 ran no step
-        for kw in ({"dt": 0.0}, {"steps": -1}, {"record_every": 0},
-                   {"record_every": -2}):
+        # record_every = 0 divided by zero; steps < 0 ran no step; a NaN
+        # dt ran to the phase bound after recording the start
+        for kw in ({"dt": 0.0}, {"dt": math.nan}, {"steps": -1},
+                   {"record_every": 0}, {"record_every": -2}):
             with pytest.raises(DomainError):
                 evolve(state, p, **{"dt": 1e-3, "steps": 3, **kw})
         with pytest.raises(DomainError):
             evolve(FieldState(np.zeros(64, dtype=complex)), p, dt=1e-3,
                    steps=1)
+        # a start off the box's 64 points ended in numpy's ValueError
+        for shape in (60, 128, 8, (8, 8)):
+            with pytest.raises(DomainError, match="shape"):
+                evolve(FieldState(np.ones(shape, dtype=complex)), p,
+                       dt=1e-3, steps=1)
 
     @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
     def test_two_ffts_per_step(self, monkeypatch, record_every):
@@ -706,18 +728,20 @@ class TestPeriodicSector:
         textbook = _textbook_strang(gs.psi, params, dt, steps)
         assert np.abs(got_psi.psi - textbook).max() <= 1e-12
 
-    @pytest.mark.parametrize("record_every", [1, 7])
-    def test_periodic_start_transforms_one_period(self, monkeypatch,
+    @pytest.mark.parametrize("params, record_every", [
+        (_STATIC, 1), (_STATIC, 7), (_ONE_POINT, 7)],
+        ids=["1", "7", "cell1"])
+    def test_periodic_start_transforms_one_period(self, monkeypatch, params,
                                                   record_every):
         # a periodic start: every FFT of ground_state and evolve has m = n /
-        # n_periods points; a Gaussian's FFTs still have n.  Both make
-        # 1 + 2 steps + records
-        p = with_(_STATIC, kappa_dimless=0.05)
+        # n_periods points, m = 1 included; a Gaussian's FFTs still have n.
+        # Both make 1 + 2 steps + records
+        p = with_(params, kappa_dimless=0.05)
         m = p.grid_points // p.n_periods
         records = -(-20 // record_every)
-        gs = ground_state(_STATIC)
+        gs = ground_state(params)
         sizes = _fft_sizes(monkeypatch)
-        ground_state(_STATIC)
+        ground_state(params)
         assert len(sizes) == 3 * gs.iterations + 2
         assert set(sizes) == {m}
         for state, points in ((gs, m), (_gaussian(p, 2.0), p.grid_points)):
@@ -741,14 +765,13 @@ class TestPeriodicSector:
         ids=["cell1", "cell2", "cell4", "cell8"])
     def test_small_cells_on_both_seams(self, monkeypatch, grid_points,
                                        n_periods):
-        # numpy's real FFTs take no single point (pocketfft raises
-        # RuntimeError, np.fft.irfft ValueError): a one-point period stays
-        # on the box, in ground_state and in evolve
+        # ground_state and evolve transform one period's m points on both
+        # seams, a single point included (rfft_n_odd, np.fft.irfft told
+        # its length): the seams agree bit for bit, and with the box oracle
         p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=n_periods,
                        grid_points=grid_points)
         lossy = with_(p, kappa_dimless=0.05)
         m = grid_points // n_periods
-        points = grid_points if m == 1 else m
 
         def run():
             gs = ground_state(p)
@@ -759,9 +782,11 @@ class TestPeriodicSector:
 
         sizes = _fft_sizes(monkeypatch)
         direct = run()
-        assert set(sizes) == {points}
+        assert set(sizes) == {m}
         monkeypatch.setattr(nlse, "_fft_kernels", nlse._np_fft_kernels)
+        sizes = _fft_sizes(monkeypatch)
         fallback = run()
+        assert set(sizes) == {m}
         gs, runs = direct
         assert np.array_equal(fallback[0].psi, gs.psi)
         assert fallback[0].iterations == gs.iterations
@@ -781,15 +806,26 @@ class TestPeriodicSector:
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("grid_points", [16, 32, 64, 128, 256])
-    def test_every_commensurate_grid_runs(self, grid_points):
-        # every n_periods NlseParams accepts with this grid, cells of one
-        # point to the whole box
+    def test_every_commensurate_grid_runs(self, monkeypatch, grid_points):
+        # every n_periods NlseParams accepts with this grid, periods of one
+        # point to the whole box: ground_state and an evolve of its state
+        # transform one period's m points on both seams, with equal bits
+        resolvers = nlse._fft_kernels, nlse._np_fft_kernels
         for e in range(grid_points.bit_length()):
             p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=2**e,
                            grid_points=grid_points)
-            gs = ground_state(p)
+            runs = []
+            for resolver in resolvers:
+                monkeypatch.setattr(nlse, "_fft_kernels", resolver)
+                sizes = _fft_sizes(monkeypatch)
+                gs = ground_state(p)
+                final, obs = evolve(gs, p, dt=1e-3, steps=20,
+                                    record_every=7)
+                assert set(sizes) == {grid_points >> e}
+                runs.append((gs.psi, final.psi, obs.energy))
+            for want, got in zip(*runs, strict=True):
+                assert np.array_equal(got, want)
             check_ground_residual(gs, p)
-            final, obs = evolve(gs, p, dt=1e-3, steps=20, record_every=7)
             want_psi, want = _evolve_reference(gs, p, 1e-3, 20, 7)
             np.testing.assert_allclose(final.psi, want_psi.psi, rtol=0,
                                        atol=1e-12)
@@ -846,6 +882,12 @@ class TestReleaseProfile:
             release_profile(state, p, v_g=0.0, n_ph=1e3)
         with pytest.raises(DomainError):
             release_profile(state, p, v_g=40.0, n_ph=-1.0)
+        # NaN gave all-NaN times or intensity, inf all-zero times
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="v_g"):
+                release_profile(state, p, v_g=bad, n_ph=1e3)
+            with pytest.raises(DomainError, match="n_ph"):
+                release_profile(state, p, v_g=40.0, n_ph=bad)
 
 
 class TestDimensionlessReduction:
