@@ -60,17 +60,18 @@ def count_states(sites: int, bosons: int, n_max: int) -> int:
 
 @dataclass(frozen=True)
 class HubbardTables:
-    """H = J * hop + U * onsite on one CSR pattern, for any (J, U).
+    """H = J * hop + U * onsite, for any (J, U).
 
     `hop` holds -sqrt(n_src (n_dst + 1)) for every hop along a bond (J = 1;
     in the k = 0 sector weighted by sqrt(R_src / R_dst) and summed over the
-    hops joining two orbits) and `onsite` holds (1/2) sum_i n_i (n_i - 1)
-    on the diagonal slots (U = 1); each is zero in the other's slots.
+    hops joining two orbits) on one CSR pattern; `onsite[r]` holds row r's
+    (1/2) sum_i n_i (n_i - 1) (U = 1), added on its diagonal slot diag[r].
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     hop: np.ndarray
+    diag: np.ndarray
     onsite: np.ndarray
 
 
@@ -191,8 +192,8 @@ class FockBasis:
         enumerated, by `hops`, each with amplitude -sqrt(n_src (n_dst + 1))
         sqrt(R_src / R_dst).  On a ring this is the k = 0 block Q^T H Q of
         H, Q[s, r] = 1 / sqrt(R_r) on orbit r.  Hops to the left are the
-        transpose, with the same amplitudes, so H is symmetric by
-        construction.
+        transpose, so H is symmetric by construction; a zero hop on every
+        diagonal slot makes room for U.
         """
         L, dim = self.sites, self.reps.size
         src = np.arange(L if self.ring else L - 1)
@@ -201,15 +202,14 @@ class FockBasis:
         # transpose is taken, so H[a, b] and H[b, a] are the same sum
         rows, cols, amp = _coalesce(dim, row, col, -amp)
         occ, diag = self.rep_occ, np.arange(dim)
-        rows, cols, hop, onsite = _coalesce(
+        rows, cols, hop = _coalesce(
             dim, np.concatenate((diag, rows, cols)),
             np.concatenate((diag, cols, rows)),
-            np.concatenate((np.zeros(dim), amp, amp)),
-            np.concatenate((0.5 * (occ * (occ - 1)).sum(axis=1),
-                            np.zeros(2 * amp.size))))
+            np.concatenate((np.zeros(dim), amp, amp)))
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-        return HubbardTables(indptr, cols, hop, onsite)
+        return HubbardTables(indptr, cols, hop, np.flatnonzero(rows == cols),
+                             0.5 * (occ * (occ - 1)).sum(axis=1))
 
 
 def _codes(sites: int, bosons: int, n_max: int) -> np.ndarray:
@@ -256,7 +256,7 @@ def _orbits(codes: np.ndarray, sites: int, base: int,
     return reps, np.searchsorted(codes[reps], rep), (sites // fixed)[reps]
 
 
-def _coalesce(dim, rows, cols, *values):
+def _coalesce(dim, rows, cols, values):
     """Entries sorted by (row, col), the values of repeated entries summed.
 
     Rows and columns lie in [0, dim): the key row * dim + col orders the
@@ -268,24 +268,23 @@ def _coalesce(dim, rows, cols, *values):
     first = np.ones(rows.size, dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     starts = np.flatnonzero(first)
-    return (rows[starts], cols[starts],
-            *(np.add.reduceat(v[order], starts) for v in values))
+    return rows[starts], cols[starts], np.add.reduceat(values[order], starts)
 
 
 def build_hamiltonian(basis: FockBasis, j: float, u: float):
     """H = -J sum_i (b+_i b_{i+1} + h.c.) + (U/2) sum_i n_i (n_i - 1).
 
     Real symmetric, on the basis's sector, in the form `ground_energy`
-    solves: a dense array up to DENSE_CUTOFF rows, CSR above.  Assembled
-    from the basis's tables (the first call on a basis builds them), so a
-    scan over (J, U) on one basis enumerates the hops once.  J, U >= 0 and
-    every entry finite, or DomainError.
+    solves: a dense array up to DENSE_CUTOFF rows, CSR above.  Scaled from
+    the basis's tables, which every (J, U) shares.  J, U >= 0 and every
+    entry finite, or DomainError.
     """
     if not (j >= 0 and u >= 0):
         raise DomainError("j and u must be non-negative")
     tables = basis.tables
     with np.errstate(over="ignore", invalid="ignore"):
-        data = j * tables.hop + u * tables.onsite
+        data = j * tables.hop
+        data[tables.diag] += u * tables.onsite
     if not np.all(np.isfinite(data)):
         raise DomainError(f"H overflows at J = {j}, U = {u}")
     dim = tables.indptr.size - 1

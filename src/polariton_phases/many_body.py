@@ -85,18 +85,12 @@ class BhParams(NamedTuple):
     u_over_j: float
 
 
-def _k_radicand(gamma_abs: float) -> float:
-    return gamma_abs - gamma_abs**1.5 / (2 * math.pi)
-
-
 def luttinger_k(gamma_abs: float) -> float:
     """Luttinger parameter K = pi / sqrt(g - g^{3/2}/(2 pi)), valid for g <= 10."""
     if not (0 < gamma_abs <= GAMMA_K_MAX):
         raise DomainError(f"gamma = {gamma_abs} outside (0, {GAMMA_K_MAX}]")
-    rad = _k_radicand(gamma_abs)
-    if rad <= 0:
-        raise DomainError(f"non-positive radicand {rad} at gamma = {gamma_abs}")
-    return math.pi / math.sqrt(rad)
+    # g (1 - sqrt(g) / (2 pi)) >= 0.49 g > 0 here: sqrt(10) < 2 pi
+    return math.pi / math.sqrt(gamma_abs - gamma_abs**1.5 / (2 * math.pi))
 
 
 def sg_critical_depth(gamma_abs: float) -> float:
@@ -146,7 +140,7 @@ def regime_flags(gamma_abs: float, v1_over_er: float,
     return RegimeFlags(
         sg_valid=sg,
         bh_valid=bh,
-        k_formula_valid=0 < gamma_abs <= GAMMA_K_MAX and _k_radicand(gamma_abs) > 0,
+        k_formula_valid=0 < gamma_abs <= GAMMA_K_MAX,
         sign_warning=sign_warning,
     )
 

@@ -177,6 +177,13 @@ def _np_fft_kernels() -> tuple:
                             np.fft.irfft)))
 
 
+def _check_box(psi: np.ndarray, params: NlseParams) -> None:
+    """DomainError unless psi holds one value at each of the box's points."""
+    if np.shape(psi) != (params.grid_points,):
+        raise DomainError(f"psi has shape {np.shape(psi)}, not the box's "
+                          f"({params.grid_points},)")
+
+
 def norm_of(psi: np.ndarray) -> float:
     return float(np.mean(np.abs(psi) ** 2))
 
@@ -193,6 +200,7 @@ def _energy(spectrum: np.ndarray, dens: np.ndarray, k2: np.ndarray,
 
 def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
     """Mean energy density: |d psi|^2 + s cos^2 |psi|^2 + (g/2)|psi|^4."""
+    _check_box(psi, params)
     s, g, _ = params.coefficients(tau)
     fft, *_ = _fft_kernels()
     spectrum = fft(psi, 1.0, out=np.empty(np.shape(psi), dtype=complex))
@@ -211,6 +219,7 @@ def _contrast(dens: np.ndarray, n_periods: int) -> float:
 
 def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
     """Modulation contrast (max-min)/(max+min) of the period-averaged density."""
+    _check_box(psi, params)
     return _contrast(np.abs(psi) ** 2, params.n_periods)
 
 
@@ -248,9 +257,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     and energy of every record, the start's included.
     """
     psi = np.asarray(state.psi, dtype=complex)
-    if psi.shape != (params.grid_points,):
-        raise DomainError(f"state.psi has shape {psi.shape}, not the "
-                          f"box's ({params.grid_points},)")
+    _check_box(psi, params)
     if not dt > 0:
         raise DomainError(f"dt must be positive, got {dt}")
     if steps < 0 or record_every < 1:
@@ -423,7 +430,6 @@ def release_profile(state: FieldState, params: NlseParams, v_g: float,
         raise DomainError(f"v_g must be positive and finite, got {v_g}")
     if not 0 < n_ph < math.inf:
         raise DomainError(f"n_ph must be positive and finite, got {n_ph}")
-    z = grid(params) / (math.pi * n_ph)
-    times = z / v_g
-    intensity = np.abs(state.psi) ** 2 * v_g
-    return times, intensity
+    _check_box(state.psi, params)
+    times = grid(params) / (math.pi * n_ph) / v_g
+    return times, np.abs(state.psi) ** 2 * v_g

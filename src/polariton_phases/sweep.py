@@ -237,7 +237,7 @@ def evaluate(base: optics.OpticalConfig, delta_p, omega) -> NodeFields:
         u = math.sqrt(2 / math.pi**3) * s**0.25 * g
         uj = _where(lattice, u / j, 0.0)
         rad = g - g**1.5 / (2 * math.pi)
-        k_valid = (0 < g) & (g <= mb.GAMMA_K_MAX) & (rad > 0)
+        k_valid = (0 < g) & (g <= mb.GAMMA_K_MAX)
         k = _where(k_valid, math.pi / np.sqrt(rad), math.nan)
 
         finite_node = _finite(dp) & _finite(om)

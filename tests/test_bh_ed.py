@@ -239,6 +239,27 @@ class TestHamiltonian:
         assert np.array_equal(h, 1.3 * t + 2.7 * d)
         assert np.array_equal(h, build_hamiltonian(basis, 1.3, 2.7))
 
+    @pytest.mark.parametrize("sites, bosons, n_max, periodic", [
+        (6, 6, 4, True), (7, 7, 4, True), (5, 5, 3, False),
+        (5, 6, 4, False)])
+    def test_onsite_held_once_per_row(self, sites, bosons, n_max,
+                                      periodic):
+        # U is one value per sector row, added on that row's diagonal slot;
+        # a dense sector (74, 101 rows) and a CSR one (218, 185 rows) each
+        basis = FockBasis.build(sites, bosons, n_max, periodic)
+        tables, rows = basis.tables, basis.reps.size
+        occ = basis.rep_occ
+        assert tables.onsite.shape == (rows,)
+        assert np.array_equal(tables.onsite,
+                              0.5 * (occ * (occ - 1)).sum(axis=1))
+        assert np.array_equal(tables.indices[tables.diag], np.arange(rows))
+        assert np.all(tables.indptr[:-1] <= tables.diag)
+        assert np.all(tables.diag < tables.indptr[1:])
+        h = build_hamiltonian(basis, 0.0, 1.0)
+        assert isinstance(h, np.ndarray) == (rows <= bh_ed.DENSE_CUTOFF)
+        dense = h if isinstance(h, np.ndarray) else h.toarray()
+        assert np.array_equal(dense, np.diag(tables.onsite))
+
     @pytest.mark.parametrize("periodic", [True, False])
     def test_tables_built_on_first_use(self, monkeypatch, periodic):
         # building a basis enumerates no hop; its first H enumerates the

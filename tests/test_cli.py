@@ -106,6 +106,22 @@ class TestConfigParsing:
             assert main(["map", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
 
+    def test_missing_config_exits_2(self, tmp_path):
+        # load_config's OSError branch, in a fresh process: stderr holds
+        # one ERROR line naming the path, and no traceback
+        path = tmp_path / "absent.json"
+        src = Path(polariton_phases.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "polariton_phases.cli", "map",
+             "--config", str(path), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR ParseError")
+        assert str(path) in lines[0]
+        assert "Traceback" not in done.stderr
+
     def test_hash_is_stable(self):
         assert from_dict({}).hash() == default_config().hash()
         # every output of a default run is stamped with this hash
@@ -131,6 +147,9 @@ class TestConfigParsing:
         {"nlse": {"schedule": [[0.0, 1.0]]}},
         {"optics": {"n0": "1e7"}},
         {"optics": {"n0": True}},
+        # JSON integers past the float range
+        {"optics": {"n0": 10**400}},
+        {"ed": {"ratios": [10**400]}},
         {"output": {"emit_plot_script": "yes"}},
         {"ed": [4, 6]},
     ])

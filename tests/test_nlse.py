@@ -298,6 +298,16 @@ class TestEnergy:
             assert energy_of(psi, p, tau) == pytest.approx(
                 _derivative_energy(psi, p, tau), rel=1e-12)
 
+    def test_input_validation(self):
+        # a field off the box's 64 points ended in numpy's ValueError
+        p = NlseParams(n_periods=8, grid_points=64)
+        for shape in (60, 128, (8, 8)):
+            psi = np.ones(shape, dtype=complex)
+            with pytest.raises(DomainError, match="shape"):
+                energy_of(psi, p)
+            with pytest.raises(DomainError, match="shape"):
+                contrast_of(psi, p)
+
 
 class TestParamsValidation:
     def test_grid_must_be_power_of_two(self):
@@ -888,6 +898,11 @@ class TestReleaseProfile:
                 release_profile(state, p, v_g=bad, n_ph=1e3)
             with pytest.raises(DomainError, match="n_ph"):
                 release_profile(state, p, v_g=40.0, n_ph=bad)
+        # 60 points gave 64 times against 60 intensities
+        for shape in (60, 128, (8, 8)):
+            with pytest.raises(DomainError, match="shape"):
+                release_profile(FieldState(np.ones(shape, dtype=complex)),
+                                p, v_g=40.0, n_ph=1e3)
 
 
 class TestDimensionlessReduction:
