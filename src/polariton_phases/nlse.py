@@ -141,8 +141,10 @@ def _fft_kernels() -> tuple:
     gufuncs, called directly.
 
     Each is called as kernel(a, scale, out=buf): it writes the transform of
-    a, times scale, into buf and returns buf.  Callers pass np.fft's own
-    scales, 1 forward and 1/n inverse on n points.
+    a along its last axis, times scale, into buf and returns buf, so a
+    (rows, n) a transforms its rows with the bits of one row at a time.
+    Callers pass np.fft's own scales, 1 forward and 1/n inverse on n
+    points.
 
     They are the kernels np.fft's wrappers call with the same scale, so the
     bits are np.fft's, without the ~10 us of Python each np.fft call spends
@@ -160,17 +162,18 @@ def _fft_kernels() -> tuple:
         return _np_fft_kernels()
 
     def rfft(a, scale, out):
-        return (odd if a.size % 2 else even)(a, scale, out=out)
+        return (odd if a.shape[-1] % 2 else even)(a, scale, out=out)
     return pfu.fft, pfu.ifft, rfft, pfu.irfft
 
 
 def _np_fft_kernels() -> tuple:
     """np.fft.fft, ifft, rfft and irfft behind the kernels' call (numpy <
     2.0, whose np.fft takes no out=): each writes np.fft's result on n
-    points, the longer of a and out, into out, scaled by np.fft itself."""
+    points, the longer last axis of a and out, into out, scaled by np.fft
+    itself."""
     def into(transform):
         def kernel(a, scale, out):
-            out[...] = transform(a, max(a.size, out.size))
+            out[...] = transform(a, max(a.shape[-1], out.shape[-1]))
             return out
         return kernel
     return tuple(map(into, (np.fft.fft, np.fft.ifft, np.fft.rfft,
@@ -188,14 +191,16 @@ def norm_of(psi: np.ndarray) -> float:
     return float(np.mean(np.abs(psi) ** 2))
 
 
-def _energy(spectrum: np.ndarray, dens: np.ndarray, k2: np.ndarray,
-            cos2: np.ndarray, s: float, g: float) -> float:
-    """Mean energy density of the field with FFT spectrum and |psi|^2 dens.
+def _kinetic(spectrum: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Mean |d psi|^2 of fields with FFT spectra spectrum, along the last
+    axis: sum k^2 |spectrum|^2 / n^2 (Parseval)."""
+    return (k2 * np.abs(spectrum) ** 2).sum(axis=-1) / spectrum.shape[-1]**2
 
-    The kinetic term mean|d psi|^2 is sum k^2 |spectrum|^2 / n^2 (Parseval).
-    """
-    kin = np.dot(k2, np.abs(spectrum) ** 2) / dens.size**2
-    return float(kin + np.mean((s * cos2 + 0.5 * g * dens) * dens))
+
+def _potential(dens: np.ndarray, cos2: np.ndarray, s, g) -> np.ndarray:
+    """Mean s cos^2 |psi|^2 + (g/2)|psi|^4 of densities dens along the last
+    axis; s and g broadcast against dens."""
+    return np.mean((s * cos2 + 0.5 * g * dens) * dens, axis=-1)
 
 
 def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
@@ -204,23 +209,25 @@ def energy_of(psi: np.ndarray, params: NlseParams, tau: float = 0.0) -> float:
     s, g, _ = params.coefficients(tau)
     fft, *_ = _fft_kernels()
     spectrum = fft(psi, 1.0, out=np.empty(np.shape(psi), dtype=complex))
-    return _energy(spectrum, np.abs(psi) ** 2,
-                   *_box(params, params.n_periods), s, g)
+    k2, cos2 = _box(params, params.n_periods)
+    return float(_kinetic(spectrum, k2)
+                 + _potential(np.abs(psi) ** 2, cos2, s, g))
 
 
-def _contrast(dens: np.ndarray, n_periods: int) -> float:
-    """(max-min)/(max+min) of the density dens averaged over the periods."""
-    folded = dens.reshape(n_periods, -1).mean(axis=0)
-    hi, lo = folded.max(), folded.min()
-    if hi + lo == 0:
-        return 0.0
-    return float((hi - lo) / (hi + lo))
+def _contrast(dens: np.ndarray, n_periods: int) -> np.ndarray:
+    """(max-min)/(max+min) of the densities dens averaged over the periods,
+    along the last axis; 0 for a density that is zero everywhere."""
+    folded = dens.reshape(*dens.shape[:-1], n_periods, -1).mean(axis=-2)
+    hi, lo = folded.max(axis=-1), folded.min(axis=-1)
+    total = hi + lo
+    return np.divide(hi - lo, total, out=np.zeros_like(total),
+                     where=total != 0)
 
 
 def contrast_of(psi: np.ndarray, params: NlseParams) -> float:
     """Modulation contrast (max-min)/(max+min) of the period-averaged density."""
     _check_box(psi, params)
-    return _contrast(np.abs(psi) ** 2, params.n_periods)
+    return float(_contrast(np.abs(psi) ** 2, params.n_periods))
 
 
 def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
@@ -232,14 +239,19 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     is exact for the linear loss term.  The closing half kinetic factor of
     one step and the opening one of the next merge into one full factor, so
     the field returns to real space at a whole step only to be recorded or
-    returned: 1 + 2 steps + records FFTs, records counted after the start.
+    returned: 1 + 2 steps + records transforms, records counted after the
+    start.
 
     A step works in preallocated buffers: the spectrum and the field, which
-    its two FFTs write, |psi|^2, the real phase -dt (s cos^2 + g |psi|^2)
-    and the rotation cos + i sin of that phase, times the loss factor only
-    when kappa != 0 (the bits of the complex exp times that factor).  A
-    record transforms into the field buffer and forms |psi|^2 once for its
-    norm, energy and contrast.
+    its two FFTs write, the real phase |psi|^2 (-g dt) + s cos^2 (-dt) and
+    the rotation cos + i sin of that phase, times the loss factor only when
+    kappa != 0 (the bits of the complex exp times that factor).  A record
+    copies the spectrum, its step and tau into a block of at most
+    max(1, 2^16 // m) rows of the m points the run takes (~1 MiB); a full
+    block, and the last one, is transformed back in place in one batched
+    inverse FFT, and its norms, energies and contrasts are read along the
+    rows.  The start is recorded from the field it holds, and the returned
+    psi is the last record's.
 
     A start that repeats bit for bit on every lattice period stays
     periodic, so the steps and records run on one period of m = n /
@@ -252,9 +264,11 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     norm(psi_0)), over the static coefficients and the schedule's, with
     the box's k_max = m and n also on one period; once that bound reaches
     1/eps radians, where rounding alone exceeds a radian, DomainError is
-    raised after the start is recorded.  Otherwise the only guard is
-    NonFinite: it reads the |psi|^2 of every nonlinear stage and the norm
-    and energy of every record, the start's included.
+    raised after the start is recorded, as it is for a start of zero norm.
+    Otherwise the only guard is NonFinite, raised for the first record, the
+    start's included, whose norm or energy is not finite: a non-finite
+    field spreads through the next FFT, and the last step is always
+    recorded.
     """
     psi = np.asarray(state.psi, dtype=complex)
     _check_box(psi, params)
@@ -263,41 +277,50 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     if steps < 0 or record_every < 1:
         raise DomainError(f"need steps >= 0 and record_every >= 1, got "
                           f"{steps} and {record_every}")
-    if norm_of(psi) <= 0:
-        raise DomainError("initial state has zero norm")
     cells = psi.reshape(params.n_periods, -1)
     periods = 1 if (cells == cells[0]).all() else params.n_periods
     field = (cells[0] if periods == 1 else psi).copy()
     fft, ifft, _, _ = _fft_kernels()
     n = field.size
     k2, cos2 = _box(params, periods)
-    dens, phase = np.empty(n), np.empty(n)
+    phase = np.empty(n)
     rot = np.empty(n, dtype=complex)
-    taus, norms, energies, contrasts = [], [], [], []
+    rot_cos, rot_sin = rot.real, rot.imag
+    scheduled = bool(params.schedule)
+    # the records after the start: their spectra, transformed in place a
+    # block of rows at a time
+    block = min(-(-steps // record_every), max(1, 2**16 // n))
+    spectra = np.empty((block, n), dtype=complex)
+    row_tau, row_step = np.empty(block), np.empty(block, dtype=int)
+    observed = []
 
-    def record(step):
-        density = np.abs(field) ** 2
-        norm = float(np.mean(density))
-        s, g, _ = params.coefficients(tau)
-        energy = _energy(spectrum, density, k2, cos2, s, g)
-        if not (math.isfinite(norm) and math.isfinite(energy)):
-            raise NonFinite(f"non-finite field or energy at step {step}")
-        taus.append(tau)
-        norms.append(norm)
-        energies.append(energy)
-        contrasts.append(_contrast(density, periods))
+    def record(kinetic, fields, times, at):
+        dens = np.abs(fields) ** 2
+        norm = np.mean(dens, axis=-1)
+        if scheduled:
+            ts, s_col, g_col, _ = params._schedule_columns
+            s = np.interp(times, ts, s_col)[:, None]
+            g = np.interp(times, ts, g_col)[:, None]
+        else:
+            s, g = params.v1_over_er, params.g_int
+        energy = kinetic + _potential(dens, cos2, s, g)
+        bad = ~(np.isfinite(norm) & np.isfinite(energy))
+        if bad.any():
+            raise NonFinite(f"non-finite field or energy at step "
+                            f"{at[bad.argmax()]}")
+        observed.append((times.copy(), norm, energy,
+                         _contrast(dens, periods)))
 
     tau = state.time
-    if not params.schedule:
-        s, g, kappa = params.coefficients(tau)
-        potential = s * cos2
     # an overflow (a huge dt, s or g) leaves a non-finite field or energy,
-    # which the guard reads at the next step or record
+    # which the guard reads at the next record
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = fft(field, 1.0, out=np.empty_like(field))
         half_kin = np.exp(-1j * k2 * dt / 2)
         full_kin = half_kin * half_kin
-        record(0)
+        record(_kinetic(spectrum, k2), field[None], np.array([tau]), [0])
+        if not observed[0][1][0] > 0:
+            raise DomainError("initial state has zero norm")
         # |phase| of a step <= dt (k^2 + s + g max|psi|^2), and max|psi|^2
         # <= n norm on the box's n points: from 1/eps radians on, rounding
         # alone is a radian.  k_max = n / n_periods is the box's Nyquist
@@ -305,44 +328,52 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         s_max = max([params.v1_over_er, *(p[1] for p in params.schedule)])
         g_max = max([params.g_int, *(p[2] for p in params.schedule)])
         bound = dt * ((params.grid_points / params.n_periods) ** 2 + s_max
-                      + g_max * params.grid_points * norms[0])
+                      + g_max * params.grid_points * observed[0][1][0])
         if not bound < 1 / np.finfo(float).eps:
             raise DomainError(f"a step's phase may reach {bound:.3g} rad "
                               "(dt, s or g too large): its rounding alone "
                               "exceeds a radian")
-        kin = half_kin
+        if not scheduled:
+            s, g, kappa = params.coefficients(tau)
+            pot_dt, g_dt = (s * cos2) * -dt, g * -dt
+            loss = math.exp(-kappa * dt / 2)
+        final, rows, kin = field, 0, half_kin
         for step in range(1, steps + 1):
-            if params.schedule:
+            if scheduled:
                 s, g, kappa = params.coefficients(tau + dt / 2)
-                potential = s * cos2
+                pot_dt, g_dt = (s * cos2) * -dt, g * -dt
+                loss = math.exp(-kappa * dt / 2)
             # kin * spectrum, not spectrum * kin: the bits differ
             np.multiply(kin, spectrum, out=spectrum)
             ifft(spectrum, 1 / n, out=field)
-            np.abs(field, out=dens)
-            np.square(dens, out=dens)
-            np.multiply(dens, g, out=phase)
-            phase += potential
-            phase *= -dt
-            np.cos(phase, out=rot.real)
-            np.sin(phase, out=rot.imag)
+            np.abs(field, out=phase)
+            np.square(phase, out=phase)
+            phase *= g_dt
+            phase += pot_dt
+            np.cos(phase, out=rot_cos)
+            np.sin(phase, out=rot_sin)
             if kappa:
-                rot *= math.exp(-kappa * dt / 2)
+                rot *= loss
             field *= rot
             fft(field, 1.0, out=spectrum)
             tau += dt
-            if not math.isfinite(dens.max()):
-                raise NonFinite(f"non-finite field at step {step}")
             if step % record_every and step != steps:
                 kin = full_kin
                 continue
             spectrum *= half_kin
-            ifft(spectrum, 1 / n, out=field)
-            record(step)
+            spectra[rows] = spectrum
+            row_tau[rows], row_step[rows] = tau, step
+            rows += 1
+            if rows == block or step == steps:
+                kinetic = _kinetic(spectra[:rows], k2)
+                ifft(spectra[:rows], 1 / n, out=spectra[:rows])
+                record(kinetic, spectra[:rows], row_tau[:rows],
+                       row_step[:rows])
+                final, rows = spectra[rows - 1], 0
             kin = half_kin
 
-    obs = Observables(np.array(taus), np.array(norms),
-                      np.array(energies), np.array(contrasts))
-    return FieldState(np.tile(field, params.n_periods // periods), tau), obs
+    obs = Observables(*map(np.concatenate, zip(*observed)))
+    return FieldState(np.tile(final, params.n_periods // periods), tau), obs
 
 
 def ground_state(params: NlseParams) -> GroundState:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,19 +76,20 @@ def _derivative_energy(psi, params, tau):
                  + 0.5 * g * np.mean(np.abs(psi) ** 4))
 
 
-def _counting(calls, name, fn):
-    """fn, counting each call in calls[name]."""
+def _counting(calls, name, kernel):
+    """The FFT kernel, counting in calls[name] the rows each call
+    transforms: one for a 1-D input, r for an (r, n) batch."""
     calls.setdefault(name, 0)
 
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
+    def wrapper(a, *args, **kwargs):
+        calls[name] += math.prod(np.shape(a)[:-1])
+        return kernel(a, *args, **kwargs)
     return wrapper
 
 
 def _count_ffts(monkeypatch):
-    """Counts every call of nlse's fft, ifft, rfft and irfft kernels in the
-    "fft" entry."""
+    """Counts every transform of nlse's fft, ifft, rfft and irfft kernels
+    in the "fft" entry, each row of a batch as one."""
     calls = {}
     counted = tuple(_counting(calls, "fft", kernel)
                     for kernel in nlse._fft_kernels())
@@ -182,12 +185,14 @@ def _textbook_strang(psi, params, dt, steps):
 
 def _fft_sizes(monkeypatch):
     """Lists the length of every transform nlse's fft, ifft, rfft and
-    irfft kernels make, in call order: the size of the real-space side."""
+    irfft kernels make, in call order and once for each row of a batch:
+    the length of the real-space side."""
     sizes = []
 
     def sizing(kernel):
         def wrapper(a, scale, out):
-            sizes.append(max(a.size, out.size))
+            sizes.extend([max(a.shape[-1], out.shape[-1])]
+                         * math.prod(a.shape[:-1]))
             return kernel(a, scale, out=out)
         return wrapper
     counted = tuple(map(sizing, nlse._fft_kernels()))
@@ -244,6 +249,31 @@ class TestFftKernels:
                 np.fft.rfft(x))
             assert np.array_equal(irfft(half, 1 / n, out=np.empty(n)),
                                   np.fft.irfft(half, n))
+
+    @pytest.mark.parametrize("resolver", ["_fft_kernels", "_np_fft_kernels"],
+                             ids=["direct", "fallback"])
+    def test_batches_give_np_fft_bits_per_row(self, rng, resolver):
+        # evolve transforms its records as (rows, m) blocks: each row must
+        # carry np.fft's bits for that row alone, on both seams.  Two rows
+        # of one point hold an even number of values, which picked the
+        # even rfft kernel and, on the fallback, a length of 2
+        fft, ifft, rfft, irfft = getattr(nlse, resolver)()
+        for rows in (1, 2, 3):
+            for m in (2**e for e in range(13)):
+                x, y = rng.normal(size=(2, rows, m))
+                z = x + 1j * y
+                half = z[:, :m // 2 + 1].copy()
+                for got, want in (
+                        (fft(z, 1.0, out=np.empty((rows, m), complex)),
+                         [np.fft.fft(row) for row in z]),
+                        (ifft(z, 1 / m, out=np.empty((rows, m), complex)),
+                         [np.fft.ifft(row) for row in z]),
+                        (rfft(x, 1.0,
+                              out=np.empty((rows, m // 2 + 1), complex)),
+                         [np.fft.rfft(row) for row in x]),
+                        (irfft(half, 1 / m, out=np.empty((rows, m))),
+                         [np.fft.irfft(row, m) for row in half])):
+                    assert np.array_equal(got, np.array(want))
 
     def test_direct_kernels_in_use(self, monkeypatch):
         # a numpy >= 2.0 that moves or renames the private module fails
@@ -480,6 +510,73 @@ class TestEvolve:
         with pytest.raises(NonFinite, match="at step 0"):
             evolve(FieldState(np.ones(64, dtype=complex)), p, dt=1e-3,
                    steps=3)
+
+    @pytest.mark.parametrize("start, record_every, step", [
+        ("period", 1, 45), ("period", 3, 45), ("period", 7, 49),
+        ("box", 1, 6), ("box", 3, 6), ("box", 7, 7)])
+    def test_later_record_energy_overflow_names_its_step(self, start,
+                                                         record_every, step):
+        # s ramps toward 1e308, but dt = 1e-300 keeps each step's phase
+        # near 1e-292 rad: the field stays put at |psi|^2 = 1e298 while s =
+        # 1e8 k at step k.  The energy's sum of s cos^2 |psi|^2 passes the
+        # largest float from k = 45 on one 8-point period (sum cos^2 = 4),
+        # from k = 6 on the 64-point box (32); the first record from there
+        # on raises, as when records were read one at a time
+        p = NlseParams(n_periods=8, grid_points=64,
+                       schedule=((0.0, 0.0, 0.0, 0.0), (1.0, 1e308, 0.0, 0.0)))
+        psi = np.full(64, 1e149, dtype=complex)
+        if start == "box":
+            psi *= 1 + 1e-3 * np.cos(grid(p) / 4)
+        with pytest.raises(NonFinite, match=f"at step {step}$"):
+            evolve(FieldState(psi), p, dt=1e-300, steps=100,
+                   record_every=record_every)
+
+    def test_record_block_capped(self):
+        # the records after the start are held as a block of at most
+        # 2^16 / m complex rows (~1 MiB): on a 2^16-point box, one row, so
+        # a record every step peaks no higher than a single record; eight
+        # rows would add at least 7 MiB
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, n_periods=8,
+                       grid_points=2**16)
+        psi = _gaussian(p, 20.0).psi
+        peaks = []
+        for record_every in (8, 1):
+            tracemalloc.start()
+            try:
+                evolve(FieldState(psi), p, dt=1e-3, steps=8,
+                       record_every=record_every)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**18
+
+    def test_total_loss_records_zero_contrast(self):
+        # kappa = 1e300 damps the field to zero in the first step: every
+        # later record has zero norm and a contrast of 0.0, not 0/0, and
+        # no RuntimeWarning is raised
+        p = NlseParams(v1_over_er=2.3, g_int=0.2, kappa_dimless=1e300,
+                       n_periods=8, grid_points=64)
+        for state in (ground_state(with_(p, kappa_dimless=0.0)),
+                      _gaussian(p, 2.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                final, obs = evolve(state, p, dt=1e-3, steps=20,
+                                    record_every=3)
+                assert contrast_of(final.psi, p) == 0.0
+            assert obs.contrast[0] > 0 and obs.norm[0] > 0
+            assert np.array_equal(obs.contrast[1:], np.zeros(7))
+            assert np.array_equal(obs.norm[1:], np.zeros(7))
+            assert not final.psi.any()
+
+    def test_overflowing_start_norm_is_non_finite(self):
+        # mean |psi|^2 of 1e160 overflows: NonFinite at the start's record,
+        # with no numpy RuntimeWarning from the zero-norm check before it
+        p = NlseParams(n_periods=8, grid_points=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="at step 0"):
+                evolve(FieldState(np.full(64, 1e160, dtype=complex)), p,
+                       dt=1e-3, steps=3)
 
     def test_input_validation(self):
         p = NlseParams(n_periods=8, grid_points=64)
@@ -841,6 +938,46 @@ class TestPeriodicSector:
                                        atol=1e-12)
             np.testing.assert_allclose(obs.energy, want.energy, rtol=0,
                                        atol=1e-12)
+
+
+class TestBogoliubovPhonon:
+    @pytest.mark.parametrize("g", [1.0, 0.2])
+    def test_density_mode_at_bogoliubov_frequency(self, g):
+        # the uniform ground state at s = 0, kicked by 1 + eps cos(q xi) in
+        # the box's lowest mode q = 2 / n_periods: the density component
+        # A = <|psi|^2 cos q xi> oscillates at the Bogoliubov omega =
+        # sqrt(q^2 (q^2 + 2 g)).  The start is not periodic on a lattice
+        # period, so every evolve runs the whole box and returns the psi of
+        # its last record.  Samples of a sinusoid h apart obey A[k-1] +
+        # A[k+1] = 2 cos(omega h) A[k]: cos(omega h) is the projection of
+        # the neighbours' sum on A, with no fit.
+        # The Strang step acts on the linear mode as R(q^2 dt/2) K R(q^2
+        # dt/2), R the kinetic rotation and K the nonlinear kick v -= 2 g dt
+        # u, so its frequency omega_dt has cos(omega_dt dt) = cos(q^2 dt) -
+        # g dt sin(q^2 dt).  Over dt = 5e-3, 1e-2, 2e-2 and eps = 1e-5,
+        # 1e-4, 1e-3 (two periods of the mode), the estimate minus omega_dt
+        # was -0.70 eps^2 omega at g = 1 and -1.5 eps^2 omega at g = 0.2,
+        # the same at every dt: 7.0e-9 and 1.5e-8 of omega here.  omega_dt
+        # - omega, the splitting error, is 5.05e-3 dt^2 omega at g = 1 and
+        # 9.0e-4 dt^2 omega at g = 0.2: 5.1e-7 and 9.0e-8 here.
+        p = NlseParams(g_int=g, n_periods=8, grid_points=64)
+        q, eps, dt, chunk = 2 / p.n_periods, 1e-4, 1e-2, 20
+        omega = math.sqrt(q**2 * (q**2 + 2 * g))
+        omega_dt = math.acos(math.cos(q**2 * dt)
+                             - g * dt * math.sin(q**2 * dt)) / dt
+        mode = np.cos(q * grid(p))
+        state = FieldState(ground_state(p).psi * (1 + eps * mode))
+        samples = []
+        for _ in range(int(4 * math.pi / omega / (chunk * dt)) + 1):
+            samples.append(np.mean(np.abs(state.psi) ** 2 * mode))
+            state, _ = evolve(state, p, dt=dt, steps=chunk,
+                              record_every=chunk)
+        a = np.array(samples)
+        cos_wh = np.dot(a[1:-1], a[:-2] + a[2:]) \
+            / (2 * np.dot(a[1:-1], a[1:-1]))
+        estimate = math.acos(cos_wh) / (chunk * dt)
+        assert abs(estimate - omega_dt) <= 5e-8 * omega
+        assert abs(estimate - omega) <= 1e-6 * omega
 
 
 class TestReleaseProfile:
