@@ -1,24 +1,27 @@
 """Exact diagonalization of small 1D Bose-Hubbard chains.
 
 Fixed-particle-number Fock basis with a per-site occupation cap, kept as
-its base-(n_max+1) codes and ranked by them; on a ring, the k = 0 sector
-of the translation group, where every ground state needed here lies: one
-row per orbit of digit rotations, hops weighted by sqrt(R_src / R_dst)
-(Sandvik, AIP Conf. Proc. 1297, 135 (2010)).  Building a basis makes the
-codes and the orbit arrays alone, and fixes the sector; the occupations
-are read off the codes' digits on first use.  One hop enumerator builds
-the hopping tables and the hops of <b+_0 b_d>, each on first use, once
-per basis for every (J, U); <b+_0 b_d> is read off the sector vector as
-the mean over the L translations (equal at d and L - d: the vector is
-real).  H is scattered from the tables into a dense array for a sector
-of up to DENSE_CUTOFF rows, with no sparse matrix built, and into CSR
-above; its form picks the solver of its lowest eigenpair: LAPACK's dsyevr
-called directly for an array, and for CSR of any size Lanczos with full
-reorthogonalization from the uniform vector, its Ritz pairs from LAPACK's
-dstebz and dstein called directly.  A `UnitFilling` chain holds
-the N - 1, N and N + 1 bases of one (L, n_max, boundary), built once per
-size and solved at every U/J: the charge gap as Mott diagnostic, and a
-scaled-gap crossing estimate of the critical U/J.
+its base-(n_max+1) codes and ranked by them.  On a ring H is solved in
+the k = 0, P = +1 sector of the dihedral group (rotations and the
+mirror), where every ground state needed here lies: at J > 0 the hops
+are <= 0 and the Fock graph is connected, so the ground state is nodeless
+(Perron-Frobenius) and even under both.  One row per orbit of digit
+rotations and reversal, hops weighted by sqrt(R_src / R_dst) (Sandvik,
+AIP Conf. Proc. 1297, 135 (2010)).  Building a basis makes the codes and
+the orbit arrays alone, and fixes the sector; the occupations are read
+off the codes' digits on first use.  One hop enumerator builds the
+hopping tables and the hops of <b+_0 b_d>, each on first use, once per
+basis for every (J, U); <b+_0 b_d> is read off the sector vector as the
+mean over the L translations and the mirror.  H is scattered from the
+tables into a dense array for a sector of up to DENSE_CUTOFF rows, with
+no sparse matrix built, and into CSR above; its form picks the solver of
+its lowest eigenpair: LAPACK's dsyevr called directly for an array, and
+for CSR of any size Lanczos with full reorthogonalization from the
+uniform vector, its Ritz pairs from LAPACK's dstebz and dstein called
+directly.  A `UnitFilling` chain holds the N - 1, N and N + 1 bases of
+one (L, n_max, boundary), built once per size and solved at every U/J:
+the charge gap as Mott diagnostic, and a scaled-gap crossing estimate of
+the critical U/J.
 """
 
 from __future__ import annotations
@@ -49,13 +52,15 @@ RITZ_EVERY = 4
 
 
 def count_states(sites: int, bosons: int, n_max: int) -> int:
-    """Number of occupation vectors of `sites` sites summing to `bosons`,
-    each entry <= n_max (bounded compositions)."""
-    # ways[b]: occupation vectors of the sites so far that sum to b
-    ways = [1] + [0] * bosons
-    for _ in range(sites):
-        ways = [sum(ways[max(b - n_max, 0):b + 1]) for b in range(bosons + 1)]
-    return ways[bosons]
+    """Number of occupation vectors of `sites` >= 1 sites summing to
+    `bosons`, each entry <= n_max (bounded compositions).
+
+    Inclusion-exclusion over the k sites made to hold more than n_max:
+    sum_k (-1)^k C(L, k) C(N - k (n_max + 1) + L - 1, L - 1).
+    """
+    return sum((-1) ** k * math.comb(sites, k)
+               * math.comb(bosons - k * (n_max + 1) + sites - 1, sites - 1)
+               for k in range(min(sites, bosons // (n_max + 1)) + 1))
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,11 @@ class HubbardTables:
     """H = J * hop + U * onsite, for any (J, U).
 
     `hop` holds -sqrt(n_src (n_dst + 1)) for every hop along a bond (J = 1;
-    in the k = 0 sector weighted by sqrt(R_src / R_dst) and summed over the
-    hops joining two orbits) on one CSR pattern; `onsite[r]` holds row r's
+    on a ring weighted by sqrt(R_src / R_dst) and summed over the hops
+    joining two orbits) on one CSR pattern; `onsite[r]` holds row r's
     (1/2) sum_i n_i (n_i - 1) (U = 1), added on its diagonal slot diag[r].
+    `flat` holds each entry's position row * dim + col in the flattened
+    dense H, dim the number of rows.
     """
 
     indptr: np.ndarray
@@ -73,6 +80,7 @@ class HubbardTables:
     hop: np.ndarray
     diag: np.ndarray
     onsite: np.ndarray
+    flat: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +91,17 @@ class FockBasis:
     `codes` reads each vector as a base-(n_max+1) number, site 0 the most
     significant digit; lexicographic order makes the codes increasing, so
     `np.searchsorted` ranks any state.  On a `ring` the sector is k = 0,
-    one row per translation orbit; otherwise one row per state.  `reps`
-    holds the basis row of each sector row's representative (increasing),
-    `index` the sector row of every basis state and `size` the number R of
-    states in each orbit.  `build` makes the codes and these orbit arrays,
-    nothing else; the rest is derived on first use: `rep_occ`, the
-    representatives' occupations, is read off their codes (`digits` gives
-    any state's), and `tables`, H on the sector, and `correlator_hops`, the
-    hops of <b+_0 b_d>, are enumerated from them.
+    P = +1, fully symmetric under the rotations and the mirror: one row per
+    orbit of the dihedral group, the translation orbit of a state joined
+    with that of its mirror image.  Otherwise it is one row per state.
+    `reps` holds the basis row of each sector row's representative, the
+    smallest code of its orbit (increasing), `index` the sector row of
+    every basis state and `size` the number R of states in each orbit.
+    `build` makes the codes and these orbit arrays, nothing else; the rest
+    is derived on first use: `rep_occ`, the representatives' occupations,
+    is read off their codes (`digits` gives any state's), and `tables`, H
+    on the sector, and `correlator_hops`, the hops of <b+_0 b_d>, are
+    enumerated from them.
     """
 
     sites: int
@@ -158,14 +169,19 @@ class FockBasis:
 
     @cached_property
     def correlator_hops(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """`hops` from site i + d to i for d = 1, 2, ..., the terms of
-        <b+_0 b_d>: every i on a ring, up to d = L/2 (the k = 0 vector is
-        real, so d and L - d agree); i = 0 alone on an open chain, up to
-        d = L - 1.  Enumerated once per basis, for every U/J."""
+        """`hops` of the terms of <b+_0 b_d> for d = 1, 2, ...: on a ring
+        from i + d and from i - d to i, for every i, up to d = L/2 (the
+        mirror maps one onto the other, so only their sum acts on the
+        sector; the vector is real, so d and L - d agree); i = 0 alone on
+        an open chain, from d, up to d = L - 1.  One call per d, enumerated
+        once per basis, for every U/J."""
         L = self.sites
-        dst = np.arange(L if self.ring else 1)
+        if self.ring:
+            dst, sign = np.tile(np.arange(L), 2), np.repeat([1, -1], L)
+        else:
+            dst, sign = np.zeros(1, dtype=int), np.ones(1, dtype=int)
         last = L // 2 if self.ring else L - 1
-        return tuple(self.hops((dst + d) % L, dst)
+        return tuple(self.hops((dst + sign * d) % L, dst)
                      for d in range(1, last + 1))
 
     def hops(self, src: np.ndarray, dst: np.ndarray):
@@ -188,28 +204,33 @@ class FockBasis:
         """Hopping and interaction tables on the sector rows, built on first
         use, once the temporaries of `build` are gone.
 
-        Only hops to the right (i -> i + 1, and L - 1 -> 0 on a ring) are
-        enumerated, by `hops`, each with amplitude -sqrt(n_src (n_dst + 1))
-        sqrt(R_src / R_dst).  On a ring this is the k = 0 block Q^T H Q of
-        H, Q[s, r] = 1 / sqrt(R_r) on orbit r.  Hops to the left are the
-        transpose, so H is symmetric by construction; a zero hop on every
-        diagonal slot makes room for U.
+        Hops along every bond in both directions are enumerated from every
+        representative in one `hops` call, each with amplitude -sqrt(n_src
+        (n_dst + 1)) sqrt(R_src / R_dst): on a ring the block Q^T H Q of H,
+        Q[s, r] = 1 / sqrt(R_r) on orbit r.  Both directions, since the
+        mirror maps right hops onto left ones.  One coalesce sums the hops
+        joining two rows, with a zero on every diagonal slot to make room
+        for U; each entry is then the half sum of itself and its transpose
+        (ranked in the symmetric pattern), so H is symmetric to the last
+        bit.  On an open chain an entry and its transpose are one hop each,
+        the same product, and the half sum keeps them.
         """
         L, dim = self.sites, self.reps.size
         src = np.arange(L if self.ring else L - 1)
-        row, col, amp = self.hops(src, (src + 1) % L)
-        # hops from one representative into one orbit add up before the
-        # transpose is taken, so H[a, b] and H[b, a] are the same sum
-        rows, cols, amp = _coalesce(dim, row, col, -amp)
-        occ, diag = self.rep_occ, np.arange(dim)
-        rows, cols, hop = _coalesce(
-            dim, np.concatenate((diag, rows, cols)),
-            np.concatenate((diag, cols, rows)),
-            np.concatenate((np.zeros(dim), amp, amp)))
+        dst = (src + 1) % L
+        row, col, amp = self.hops(np.concatenate((src, dst)),
+                                  np.concatenate((dst, src)))
+        diag = np.arange(dim)
+        flat, hop = _coalesce(np.concatenate((diag * (dim + 1),
+                                              row * dim + col)),
+                              np.concatenate((np.zeros(dim), -amp)))
+        rows, cols = np.divmod(flat, dim)
+        hop = 0.5 * (hop + hop[np.searchsorted(flat, cols * dim + rows)])
         indptr = np.zeros(dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+        occ = self.rep_occ
         return HubbardTables(indptr, cols, hop, np.flatnonzero(rows == cols),
-                             0.5 * (occ * (occ - 1)).sum(axis=1))
+                             0.5 * (occ * (occ - 1)).sum(axis=1), flat)
 
 
 def _codes(sites: int, bosons: int, n_max: int) -> np.ndarray:
@@ -236,12 +257,17 @@ def _codes(sites: int, bosons: int, n_max: int) -> np.ndarray:
 
 def _orbits(codes: np.ndarray, sites: int, base: int,
             ring: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(reps, index, size) of the sector: translation orbits on a ring,
+    """(reps, index, size) of the sector: dihedral orbits on a ring,
     single-state orbits otherwise.
 
     A translation rotates a code's digits, (code % b^(L-1)) * b +
-    code // b^(L-1) with b = `base`; the smallest of the L rotations is
-    the representative, and R = L / #{rotations equal to the code}.
+    code // b^(L-1) with b = `base`; the smallest of the L rotations
+    represents the translation orbit, of L / #{rotations equal to the code}
+    states.  The mirror reverses the digits, and maps each translation
+    orbit onto the orbit of its representative's mirrored code, ranked
+    once.  The lower orbit of the pair, whose representative is the
+    smallest of the 2L images, represents both; R doubles where the two
+    differ.
     """
     if not ring:
         rows = np.arange(codes.size)
@@ -252,23 +278,38 @@ def _orbits(codes: np.ndarray, sites: int, base: int,
         rotated = rotated % top * base + rotated // top
         np.minimum(rep, rotated, out=rep)
         fixed += rotated == codes
+    # each full-basis array goes once read, so the mirror pass stays under
+    # the rotations' peak
+    del rotated
     reps = np.flatnonzero(rep == codes)
-    return reps, np.searchsorted(codes[reps], rep), (sites // fixed)[reps]
+    size = (sites // fixed)[reps]
+    del fixed
+    orbit = np.searchsorted(codes[reps], rep)
+    del rep
+    code, mirror = codes[reps], np.zeros_like(reps)
+    for _ in range(sites):
+        mirror = mirror * base + code % base
+        code = code // base
+    partner = orbit[np.searchsorted(codes, mirror)]
+    own = np.arange(reps.size)
+    lower = np.minimum(partner, own)
+    keep = np.flatnonzero(lower == own)
+    size[partner != own] *= 2
+    return reps[keep], np.searchsorted(keep, lower)[orbit], size[keep]
 
 
-def _coalesce(dim, rows, cols, values):
-    """Entries sorted by (row, col), the values of repeated entries summed.
+def _coalesce(keys, values):
+    """(sorted distinct keys, the sum of the values of each).
 
-    Rows and columns lie in [0, dim): the key row * dim + col orders the
-    entries as the (row, col) pairs do, and a stable sort keeps repeated
-    entries in their given order, so the sums add in a fixed order.
+    A stable sort keeps the entries of one key in their given order, so
+    the sums add in a fixed order.
     """
-    order = np.argsort(rows * dim + cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    return rows[starts], cols[starts], np.add.reduceat(values[order], starts)
+    return keys[starts], np.add.reduceat(values[order], starts)
 
 
 def build_hamiltonian(basis: FockBasis, j: float, u: float):
@@ -289,10 +330,9 @@ def build_hamiltonian(basis: FockBasis, j: float, u: float):
         raise DomainError(f"H overflows at J = {j}, U = {u}")
     dim = tables.indptr.size - 1
     if dim <= DENSE_CUTOFF:
-        h = np.zeros((dim, dim))
-        h[np.repeat(np.arange(dim), np.diff(tables.indptr)),
-          tables.indices] = data
-        return h
+        h = np.zeros(dim * dim)
+        h[tables.flat] = data
+        return h.reshape(dim, dim)
     import scipy.sparse   # ~0.3 s to import; only the large ED solves use it
     return scipy.sparse.csr_matrix(
         (data, tables.indices, tables.indptr), shape=(dim, dim), copy=True)
@@ -437,6 +477,11 @@ class UnitFilling:
     @classmethod
     def build(cls, sites: int, n_max: int,
               periodic: bool = True) -> "UnitFilling":
+        """The chain's three bases; n_max >= 2, or DomainError."""
+        if n_max < 2:
+            raise DomainError(
+                "unit filling needs n_max >= 2 for the charge gap, whose "
+                f"L + 1 bosons must fit on L sites; got n_max = {n_max}")
         return cls(sites, n_max, periodic,
                    {n: FockBasis.build(sites, n, n_max, periodic)
                     for n in (sites - 1, sites, sites + 1)})
@@ -469,9 +514,10 @@ class UnitFilling:
         e0, vec, gap = self.solve(float(u_over_j))
         mean_n, var_n = self.number_moments(vec)
 
-        # <b+_0 b_d>, on a ring averaged over the L translations (i + d -> i)
+        # <b+_0 b_d>, on a ring averaged over the L translations and the
+        # mirror (i + d -> i and i - d -> i)
         basis = self.bases[sites]
-        pairs = sites if basis.ring else 1
+        pairs = 2 * sites if basis.ring else 1
         corr = [float(mean_n[0])]
         corr += [float(vec[rows] @ (amp * vec[cols])) / pairs
                  for rows, cols, amp in basis.correlator_hops]

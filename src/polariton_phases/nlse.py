@@ -245,7 +245,10 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     A step works in preallocated buffers: the spectrum and the field, which
     its two FFTs write, the real phase |psi|^2 (-g dt) + s cos^2 (-dt) and
     the rotation cos + i sin of that phase, times the loss factor only when
-    kappa != 0 (the bits of the complex exp times that factor).  A record
+    kappa != 0 (the bits of the complex exp times that factor).  On a
+    schedule, s, g and kappa are interpolated for a block of at most
+    max(1, 2^16 // m) steps at once, at midpoints accumulated as tau is,
+    and s cos^2 (-dt) of each step is one row of that block.  A record
     copies the spectrum, its step and tau into a block of at most
     max(1, 2^16 // m) rows of the m points the run takes (~1 MiB); a full
     block, and the last one, is transformed back in place in one batched
@@ -288,11 +291,26 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     rot_cos, rot_sin = rot.real, rot.imag
     scheduled = bool(params.schedule)
     # the records after the start: their spectra, transformed in place a
-    # block of rows at a time
-    block = min(-(-steps // record_every), max(1, 2**16 // n))
+    # block of rows at a time; a schedule's coefficients, a span of steps at
+    # a time (~0.5 MiB)
+    span = max(1, 2**16 // n)
+    block = min(-(-steps // record_every), span)
     spectra = np.empty((block, n), dtype=complex)
     row_tau, row_step = np.empty(block), np.empty(block, dtype=int)
     observed = []
+
+    def scheduled_steps(tau, count):
+        """(pot_dt, g_dt, kappa, loss) of the next `count` scheduled steps
+        from tau, interpolated at their midpoints in one call per column;
+        the midpoints accumulate dt as the loop accumulates tau."""
+        mids = np.cumsum([tau] + [dt] * (count - 1)) + dt / 2
+        ts, *cols = params._schedule_columns
+        s, g, kappa = (np.interp(mids, ts, col) for col in cols)
+        pot = np.multiply.outer(s, cos2)
+        pot *= -dt
+        kappa = kappa.tolist()
+        return zip(pot, (g * -dt).tolist(), kappa,
+                   [math.exp(-k * dt / 2) for k in kappa])
 
     def record(kinetic, fields, times, at):
         dens = np.abs(fields) ** 2
@@ -340,9 +358,9 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         final, rows, kin = field, 0, half_kin
         for step in range(1, steps + 1):
             if scheduled:
-                s, g, kappa = params.coefficients(tau + dt / 2)
-                pot_dt, g_dt = (s * cos2) * -dt, g * -dt
-                loss = math.exp(-kappa * dt / 2)
+                if (step - 1) % span == 0:
+                    ahead = scheduled_steps(tau, min(span, steps + 1 - step))
+                pot_dt, g_dt, kappa, loss = next(ahead)
             # kin * spectrum, not spectrum * kin: the bits differ
             np.multiply(kin, spectrum, out=spectrum)
             ifft(spectrum, 1 / n, out=field)

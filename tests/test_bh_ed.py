@@ -60,16 +60,23 @@ def full_basis_oracle(basis):
     return hop, onsite
 
 
-def translation_orbits(basis):
-    """Brute force: each state's orbit as the smallest of its rotations."""
+def dihedral_images(state):
+    """The 2L images of an occupation tuple under the dihedral group: the
+    rotations of the state and of its mirror."""
+    mirror = state[::-1]
+    return [s[k:] + s[:k] for s in (state, mirror) for k in range(len(s))]
+
+
+def dihedral_orbits(basis):
+    """Brute force: each state's orbit as the smallest of its 2L images."""
     states = list(map(tuple, basis.digits(basis.codes).tolist()))
-    return [min(s[k:] + s[:k] for k in range(len(s))) for s in states]
+    return [min(dihedral_images(s)) for s in states]
 
 
 def sector_projector(basis):
     """Q[s, r] = 1 / sqrt(R_r) for the states s of orbit r, orbits in
-    increasing order, from `translation_orbits` alone."""
-    orbit = translation_orbits(basis)
+    increasing order, from `dihedral_orbits` alone."""
+    orbit = dihedral_orbits(basis)
     reps = sorted(set(orbit))
     q = np.zeros((basis.dim, len(reps)))
     for s, rep in enumerate(orbit):
@@ -81,13 +88,13 @@ def enumerated_basis(sites, bosons, n_max, periodic):
     """Brute force: every occupation tuple by itertools.product (which
     yields them in lexicographic order), its code summed digit by digit,
     and on a ring of three or more sites each state's orbit as the smallest
-    of its rotations."""
+    of its 2L dihedral images."""
     states = [s for s in itertools.product(range(n_max + 1), repeat=sites)
               if sum(s) == bosons]
     codes = [sum(n * (n_max + 1) ** (sites - 1 - i) for i, n in enumerate(s))
              for s in states]
     if periodic and sites > 2:
-        orbit = [min(s[k:] + s[:k] for k in range(sites)) for s in states]
+        orbit = [min(dihedral_images(s)) for s in states]
     else:
         orbit = states
     want = sorted(set(orbit))
@@ -96,6 +103,17 @@ def enumerated_basis(sites, bosons, n_max, periodic):
             "rep_occ": [list(r) for r in want],
             "index": [want.index(r) for r in orbit],
             "size": [orbit.count(r) for r in want]}
+
+
+def dp_count(sites, n_max):
+    """Bounded compositions by dynamic programming: ways[b] counts the
+    occupation vectors of `sites` sites, each entry <= n_max, summing to b,
+    for every b from 0 to sites * n_max."""
+    ways = [1]
+    for _ in range(sites):
+        ways = [sum(ways[max(b - n_max, 0):b + 1])
+                for b in range(len(ways) + n_max)]
+    return ways
 
 
 @st.composite
@@ -185,6 +203,41 @@ class TestBasis:
                 basis.codes[rows],
                 basis.codes[cols] + base ** (4 - dst) - base ** (4 - src))
 
+    def test_count_matches_dynamic_programming(self):
+        # the closed inclusion-exclusion sum against the site-by-site count,
+        # for every boson number up to a full chain and one past it
+        for sites in range(1, 16):
+            for n_max in range(1, 8):
+                want = dp_count(sites, n_max) + [0]
+                assert [count_states(sites, b, n_max)
+                        for b in range(len(want))] == want
+
+    @pytest.mark.parametrize("sites, bosons, k0_rows, rows", [
+        (6, 6, 74, 46), (8, 7, 393, 211), (8, 8, 690, 375),
+        (8, 9, 1100, 575), (12, 12, 81322, 41022)])
+    def test_sector_rows(self, sites, bosons, k0_rows, rows):
+        # the mirror halves the k = 0 sector (k0_rows) at n_max = 4, less
+        # the orbits it maps onto themselves
+        basis = FockBasis.build(sites, bosons, 4)
+        assert basis.reps.size == rows
+        assert k0_rows // 2 <= rows < k0_rows
+
+    def test_mirror_joins_or_keeps_orbits(self):
+        # L = 4, N = 4, n_max = 2: the mirror of 0112 is 2110, a rotation
+        # of 0211, another translation orbit, so the two join (R = 4 + 4);
+        # the mirror of 0121 is 1210, a rotation of 0121 itself (R = 4)
+        basis = FockBasis.build(4, 4, 2)
+        code = {s: i for i, s in enumerate(
+            map(tuple, basis.digits(basis.codes).tolist()))}
+        joined = basis.index[code[0, 1, 1, 2]]
+        kept = basis.index[code[0, 1, 2, 1]]
+        assert basis.reps[joined] == code[0, 1, 1, 2]
+        assert basis.index[code[0, 2, 1, 1]] == joined
+        assert basis.index[code[2, 1, 1, 0]] == joined
+        assert basis.size[joined] == 8
+        assert basis.reps[kept] == code[0, 1, 2, 1]
+        assert basis.size[kept] == 4
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             FockBasis.build(0, 2, 2)
@@ -222,6 +275,21 @@ class TestHamiltonian:
         h = build_hamiltonian(basis, 1.3, 2.7)
         assert np.array_equal(h, h.T)
 
+    @pytest.mark.parametrize("sites", range(3, 11))
+    def test_ring_hamiltonian_bit_symmetric(self, monkeypatch, sites):
+        # every unit-filling sector of a ring, built dense and CSR: each
+        # entry the half sum of the two directions' hops, so H == H.T
+        n_max = 3 if sites <= 8 else 2
+        for bosons in (sites - 1, sites, sites + 1):
+            basis = FockBasis.build(sites, bosons, n_max)
+            for cutoff in (basis.reps.size, 0):
+                monkeypatch.setattr(bh_ed, "DENSE_CUTOFF", cutoff)
+                h = build_hamiltonian(basis, 1.3, 2.7)
+                if cutoff:
+                    assert np.array_equal(h, h.T)
+                else:
+                    assert (h != h.T).nnz == 0
+
     def test_periodic_not_above_open_at_u0(self):
         for L in (4, 6):
             e_per, e_open = (
@@ -241,11 +309,11 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("sites, bosons, n_max, periodic", [
         (6, 6, 4, True), (7, 7, 4, True), (5, 5, 3, False),
-        (5, 6, 4, False)])
+        (5, 6, 4, False), (8, 8, 4, True)])
     def test_onsite_held_once_per_row(self, sites, bosons, n_max,
                                       periodic):
         # U is one value per sector row, added on that row's diagonal slot;
-        # a dense sector (74, 101 rows) and a CSR one (218, 185 rows) each
+        # dense sectors (46, 117 and 101 rows) and CSR ones (185, 375 rows)
         basis = FockBasis.build(sites, bosons, n_max, periodic)
         tables, rows = basis.tables, basis.reps.size
         occ = basis.rep_occ
@@ -284,7 +352,7 @@ class TestHamiltonian:
         basis = FockBasis.build(sites, bosons, n_max, periodic)
         assert basis.ring == (periodic and sites > 2)
         if basis.ring:
-            orbit = translation_orbits(basis)
+            orbit = dihedral_orbits(basis)
             want = sorted(set(orbit))
             states = list(map(tuple, basis.digits(basis.codes).tolist()))
             assert [states[r] for r in basis.reps] == want
@@ -300,7 +368,7 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("periodic", [True, False])
     def test_reverse_hop_is_transpose(self, periodic):
-        # H(1, 0) is Q^T H_oracle Q on a ring of five sites (k = 0 sector)
+        # H(1, 0) is Q^T H_oracle Q on a ring of five sites (k = 0, P = +1)
         # and exactly the oracle on the open chain (single-state orbits)
         basis = FockBasis.build(5, 5, 3, periodic)
         want, _ = full_basis_oracle(basis)
@@ -350,7 +418,7 @@ class TestGroundEnergy:
         assert abs(e_dense - w[0]) <= 1e-10 * abs(e_dense)
 
     def test_lanczos_path_large_basis(self):
-        basis = FockBasis.build(8, 8, 3)   # 483 k = 0 rows > dense cutoff
+        basis = FockBasis.build(8, 8, 3)   # 265 sector rows > dense cutoff
         h = build_hamiltonian(basis, 1.0, 4.0)
         e0, vec = ground_energy(h)
         res = np.linalg.norm(h @ vec - e0 * vec)
@@ -369,8 +437,9 @@ class TestGroundEnergy:
         (7, 4, True), (8, 4, True), (7, 2, False), (8, 2, False)])
     def test_lanczos_matches_dense(self, monkeypatch, sites, n_max,
                                    periodic):
-        # every sector on the Lanczos path (the L = 7 ring's N - 1 sector
-        # has 125 rows, under the cutoff), against dense eigh of the same H
+        # every sector on the Lanczos path (the L = 7 ring's N - 1 and N
+        # sectors have 72 and 117 rows, under the cutoff), against dense
+        # eigh of the same H
         monkeypatch.setattr(bh_ed, "DENSE_CUTOFF", 0)
         chain = bh_ed.UnitFilling.build(sites, n_max, periodic)
         for basis in chain.bases.values():
@@ -440,13 +509,13 @@ class TestGroundEnergy:
     @pytest.mark.parametrize("periodic", [True, False])
     def test_dense_path_matches_eigh(self, monkeypatch, periodic):
         # every sector at L = 2-7, n_max = 2-4 (N - 1, N and N + 1), the
-        # L = 7 ring at n_max 4 among them: its N - 1 sector (125 rows) is
-        # dense, its N and N + 1 sectors CSR.  H is an array exactly up to
-        # DENSE_CUTOFF rows, the array of the CSR H built with no sector
-        # dense; an array goes to `_dense_lowest`, whose direct dsyevr call
-        # gives scipy.linalg.eigh's e0 and vector to the last bit, and CSR
-        # to `_lanczos`; `UnitFilling.solve` gives each sector's solve to
-        # the last bit
+        # L = 7 ring at n_max 4 among them: its N - 1 and N sectors (72 and
+        # 117 rows) are dense, its N + 1 sector (188 rows) CSR.  H is an
+        # array exactly up to DENSE_CUTOFF rows, the array of the CSR H
+        # built with no sector dense; an array goes to `_dense_lowest`,
+        # whose direct dsyevr call gives scipy.linalg.eigh's e0 and vector
+        # to the last bit, and CSR to `_lanczos`; `UnitFilling.solve` gives
+        # each sector's solve to the last bit
         calls = []
 
         def counted(name):
@@ -485,10 +554,10 @@ class TestGroundEnergy:
                 assert gap == (want[sites + 1][0] + want[sites - 1][0]
                                - 2 * want[sites][0])
         if periodic:
-            assert [dense[7, 4, n] for n in (6, 7, 8)] == [True, False, False]
+            assert [dense[7, 4, n] for n in (6, 7, 8)] == [True, True, False]
 
     def test_dense_solve_builds_no_sparse_matrix(self, monkeypatch):
-        # the L = 6 sectors (<= 111 rows) are solved from the tables alone
+        # the L = 6 sectors (<= 63 rows) are solved from the tables alone
         def refuse(*args, **kwargs):
             raise AssertionError("a scipy.sparse matrix was built")
 
@@ -513,7 +582,7 @@ class TestGroundEnergy:
             ground_energy(build_hamiltonian(basis, 1.0, 3.3))
 
     def test_lanczos_values_match_frozen(self):
-        # L = 8 takes the Lanczos path (sector dims 393-1100 on the ring,
+        # L = 8 takes the Lanczos path (sector dims 211-575 on the ring,
         # 3144-8800 states open).  The ring values were computed by a
         # per-state Hamiltonian build on the full basis and full ARPACK
         # solves; the open chain is frozen to its last bit.
@@ -657,9 +726,9 @@ class TestCriticalRatio:
     def test_solver_sizes_match_frozen(self):
         # the benchmark's solver sizes, frozen to the last bit
         est = estimate_critical_ratio([4, 6, 8], [1.2, 2.6, 4.0, 5.4, 6.8])
-        assert est.crossings == (2.6656721919093864, 2.648137425992335,
-                                 2.6261891477950954)
-        assert est.mean == 2.6466662552322724
+        assert est.crossings == (2.665672191909702, 2.6481374259916852,
+                                 2.626189147793155)
+        assert est.mean == 2.6466662552315143
 
     def test_deep_mott_no_crossing(self):
         with pytest.raises(NoCrossing):

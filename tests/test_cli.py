@@ -122,6 +122,22 @@ class TestConfigParsing:
         assert str(path) in lines[0]
         assert "Traceback" not in done.stderr
 
+    def test_ed_unit_filling_cap_exits_2(self, tmp_path):
+        # n_max = 1 leaves the N + 1 sector of the charge gap empty: refused
+        # with its cause, before any basis is built, in a fresh process
+        src = Path(polariton_phases.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "polariton_phases.cli", "ed", "--config",
+             str(write_config(tmp_path, {"ed": {"sizes": [4], "n_max": 1}})),
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1] == (
+            "ERROR DomainError: unit filling needs n_max >= 2 for the charge "
+            "gap, whose L + 1 bosons must fit on L sites; got n_max = 1")
+        assert "Traceback" not in done.stderr
+
     def test_hash_is_stable(self):
         assert from_dict({}).hash() == default_config().hash()
         # every output of a default run is stamped with this hash
@@ -374,7 +390,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("sub, section, code", [
         # codes of 1500 sites overflow int64
-        ("ed", {"sizes": [1500], "n_max": 1, "ratios": [1, 2]}, 2),
+        ("ed", {"sizes": [1500], "n_max": 2, "ratios": [1, 2]}, 2),
         # U n(n-1)/2 overflows H, for the dense and the Lanczos solver
         ("ed", {"sizes": [4], "n_max": 4, "ratios": [1e308]}, 2),
         ("ed", {"sizes": [8], "n_max": 4, "ratios": [1e308]}, 2),
@@ -746,7 +762,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("doc, digest", [
         # ring, L = 8: every sector on the Lanczos path
         ({"sizes": [8], "ratios": [1, 2, 3, 3.3, 4, 5, 6, 7, 8]},
-         "144b01c98fd999a8b6f6210270e7f936a5697460244eba1756ab418022aa705a"),
+         "06ea814f9c3360f73c1f96f9db79126e8e43a4ecc447db363f60c6c51f511c49"),
         # open chain, L = 7: dense N - 1 sector, Lanczos N and N + 1
         ({"sizes": [7], "ratios": [1, 2, 3, 3.3, 4, 5, 6, 7, 8],
           "periodic": False},

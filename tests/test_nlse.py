@@ -617,10 +617,15 @@ class TestEvolve:
          for record_every in (1, 7, 150)]
         # an int dt from a start off the step grid: the midpoints stay
         # 0.25 + dt (k + 1/2), accumulated in float
-        + [(_SLOW_RAMP, 1, 6, 1, 0.25)],
+        + [(_SLOW_RAMP, 1, 6, 1, 0.25)]
+        # 1024 points on one period: the schedule is read 64 steps at a
+        # time, so 200 steps from a start off the grid span four blocks
+        + [(with_(_SLOW_RAMP, n_periods=1, grid_points=1024), 1e-3, 200, 9,
+            0.37)],
         ids=[f"{name}-every{record_every}"
              for name in ("static", "lossy", "scheduled")
-             for record_every in (1, 7, 150)] + ["ramp-int-dt"])
+             for record_every in (1, 7, 150)]
+        + ["ramp-int-dt", "ramp-blocks"])
     def test_matches_pre_in_place_loop(self, params, dt, steps, record_every,
                                        start):
         # equal bits here; the margin is for CPUs whose trig or FFT rounds
