@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .errors import (
     NoCrossing,
     PolaritonError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Largest sector whose H is built dense (dsyevr); CSR and Lanczos above.
 # Measured crossover of the two lowest-eigenpair solvers on unit-filling

@@ -49,12 +49,13 @@ def interaction_strength(gamma_abs: float) -> float:
 
 @dataclass(frozen=True)
 class NlseParams:
+    """Box, grid and (s, g, kappa) from one table: the schedule's (tau, s,
+    g, kappa) rows, or with none the static fields as one row at tau = 0."""
     v1_over_er: float = 0.0         # lattice depth s
     g_int: float = 0.0              # nonlinear coupling g
     kappa_dimless: float = 0.0      # loss rate in recoil units
     n_periods: int = 8
     grid_points: int = 256
-    # optional ramp: (tau, s, g, kappa) control points, linearly interpolated
     schedule: tuple[tuple[float, float, float, float], ...] = ()
 
     def __post_init__(self):
@@ -80,15 +81,15 @@ class NlseParams:
             raise ConfigError("schedule times must strictly increase")
 
     @cached_property
-    def _schedule_columns(self) -> tuple[np.ndarray, ...]:
-        """The schedule's tau, s, g and kappa columns as float arrays."""
-        return tuple(np.array(col, dtype=float) for col in zip(*self.schedule))
+    def _table(self) -> tuple[np.ndarray, ...]:
+        """The tau, s, g and kappa columns of the coefficient table."""
+        static = (0.0, self.v1_over_er, self.g_int, self.kappa_dimless)
+        return tuple(np.array(self.schedule or [static], float).T)
 
     def coefficients(self, tau: float) -> tuple[float, float, float]:
-        """(s, g, kappa) at time tau, from the schedule if one is set."""
-        if not self.schedule:
-            return self.v1_over_er, self.g_int, self.kappa_dimless
-        ts, *cols = self._schedule_columns
+        """(s, g, kappa) at time tau: linear between the table's rows, the
+        end rows' outside them; a one-row table's at every tau, bit for bit."""
+        ts, *cols = self._table
         return tuple(float(np.interp(tau, ts, col)) for col in cols)
 
 
@@ -245,16 +246,17 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     A step works in preallocated buffers: the spectrum and the field, which
     its two FFTs write, the real phase |psi|^2 (-g dt) + s cos^2 (-dt) and
     the rotation cos + i sin of that phase, times the loss factor only when
-    kappa != 0 (the bits of the complex exp times that factor).  On a
-    schedule, s, g and kappa are interpolated for a block of at most
-    max(1, 2^16 // m) steps at once, at midpoints accumulated as tau is,
-    and s cos^2 (-dt) of each step is one row of that block.  A record
+    kappa != 0 (the bits of the complex exp times that factor).  s, g and
+    kappa come from the table of params.coefficients.  A one-row table's
+    step is formed once; a longer table is interpolated for a block of at
+    most max(1, 2^16 // m) steps at once, at midpoints accumulated as tau
+    is, and s cos^2 (-dt) of each step is one row of that block.  A record
     copies the spectrum, its step and tau into a block of at most
     max(1, 2^16 // m) rows of the m points the run takes (~1 MiB); a full
     block, and the last one, is transformed back in place in one batched
-    inverse FFT, and its norms, energies and contrasts are read along the
-    rows.  The start is recorded from the field it holds, and the returned
-    psi is the last record's.
+    inverse FFT, and its norms, energies (at the table's s and g) and
+    contrasts are read along the rows.  The start is recorded from the
+    field it holds, and the returned psi is the last record's.
 
     A start that repeats bit for bit on every lattice period stays
     periodic, so the steps and records run on one period of m = n /
@@ -264,14 +266,13 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi|^2 <= n norm(psi_0) on the n points of the
     box.  A step's phase is then at most dt (k_max^2 + max s + max g n
-    norm(psi_0)), over the static coefficients and the schedule's, with
-    the box's k_max = m and n also on one period; once that bound reaches
-    1/eps radians, where rounding alone exceeds a radian, DomainError is
-    raised after the start is recorded, as it is for a start of zero norm.
-    Otherwise the only guard is NonFinite, raised for the first record, the
-    start's included, whose norm or energy is not finite: a non-finite
-    field spreads through the next FFT, and the last step is always
-    recorded.
+    norm(psi_0)), maxima over the table's rows, with the box's k_max = m
+    and n also on one period; once that bound reaches 1/eps radians, where
+    rounding alone exceeds a radian, DomainError is raised after the start
+    is recorded, as it is for a start of zero norm.  Otherwise the only
+    guard is NonFinite, raised for the first record, the start's included,
+    whose norm or energy is not finite: a non-finite field spreads through
+    the next FFT, and the last step is always recorded.
     """
     psi = np.asarray(state.psi, dtype=complex)
     _check_box(psi, params)
@@ -289,10 +290,11 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     phase = np.empty(n)
     rot = np.empty(n, dtype=complex)
     rot_cos, rot_sin = rot.real, rot.imag
-    scheduled = bool(params.schedule)
+    ts, s_col, g_col, kappa_col = params._table
+    ramp = ts.size > 1
     # the records after the start: their spectra, transformed in place a
-    # block of rows at a time; a schedule's coefficients, a span of steps at
-    # a time (~0.5 MiB)
+    # block of rows at a time; a ramp's coefficients, a span of steps at a
+    # time (~0.5 MiB)
     span = max(1, 2**16 // n)
     block = min(-(-steps // record_every), span)
     spectra = np.empty((block, n), dtype=complex)
@@ -300,12 +302,12 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     observed = []
 
     def scheduled_steps(tau, count):
-        """(pot_dt, g_dt, kappa, loss) of the next `count` scheduled steps
-        from tau, interpolated at their midpoints in one call per column;
-        the midpoints accumulate dt as the loop accumulates tau."""
+        """(pot_dt, g_dt, kappa, loss) of the next `count` steps from tau,
+        interpolated at their midpoints in one call per column; the
+        midpoints accumulate dt as the loop accumulates tau."""
         mids = np.cumsum([tau] + [dt] * (count - 1)) + dt / 2
-        ts, *cols = params._schedule_columns
-        s, g, kappa = (np.interp(mids, ts, col) for col in cols)
+        s, g, kappa = (np.interp(mids, ts, col)
+                       for col in (s_col, g_col, kappa_col))
         pot = np.multiply.outer(s, cos2)
         pot *= -dt
         kappa = kappa.tolist()
@@ -315,12 +317,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     def record(kinetic, fields, times, at):
         dens = np.abs(fields) ** 2
         norm = np.mean(dens, axis=-1)
-        if scheduled:
-            ts, s_col, g_col, _ = params._schedule_columns
-            s = np.interp(times, ts, s_col)[:, None]
-            g = np.interp(times, ts, g_col)[:, None]
-        else:
-            s, g = params.v1_over_er, params.g_int
+        s, g = (np.interp(times, ts, col)[:, None] for col in (s_col, g_col))
         energy = kinetic + _potential(dens, cos2, s, g)
         bad = ~(np.isfinite(norm) & np.isfinite(energy))
         if bad.any():
@@ -343,21 +340,20 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
         # <= n norm on the box's n points: from 1/eps radians on, rounding
         # alone is a radian.  k_max = n / n_periods is the box's Nyquist
         # mode, bit for bit its k2.max()
-        s_max = max([params.v1_over_er, *(p[1] for p in params.schedule)])
-        g_max = max([params.g_int, *(p[2] for p in params.schedule)])
-        bound = dt * ((params.grid_points / params.n_periods) ** 2 + s_max
-                      + g_max * params.grid_points * observed[0][1][0])
+        bound = dt * ((params.grid_points / params.n_periods) ** 2
+                      + s_col.max()
+                      + g_col.max() * params.grid_points * observed[0][1][0])
         if not bound < 1 / np.finfo(float).eps:
             raise DomainError(f"a step's phase may reach {bound:.3g} rad "
                               "(dt, s or g too large): its rounding alone "
                               "exceeds a radian")
-        if not scheduled:
+        if not ramp:
             s, g, kappa = params.coefficients(tau)
             pot_dt, g_dt = (s * cos2) * -dt, g * -dt
             loss = math.exp(-kappa * dt / 2)
         final, rows, kin = field, 0, half_kin
         for step in range(1, steps + 1):
-            if scheduled:
+            if ramp:
                 if (step - 1) % span == 0:
                     ahead = scheduled_steps(tau, min(span, steps + 1 - step))
                 pot_dt, g_dt, kappa, loss = next(ahead)
@@ -417,7 +413,7 @@ def ground_state(params: NlseParams) -> GroundState:
     iterations.  The state is returned complex, with the iterations taken
     and its residual.
     """
-    if params.kappa_dimless != 0 or any(p[3] != 0 for p in params.schedule):
+    if params._table[3].any():
         raise DomainError("ground_state requires kappa = 0")
     n = params.grid_points // params.n_periods
     k2_max = (params.grid_points / params.n_periods) ** 2

@@ -767,7 +767,7 @@ class TestDeterminism:
         ({"sizes": [7], "ratios": [1, 2, 3, 3.3, 4, 5, 6, 7, 8],
           "periodic": False},
          "b2091e58f1bc555e5714dedf1066889bfd04e6695edbaf6194affcc2fb8bb449"),
-    ])
+    ], ids=["ring-L8", "open-L7"])
     def test_ed_csv_matches_frozen_hash(self, tmp_path, doc, digest):
         code, out = run(tmp_path, "ed", {"ed": doc})
         assert code == 0
@@ -1029,6 +1029,12 @@ def _loaded_by_run(tmp_path, sub: str, doc: dict, package: str = "scipy",
 def test_cli_import_leaves_scipy_out():
     # scipy costs ~0.3 s to import; only the ED solves use it
     assert _loaded_after("polariton_phases.cli", "scipy") == []
+
+
+def test_bh_ed_import_leaves_scipy_out():
+    # bh_ed imports scipy inside the solves that use it; its annotations
+    # name scipy.sparse through TYPE_CHECKING only
+    assert _loaded_after("polariton_phases.bh_ed", "scipy") == []
 
 
 def test_cli_import_and_config_load_leave_numpy_out(tmp_path):

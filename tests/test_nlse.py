@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from polariton_phases import nlse, optics
 from polariton_phases.config import default_config
@@ -181,6 +182,31 @@ def _textbook_strang(psi, params, dt, steps):
                       - kappa * dt / 2)
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
     return psi
+
+
+def _bdg_frequency(params, q):
+    """Oracle: the lowest Bogoliubov-de Gennes frequency at Bloch momentum
+    q about the ground state psi0, from a dense solve on one period of the
+    box's grid.  L = [[A, B], [-B, -A]] with A = T_q + s cos^2 + 2 g psi0^2
+    - mu and B = g psi0^2, T_q applying (k + q)^2 spectrally and mu =
+    <psi0, H psi0> / <psi0, psi0>; omega(q) is L's smallest positive real
+    eigenvalue."""
+    m = params.grid_points // params.n_periods
+    psi0 = ground_state(params).psi[:m].real
+    k = 2 * math.pi * np.fft.fftfreq(m, d=math.pi / m)
+    unit = np.fft.fft(np.eye(m), axis=0)
+
+    def spectral(factor):
+        return np.fft.ifft(factor[:, None] * unit, axis=0)
+    s, g, _ = params.coefficients(0.0)
+    potential = s * np.cos(grid(params)[:m]) ** 2 + g * psi0**2
+    h = spectral(k**2).real + np.diag(potential)
+    mu = psi0 @ h @ psi0 / (psi0 @ psi0)
+    a = spectral((k + q) ** 2) + np.diag(potential + g * psi0**2 - mu)
+    b = np.diag(g * psi0**2)
+    omega = np.linalg.eigvals(np.block([[a, b], [-b, -a]]))
+    real = omega[abs(omega.imag) <= 1e-9 * abs(omega.real)].real
+    return real[real > 0].min()
 
 
 def _fft_sizes(monkeypatch):
@@ -486,6 +512,58 @@ class TestEvolve:
         assert np.array_equal(f0.psi, f1.psi) and f0.time == f1.time
         for field in ("tau", "norm", "energy", "contrast"):
             assert np.array_equal(getattr(o0, field), getattr(o1, field))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1])
+    @pytest.mark.parametrize("start", ["period", "box"])
+    def test_one_row_schedule_is_the_static_run(self, start, kappa):
+        # the static (s, g, kappa) are the coefficient table's one row at
+        # tau = 0, and a one-row schedule is such a table too: every reader
+        # gets the same bits, at any tau.  The scheduled twin's own static
+        # fields are 0, which it never reads
+        static = NlseParams(v1_over_er=2.3, g_int=0.2, kappa_dimless=kappa,
+                            n_periods=8, grid_points=64)
+        row = NlseParams(n_periods=8, grid_points=64,
+                         schedule=((0.0, 2.3, 0.2, kappa),))
+        psi = (ground_state(with_(static, kappa_dimless=0.0))
+               if start == "period" else _gaussian(static, 2.0)).psi
+        (f0, o0), (f1, o1) = [
+            evolve(FieldState(psi, 0.5), p, dt=1e-3, steps=300,
+                   record_every=7) for p in (static, row)]
+        assert np.array_equal(f0.psi, f1.psi) and f0.time == f1.time
+        for field in ("tau", "norm", "energy", "contrast"):
+            assert np.array_equal(getattr(o0, field), getattr(o1, field))
+        for tau in (0.0, 0.5, -3.0, math.inf, -math.inf, math.nan):
+            assert static.coefficients(tau) == row.coefficients(tau) \
+                == (2.3, 0.2, kappa)
+            assert energy_of(f0.psi, static, tau) == energy_of(f0.psi, row,
+                                                               tau)
+        if kappa:
+            for p in (static, row):
+                with pytest.raises(DomainError, match="kappa = 0"):
+                    ground_state(p)
+        else:
+            g0, g1 = ground_state(static), ground_state(row)
+            assert np.array_equal(g0.psi, g1.psi)
+            assert (g0.iterations, g0.residual) \
+                == (g1.iterations, g1.residual)
+
+    def test_phase_bound_reads_only_the_schedule(self):
+        # a scheduled run never steps with the static s, so a static 1e300
+        # beside a harmless schedule runs, as with a static 0 (the phase
+        # bound once counted it and raised DomainError); the schedule's own
+        # rows still count
+        ramp = ((0.0, 1.0, 0.2, 0.0), (1.0, 2.0, 0.4, 0.0))
+        p = NlseParams(v1_over_er=1e300, n_periods=8, grid_points=64,
+                       schedule=ramp)
+        state = _gaussian(p, 2.0)
+        (f0, o0), (f1, o1) = [
+            evolve(state, q, dt=1e-3, steps=50, record_every=7)
+            for q in (p, with_(p, v1_over_er=0.0))]
+        assert np.array_equal(f0.psi, f1.psi)
+        assert np.array_equal(o0.energy, o1.energy)
+        with pytest.raises(DomainError, match="rounding alone"):
+            evolve(state, with_(p, schedule=(*ramp, (2.0, 1e300, 0.2, 0.0))),
+                   dt=1e-3, steps=50)
 
     def test_nonfinite_detected(self):
         p = NlseParams(n_periods=8, grid_points=64)
@@ -810,6 +888,21 @@ class TestGroundState:
             ground_state(NlseParams(kappa_dimless=0.1, n_periods=8,
                                     grid_points=64))
 
+    def test_lossless_schedule_beside_static_loss_relaxes(self):
+        # the refusal reads the coefficient table: a lossless schedule
+        # relaxes at its tau = 0 row, as it did before, though the static
+        # kappa it never reads is 0.1 (the refusal once read it and raised
+        # DomainError); a lossy row anywhere in the schedule is refused
+        ramp = ((0.0, 2.3, 0.2, 0.0), (1.0, 5.0, 0.9, 0.0))
+        p = NlseParams(kappa_dimless=0.1, n_periods=8, grid_points=64,
+                       schedule=ramp)
+        gs = ground_state(p)
+        want = ground_state(NlseParams(v1_over_er=2.3, g_int=0.2,
+                                       n_periods=8, grid_points=64))
+        assert np.array_equal(gs.psi, want.psi)
+        with pytest.raises(DomainError, match="kappa = 0"):
+            ground_state(with_(p, schedule=(*ramp, (2.0, 5.0, 0.9, 1e-3))))
+
 
 class TestPeriodicSector:
     @pytest.mark.parametrize("params, steps, record_every", [
@@ -968,6 +1061,7 @@ class TestBogoliubovPhonon:
         p = NlseParams(g_int=g, n_periods=8, grid_points=64)
         q, eps, dt, chunk = 2 / p.n_periods, 1e-4, 1e-2, 20
         omega = math.sqrt(q**2 * (q**2 + 2 * g))
+        assert _bdg_frequency(p, q) == pytest.approx(omega, rel=1e-12)
         omega_dt = math.acos(math.cos(q**2 * dt)
                              - g * dt * math.sin(q**2 * dt)) / dt
         mode = np.cos(q * grid(p))
@@ -983,6 +1077,46 @@ class TestBogoliubovPhonon:
         estimate = math.acos(cos_wh) / (chunk * dt)
         assert abs(estimate - omega_dt) <= 5e-8 * omega
         assert abs(estimate - omega) <= 1e-6 * omega
+
+    @pytest.mark.parametrize("s, gamma", [(2.85, 1.0), (4.0, 2.0)])
+    def test_lattice_density_mode_at_bogoliubov_frequency(self, s, gamma):
+        # on a lattice the ground state psi0 is kicked by 1 + eps cos(q xi),
+        # q = 2 / n_periods: A = <|psi|^2 cos q xi> oscillates at the
+        # lowest BdG frequency at Bloch momentum q (_bdg_frequency).  The
+        # kicked start runs on the whole box.  The estimate is the omega of
+        # the least-squares a cos(omega t) + b sin(omega t) + c through A,
+        # sampled every 0.2 over 160 time units; the residual's main lobe
+        # is ~17 % of omega wide, so 5 % either side holds one minimum.
+        # dt study, 128 points on 8 periods: the relative error was -1.6e-5
+        # at dt = 1e-2 and -3.8e-6 at 5e-3 for (s, gamma) = (2.85, 1), and
+        # -2.2e-5 and -5.2e-6 for (4, 2): the Strang error, -0.16 dt^2 and
+        # -0.22 dt^2, above a bias of 3e-7.  eps = 1e-5 and 1e-3 moved it
+        # by at most 8e-6, sampling every 0.4 by 5e-7.  At dt = 2e-2,
+        # k_max^2 dt = 5.1 passes pi, and the split step's own instability
+        # grows the mode five-fold over the run.
+        p = NlseParams(v1_over_er=s, g_int=interaction_strength(gamma),
+                       n_periods=8, grid_points=128)
+        q, eps, dt, chunk = 2 / p.n_periods, 1e-4, 1e-2, 20
+        omega = _bdg_frequency(p, q)
+        mode = np.cos(q * grid(p))
+        state = FieldState(ground_state(p).psi * (1 + eps * mode))
+        times, samples = [], []
+        for _ in range(801):
+            times.append(state.time)
+            samples.append(np.mean(np.abs(state.psi) ** 2 * mode))
+            state, _ = evolve(state, p, dt=dt, steps=chunk,
+                              record_every=chunk)
+        t, a = np.array(times), np.array(samples)
+
+        def misfit(w):
+            basis = np.column_stack([np.cos(w * t), np.sin(w * t),
+                                     np.ones_like(t)])
+            fit, *_ = np.linalg.lstsq(basis, a, rcond=None)
+            return np.sum((basis @ fit - a) ** 2)
+        estimate = scipy.optimize.minimize_scalar(
+            misfit, bounds=(0.95 * omega, 1.05 * omega), method="bounded",
+            options={"xatol": 1e-13}).x
+        assert abs(estimate - omega) <= 3e-5 * omega
 
 
 class TestReleaseProfile:
