@@ -9,19 +9,22 @@ are <= 0 and the Fock graph is connected, so the ground state is nodeless
 rotations and reversal, hops weighted by sqrt(R_src / R_dst) (Sandvik,
 AIP Conf. Proc. 1297, 135 (2010)).  Building a basis makes the codes and
 the orbit arrays alone, and fixes the sector; the occupations are read
-off the codes' digits on first use.  One hop enumerator builds the
-hopping tables and the hops of <b+_0 b_d>, each on first use, once per
-basis for every (J, U); <b+_0 b_d> is read off the sector vector as the
-mean over the L translations and the mirror.  H is scattered from the
-tables into a dense array for a sector of up to DENSE_CUTOFF rows, with
-no sparse matrix built, and into CSR above; its form picks the solver of
-its lowest eigenpair: LAPACK's dsyevr called directly for an array, and
-for CSR of any size Lanczos with full reorthogonalization from the
-uniform vector, its Ritz pairs from LAPACK's dstebz and dstein called
-directly.  A `UnitFilling` chain holds the N - 1, N and N + 1 bases of
-one (L, n_max, boundary), built once per size and solved at every U/J:
-the charge gap as Mott diagnostic, and a scaled-gap crossing estimate of
-the critical U/J.
+off the codes' digits on first use.  A digit rotation costs one
+division, every state's orbit is ranked off one sort rather than a
+binary search each, and the table entries and their transposes are put
+in order by stable radix passes over 16-bit digits.  One hop enumerator
+builds the hopping tables and the hops of <b+_0 b_d>, each on first use,
+once per basis for every (J, U); <b+_0 b_d> is read off the sector
+vector as the mean over the L translations and the mirror.  H is
+scattered from the tables into a dense array for a sector of up to
+DENSE_CUTOFF rows, with no sparse matrix built, and into CSR above; its
+form picks the solver of its lowest eigenpair: LAPACK's dsyevr called
+directly for an array, and for CSR of any size Lanczos with full
+reorthogonalization from the uniform vector, its Ritz pairs from
+LAPACK's dstebz and dstein called directly.  A `UnitFilling` chain holds
+the N - 1, N and N + 1 bases of one (L, n_max, boundary), built once per
+size and solved at every U/J: the charge gap as Mott diagnostic, and a
+scaled-gap crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
@@ -195,10 +198,10 @@ class FockBasis:
         sqrt(n_src (n_dst + 1)) sqrt(R_src/R_dst))."""
         n_src, n_dst = self.rep_occ[:, src].T, self.rep_occ[:, dst].T
         move = (n_src > 0) & (n_dst < self.n_max)     # (pairs, rows)
-        pair, col = np.nonzero(move)
+        pair, col = move.nonzero()
         place = self.place
         moved = self.codes[self.reps[col]] + (place[dst] - place[src])[pair]
-        row = self.index[np.searchsorted(self.codes, moved)]
+        row = self.index[self.codes.searchsorted(moved)]
         amp = np.sqrt(n_src[move] * (n_dst[move] + 1.0)) \
             * np.sqrt(self.size[col] / self.size[row])
         return row, col, amp
@@ -214,10 +217,13 @@ class FockBasis:
         Q[s, r] = 1 / sqrt(R_r) on orbit r.  Both directions, since the
         mirror maps right hops onto left ones.  One coalesce sums the hops
         joining two rows, with a zero on every diagonal slot to make room
-        for U; each entry is then the half sum of itself and its transpose
-        (ranked in the symmetric pattern), so H is symmetric to the last
-        bit.  On an open chain an entry and its transpose are one hop each,
-        the same product, and the half sum keeps them.
+        for U; each entry is then the half sum of itself and its transpose,
+        so H is symmetric to the last bit.  On an open chain an entry and
+        its transpose are one hop each, the same product, and the half sum
+        keeps them.  The pattern is symmetric, so the entries ordered by
+        column (stably, so by row within a column) are their transposes in
+        the entries' own order: that order gives each entry its
+        transpose's slot, with no search.
         """
         L, dim = self.sites, self.reps.size
         src = np.arange(L if self.ring else L - 1)
@@ -228,12 +234,15 @@ class FockBasis:
         flat, hop = _coalesce(np.concatenate((diag * (dim + 1),
                                               row * dim + col)),
                               np.concatenate((np.zeros(dim), -amp)))
+        del row, col, amp       # so the transpose order stays under the peak
         rows, cols = np.divmod(flat, dim)
-        hop = 0.5 * (hop + hop[np.searchsorted(flat, cols * dim + rows)])
+        transpose = np.empty_like(flat)
+        transpose[_stable_order(cols)] = np.arange(flat.size)
+        hop = 0.5 * (hop + hop[transpose])
         indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+        np.bincount(rows, minlength=dim).cumsum(out=indptr[1:])
         occ = self.rep_occ
-        return HubbardTables(indptr, cols, hop, np.flatnonzero(rows == cols),
+        return HubbardTables(indptr, cols, hop, (rows == cols).nonzero()[0],
                              0.5 * (occ * (occ - 1)).sum(axis=1), flat)
 
 
@@ -251,8 +260,8 @@ def _codes(sites: int, bosons: int, n_max: int) -> np.ndarray:
         room = n_max * (sites - site - 1)
         lo = np.maximum(left - room, 0)
         counts = np.minimum(left, n_max) - lo + 1
-        parent = np.repeat(np.arange(left.size), counts)
-        first = np.cumsum(counts) - counts
+        parent = np.arange(left.size).repeat(counts)
+        first = counts.cumsum() - counts
         k = lo[parent] + np.arange(parent.size) - first[parent]
         codes = codes[parent] * (n_max + 1) + k
         left = left[parent] - k
@@ -264,56 +273,93 @@ def _orbits(codes: np.ndarray, sites: int, base: int,
     """(reps, index, size) of the sector: dihedral orbits on a ring,
     single-state orbits otherwise.
 
-    A translation rotates a code's digits, (code % b^(L-1)) * b +
-    code // b^(L-1) with b = `base`; the smallest of the L rotations
-    represents the translation orbit, of L / #{rotations equal to the code}
-    states.  The mirror reverses the digits, and maps each translation
-    orbit onto the orbit of its representative's mirrored code, ranked
-    once.  The lower orbit of the pair, whose representative is the
-    smallest of the 2L images, represents both; R doubles where the two
-    differ.
+    A translation rotates a code's digits: with lead = code // b^(L-1),
+    the leading digit (b = `base`), the rotated code is code * b - lead *
+    (b^L - 1), one division a rotation.  int64 wraps modulo 2^64 where the
+    products pass it, and the result, below b^L, is exact.  The smallest of
+    the L rotations represents the translation orbit, of L / #{rotations
+    equal to the code} states.  Each state's orbit rank is counted off one
+    sort of the representatives: equal ones share a rank, so the sort need
+    not be stable.  The mirror reverses the digits, and maps each
+    translation orbit onto the orbit of its representative's mirrored
+    code, ranked once.  The lower orbit of the pair, whose representative
+    is the smallest of the 2L images, represents both; R doubles where the
+    two differ.
     """
     if not ring:
         rows = np.arange(codes.size)
         return rows, rows, np.ones_like(rows)
     top = base ** (sites - 1)
-    rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
+    wrap = top * base - 1
+    rep, fixed = codes.copy(), np.ones_like(codes)
+    rotated, lead = codes.copy(), np.empty_like(codes)
     for _ in range(sites - 1):
-        rotated = rotated % top * base + rotated // top
+        np.floor_divide(rotated, top, out=lead)
+        lead *= wrap
+        rotated *= base
+        rotated -= lead
         np.minimum(rep, rotated, out=rep)
         fixed += rotated == codes
     # each full-basis array goes once read, so the mirror pass stays under
     # the rotations' peak
-    del rotated
-    reps = np.flatnonzero(rep == codes)
+    del rotated, lead
+    reps = (rep == codes).nonzero()[0]
     size = (sites // fixed)[reps]
     del fixed
-    orbit = np.searchsorted(codes[reps], rep)
+    order = rep.argsort()
+    rank = _run_heads(rep[order]).cumsum()
     del rep
+    rank -= 1
+    orbit = np.empty_like(order)
+    orbit[order] = rank
+    del order, rank
     code, mirror = codes[reps], np.zeros_like(reps)
     for _ in range(sites):
-        mirror = mirror * base + code % base
-        code = code // base
-    partner = orbit[np.searchsorted(codes, mirror)]
+        code, digit = np.divmod(code, base)
+        mirror = mirror * base + digit
+    partner = orbit[codes.searchsorted(mirror)]
     own = np.arange(reps.size)
     lower = np.minimum(partner, own)
-    keep = np.flatnonzero(lower == own)
+    keep = (lower == own).nonzero()[0]
     size[partner != own] *= 2
-    return reps[keep], np.searchsorted(keep, lower)[orbit], size[keep]
+    return reps[keep], keep.searchsorted(lower)[orbit], size[keep]
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of non-negative int64 keys.
+
+    Least significant digit first, one stable sort of each 16-bit digit,
+    which numpy radix-sorts (uint16, kind="stable"): linear passes, as
+    many as the largest key has digits, at least one.
+    """
+    order = keys.astype(np.uint16).argsort(kind="stable")
+    top, shift = int(keys.max(initial=0)) >> 16, 16
+    while top:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[digit.argsort(kind="stable")]
+        top, shift = top >> 16, shift + 16
+    return order
 
 
 def _coalesce(keys, values):
-    """(sorted distinct keys, the sum of the values of each).
+    """(sorted distinct keys >= 0, the sum of the values of each).
 
-    A stable sort keeps the entries of one key in their given order, so
-    the sums add in a fixed order.
+    The keys' stable order, from radix passes (`_stable_order`), keeps the
+    entries of one key in their given order, so the sums add in a fixed
+    order.  That order is unique, so any stable sort gives these bits.
     """
-    order = np.argsort(keys, kind="stable")
+    order = _stable_order(keys)
     keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = _run_heads(keys).nonzero()[0]
     return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _run_heads(ranked: np.ndarray) -> np.ndarray:
+    """True where a run of equal entries of a sorted array starts."""
+    heads = np.empty(ranked.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=heads[1:])
+    return heads
 
 
 def build_hamiltonian(basis: FockBasis, j: float, u: float):
@@ -330,7 +376,7 @@ def build_hamiltonian(basis: FockBasis, j: float, u: float):
     with np.errstate(over="ignore", invalid="ignore"):
         data = j * tables.hop
         data[tables.diag] += u * tables.onsite
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise DomainError(f"H overflows at J = {j}, U = {u}")
     dim = tables.indptr.size - 1
     if dim <= DENSE_CUTOFF:

@@ -70,6 +70,9 @@ class NlseParams:
         if n % self.n_periods:
             raise ConfigError("grid_points must be divisible by n_periods "
                               "(commensurate grid)")
+        if any(len(point) != 4 for point in self.schedule):
+            raise ConfigError("each schedule row must hold four numbers "
+                              "(tau, s, g, kappa)")
         taus = [point[0] for point in self.schedule]
         coefficients = (self.v1_over_er, self.g_int, self.kappa_dimless,
                         *(x for point in self.schedule for x in point[1:]))

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from polariton_phases import bh_ed
 from polariton_phases.bh_ed import (
     FockBasis,
+    HubbardTables,
     build_hamiltonian,
     count_states,
     diagnostics,
@@ -116,6 +117,83 @@ def dp_count(sites, n_max):
     return ways
 
 
+def reference_orbits(codes, sites, base, ring):
+    """(reps, index, size) by the direct formulas, the reference for
+    `bh_ed._orbits`: rotations by a modulo and a division, each state's
+    orbit ranked by a binary search of its representative, the mirrored
+    codes by modulo digit extraction."""
+    if not ring:
+        rows = np.arange(codes.size)
+        return rows, rows, np.ones_like(rows)
+    top = base ** (sites - 1)
+    rep, fixed, rotated = codes.copy(), np.ones_like(codes), codes
+    for _ in range(sites - 1):
+        rotated = rotated % top * base + rotated // top
+        np.minimum(rep, rotated, out=rep)
+        fixed += rotated == codes
+    reps = np.flatnonzero(rep == codes)
+    size = (sites // fixed)[reps]
+    orbit = np.searchsorted(codes[reps], rep)
+    code, mirror = codes[reps], np.zeros_like(reps)
+    for _ in range(sites):
+        mirror = mirror * base + code % base
+        code = code // base
+    partner = orbit[np.searchsorted(codes, mirror)]
+    own = np.arange(reps.size)
+    lower = np.minimum(partner, own)
+    keep = np.flatnonzero(lower == own)
+    size[partner != own] *= 2
+    return reps[keep], np.searchsorted(keep, lower)[orbit], size[keep]
+
+
+def reference_tables(basis):
+    """`HubbardTables` by the direct formulas, the reference for
+    `FockBasis.tables`: the entries ordered by a stable comparison
+    argsort, each entry's transpose found by a binary search."""
+    L, dim = basis.sites, basis.reps.size
+    src = np.arange(L if basis.ring else L - 1)
+    dst = (src + 1) % L
+    row, col, amp = basis.hops(np.concatenate((src, dst)),
+                               np.concatenate((dst, src)))
+    diag = np.arange(dim)
+    keys = np.concatenate((diag * (dim + 1), row * dim + col))
+    values = np.concatenate((np.zeros(dim), -amp))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    flat, hop = keys[starts], np.add.reduceat(values[order], starts)
+    rows, cols = np.divmod(flat, dim)
+    hop = 0.5 * (hop + hop[np.searchsorted(flat, cols * dim + rows)])
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    occ = basis.rep_occ
+    return HubbardTables(indptr, cols, hop, np.flatnonzero(rows == cols),
+                         0.5 * (occ * (occ - 1)).sum(axis=1), flat)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as do NaNs of
+    different payloads."""
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def radix_keys(draw):
+    """int64 keys >= 0 drawn from a few values, so that most repeat, the
+    largest at or next to a 16-bit digit boundary or the int64 maximum."""
+    top = draw(st.sampled_from([0, 1, 2**16 - 1, 2**16, 2**16 + 1,
+                                2**32 - 1, 2**32, 2**32 + 1, 2**48 - 1,
+                                2**48, 2**48 + 1, 2**63 - 1]))
+    pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+    keys = draw(st.lists(st.sampled_from(pool), max_size=200))
+    if keys:
+        keys[draw(st.integers(0, len(keys) - 1))] = top
+    return keys
+
+
 @st.composite
 def basis_args(draw):
     sites = draw(st.integers(1, 7))
@@ -160,6 +238,20 @@ class TestBasis:
         tracemalloc.start()
         try:
             FockBasis.build(12, 13, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 140e6
+
+    def test_tables_peak_memory(self):
+        # the hop arrays are freed before the transpose order is taken
+        # (L = 12, N = 13: 67 517 rows, 119 MB traced with the basis alive;
+        # with the hop arrays kept through it the peak is 134 MB)
+        tracemalloc.start()
+        try:
+            basis = FockBasis.build(12, 13, 4)
+            tracemalloc.reset_peak()
+            basis.tables
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,6 +494,53 @@ class TestHamiltonian:
                 build_hamiltonian(basis, j, u)
         with pytest.raises(DomainError):       # U * n(n-1)/2 = 3U overflows
             build_hamiltonian(FockBasis.build(2, 3, 3), 1.0, 1e308)
+
+
+class TestIntegerPasses:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(keys=radix_keys())
+    @example(keys=[])
+    @example(keys=[5])
+    @example(keys=[2**48, 0, 2**48, 1, 0])
+    @example(keys=[2**63 - 1, 2**16, 2**63 - 1])
+    def test_stable_order_is_stable_argsort(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        order = bh_ed._stable_order(keys)
+        assert same_bits(order, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("periodic", [True, False],
+                             ids=["ring", "open"])
+    @pytest.mark.parametrize("sites", range(1, 11))
+    def test_orbits_and_tables_match_reference(self, sites, periodic):
+        # the one-division rotations, the orbit ranks counted off a sort and
+        # the radix orders give the bits of the modulo rotations, binary
+        # searches and comparison argsort they replace
+        for n_max, bosons in itertools.product(
+                range(1, 5), (sites - 1, sites, sites + 1)):
+            if bosons <= sites * n_max:
+                self.check_reference(sites, bosons, n_max, periodic)
+
+    @pytest.mark.parametrize("sites, bosons, n_max",
+                             [(39, 2, 2), (31, 3, 3), (27, 2, 4)])
+    def test_rotations_past_int64_match_reference(self, sites, bosons, n_max):
+        # b^L fits int64 but code * b does not: the rotation's products
+        # wrap modulo 2^64 and the rotated code still comes out exact
+        assert (n_max + 1) ** (sites + 1) > np.iinfo(np.int64).max
+        self.check_reference(sites, bosons, n_max, True)
+
+    @staticmethod
+    def check_reference(sites, bosons, n_max, periodic):
+        basis = FockBasis.build(sites, bosons, n_max, periodic)
+        ref = FockBasis(sites, bosons, n_max, periodic, basis.codes,
+                        *reference_orbits(basis.codes, sites, n_max + 1,
+                                          basis.ring))
+        for name in ("reps", "index", "size"):
+            assert same_bits(getattr(basis, name), getattr(ref, name)), \
+                (n_max, bosons, name)
+        want = reference_tables(ref)
+        for name in HubbardTables.__dataclass_fields__:
+            assert same_bits(getattr(basis.tables, name),
+                             getattr(want, name)), (n_max, bosons, name)
 
 
 class TestGroundEnergy:

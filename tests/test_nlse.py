@@ -402,6 +402,19 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             NlseParams(**kw)
 
+    @pytest.mark.parametrize("schedule", [
+        ((0.0, 1.0, 0.2),),
+        ((0.0, 1.0, 0.2, 0.0, 0.5),),
+        ((0.0, 1.0, 0.2, 0.0), (1.0, 2.0, 0.3)),     # ragged
+        ((0.0, 1.0, 0.2), (1.0, 2.0, 0.3, 0.0, 0.1)),
+        ((),),
+    ], ids=["three", "five", "four-three", "three-five", "empty-row"])
+    def test_schedule_rows_hold_four_entries(self, schedule):
+        # a row of another length would surface only in ground_state
+        # (IndexError) or evolve (ValueError unpacking the table)
+        with pytest.raises(ConfigError, match="four numbers"):
+            NlseParams(n_periods=8, grid_points=64, schedule=schedule)
+
     @pytest.mark.parametrize("field", ["v1_over_er", "g_int",
                                        "kappa_dimless", "schedule"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
