@@ -1132,6 +1132,32 @@ class TestBogoliubovPhonon:
         assert abs(estimate - omega) <= 3e-5 * omega
 
 
+class TestSplitStepStability:
+    @pytest.mark.parametrize("dt, grows", [(0.010, False), (0.020, True)])
+    def test_ripple_grows_only_past_pi(self, dt, grows):
+        # the lattice ground state at (s, gamma) = (2.85, 1), 128 points on
+        # 8 periods (k_max = 16), kicked by 1 + 1e-6 cos(xi / 4) and run
+        # for 120 time units in one call.  At dt = 0.010, k_max^2 dt = 2.56
+        # < pi, the final density stays at the Strang drift from the ground
+        # state's (1.2e-4); at dt = 0.020 (5.12) the split step's own
+        # instability grows it to 0.33.  A scan of dt = 0.010-0.030 by
+        # 0.001 grew only at 0.016, 0.020 and 0.027 (0.068, 0.33, 0.033),
+        # none at k_max^2 dt < pi.  evolve refuses neither dt.
+        p = NlseParams(v1_over_er=2.85, g_int=interaction_strength(1.0),
+                       n_periods=8, grid_points=128)
+        k_max = p.grid_points / p.n_periods
+        assert (k_max**2 * dt > math.pi) == grows
+        psi0 = ground_state(p).psi
+        start = FieldState(psi0 * (1 + 1e-6 * np.cos(grid(p) / 4)))
+        steps = round(120 / dt)
+        final, _ = evolve(start, p, dt=dt, steps=steps, record_every=steps)
+        drift = np.abs(np.abs(final.psi) ** 2 - np.abs(psi0) ** 2).max()
+        if grows:
+            assert drift > 0.1
+        else:
+            assert drift < 1e-3
+
+
 class TestReleaseProfile:
     def test_uniform_state_flat_series(self):
         p = NlseParams(n_periods=8, grid_points=64)
