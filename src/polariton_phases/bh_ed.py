@@ -21,19 +21,18 @@ DENSE_CUTOFF rows, with no sparse matrix built, and into CSR above; its
 form picks the solver of its lowest eigenpair: LAPACK's dsyevr called
 directly for an array, and for CSR of any size Lanczos with full
 reorthogonalization from the uniform vector, its products H v from
-scipy's CSR kernel called directly (`h @ v` where scipy lacks it) and its
-Ritz pairs from LAPACK's dstebz and dstein called directly.  A
-`UnitFilling` chain holds the N - 1, N and N + 1 bases of one (L, n_max,
-boundary), built once per size and solved at every U/J: the charge gap
-as Mott diagnostic, and a scaled-gap crossing estimate of the critical
-U/J.
+scipy's CSR kernel csr_matvec called directly and its Ritz pairs from
+LAPACK's dstebz and dstein called directly.  A `UnitFilling` chain holds
+the N - 1, N and N + 1 bases of one (L, n_max, boundary), built once per
+size and solved at every U/J: the charge gap as Mott diagnostic, and a
+scaled-gap crossing estimate of the critical U/J.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -391,7 +390,8 @@ def build_hamiltonian(basis: FockBasis, j: float, u: float):
 
 
 def ground_energy(h) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a real symmetric H, a dense array or CSR.
+    """Lowest eigenpair of a real symmetric float64 H, a dense array or
+    CSR (what `build_hamiltonian` returns).
 
     A diagonal H is read off directly: its lowest entry, that unit vector.
     Otherwise the form of H picks the solver: `_dense_lowest` for an
@@ -412,8 +412,10 @@ def ground_energy(h) -> tuple[float, np.ndarray]:
         e0, vec = _dense_lowest(h)
         hv = h @ vec
     else:
+        from scipy.sparse._sparsetools import csr_matvec
         e0, vec = _lanczos(h)
-        hv = _csr_product()(h, vec, np.empty_like(vec))
+        hv = np.zeros_like(vec)
+        csr_matvec(*h.shape, h.indptr, h.indices, h.data, vec, hv)
     with np.errstate(over="ignore"):         # an inf residual fails below
         res = np.linalg.norm(hv - e0 * vec)
     if res > RESIDUAL_TOL * max(abs(e0), 1.0):
@@ -454,20 +456,27 @@ def _lanczos(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
     |beta_m y_m|, and the run stops once that is <= RESIDUAL_TOL
     max(|theta|, 1) / 10, which a breakdown (beta_m ~ 0, an invariant
     Krylov space) meets at once.  One stored vector per step, at most
-    LANCZOS_MAXITER of them; each H v_j goes through `_csr_product` into
-    one vector kept for the run.
+    LANCZOS_MAXITER of them.  Each H v_j is scipy's csr_matvec kernel, the
+    routine `h @ v` ends in, called on the arrays of h (float64, as
+    `build_hamiltonian` makes them) into one vector kept for the run: it
+    adds each row's products in order onto that vector, zeroed first as
+    `h @ v` zeroes its result, so the bits are those of `h @ v` without
+    the operator dispatch scipy spends before the kernel (about as long
+    as the kernel itself on an L = 8 sector).
     """
+    from scipy.sparse._sparsetools import csr_matvec
     dim = h.shape[0]
     steps = min(dim, LANCZOS_MAXITER)
     krylov = np.empty((steps, dim))
     krylov[0] = 1.0 / np.sqrt(dim)
     alpha, beta = np.empty(steps), np.empty(steps)
     stop = 0.1 * RESIDUAL_TOL
-    product, w = _csr_product(), np.empty(dim)
+    w = np.empty(dim)
     with np.errstate(over="ignore", invalid="ignore"):   # checked on beta
         for m in range(1, steps + 1):
             v, done = krylov[m - 1], krylov[:m]
-            product(h, v, w)
+            w.fill(0.0)
+            csr_matvec(dim, dim, h.indptr, h.indices, h.data, v, w)
             alpha[m - 1] = a = v @ w
             w -= a * v
             if m > 1:
@@ -483,38 +492,6 @@ def _lanczos(h: scipy.sparse.csr_matrix) -> tuple[float, np.ndarray]:
             if m < steps:
                 np.divide(w, b, out=krylov[m])
     raise NoConvergence(f"Lanczos did not converge in {steps} steps")
-
-
-@cache
-def _csr_product():
-    """H v of a CSR H, into a given vector: product(h, v, out) writes H v
-    into out and returns it.
-
-    scipy's csr_matvec kernel, the routine `h @ v` ends in, called on the
-    arrays of h directly.  It adds each row's products in order onto out,
-    which is zeroed first as `h @ v` zeroes its result, so the bits are
-    those of `h @ v`, without the operator dispatch scipy spends before
-    the kernel (about as long as the kernel itself on an L = 8 sector).
-    The module it lives in is private to scipy; where it or the kernel is
-    missing, `h @ v` behind the same call is used.  Resolved on first use,
-    once a CSR H has imported scipy.sparse.
-    """
-    try:
-        from scipy.sparse._sparsetools import csr_matvec
-    except ImportError:
-        return _matmul_product
-
-    def product(h, v, out):
-        out.fill(0.0)
-        csr_matvec(*h.shape, h.indptr, h.indices, h.data, v, out)
-        return out
-    return product
-
-
-def _matmul_product(h, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`h @ v` behind `_csr_product`'s call (a scipy without the kernel)."""
-    out[...] = h @ v
-    return out
 
 
 def _lowest_ritz(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:

@@ -32,6 +32,21 @@ from polariton_phases.errors import (
 _LANCZOS_CHAINS = [(8, True), (7, False)]
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (rows, cols) of every call of scipy's csr_matvec kernel, which a
+    Lanczos solve imports from its private module at each call."""
+    from scipy.sparse import _sparsetools
+    calls, kernel = [], _sparsetools.csr_matvec
+
+    def spy(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    monkeypatch.setattr(_sparsetools, "csr_matvec", spy)
+    return calls
+
+
 def two_site_ground(j, u):
     """Analytic ground energy of two sites, two bosons, open chain."""
     return (u - math.sqrt(u**2 + 16 * j**2)) / 2
@@ -596,18 +611,10 @@ class TestGroundEnergy:
                 assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
                 assert abs(vec @ v[:, 0]) >= 1.0 - 1e-12
 
-    def test_lanczos_breakdown(self, monkeypatch):
+    def test_lanczos_breakdown(self, kernel_calls):
         # -A of a 400-site ring: the uniform start is its lowest
         # eigenvector, so the first step leaves beta ~ 0 and ends the run
         # (one product there, one for the residual test)
-        calls = []
-        product = bh_ed._csr_product()
-
-        def counted(h, v, out):
-            calls.append(v.size)
-            return product(h, v, out)
-
-        monkeypatch.setattr(bh_ed, "_csr_product", lambda: counted)
         n = 400
         h = -scipy.sparse.diags(
             [1.0, 1.0, 1.0, 1.0], [-(n - 1), -1, 1, n - 1],
@@ -615,7 +622,7 @@ class TestGroundEnergy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             e0, vec = ground_energy(h)
-        assert calls == [n, n]
+        assert kernel_calls == [(n, n), (n, n)]
         assert e0 == pytest.approx(-2.0, rel=0, abs=1e-14)
         assert np.allclose(vec, 1 / math.sqrt(n), rtol=0, atol=1e-15)
 
@@ -637,55 +644,27 @@ class TestGroundEnergy:
         assert (e0, gap) == (want[0], want[2])
         assert np.array_equal(vec, want[1])
 
-    @pytest.mark.parametrize("direct", [True, False],
-                             ids=["direct", "fallback"])
-    def test_product_gives_matmul_bits(self, rng, direct):
-        # on every Lanczos sector of both chains, into an output full of
-        # NaN: the product zeroes it as `h @ v` zeroes its result
-        product = bh_ed._csr_product() if direct else bh_ed._matmul_product
+    def test_kernel_gives_matmul_bits(self, rng):
+        # the kernel onto a zeroed output, as a Lanczos step calls it, on
+        # every Lanczos sector of both chains: the bits of `h @ v`
+        from scipy.sparse._sparsetools import csr_matvec
         for sites, periodic in _LANCZOS_CHAINS:
             chain = bh_ed.UnitFilling.build(sites, 4, periodic)
             for basis in chain.bases.values():
                 h = build_hamiltonian(basis, 1.0, 3.3)
                 v = rng.normal(size=h.shape[0])
-                out = np.full(h.shape[0], np.nan)
-                assert product(h, v, out) is out
+                out = np.zeros(h.shape[0])
+                csr_matvec(*h.shape, h.indptr, h.indices, h.data, v, out)
                 assert np.array_equal(out, h @ v)
 
-    @pytest.mark.parametrize("sites, periodic", _LANCZOS_CHAINS,
-                             ids=["ring-L8", "open-L7"])
-    def test_fallback_gives_the_same_solves(self, monkeypatch, sites,
-                                            periodic):
-        # `h @ v` behind the product's call, as on a scipy without the
-        # kernel, gives every Lanczos sector's (e0, vec) to the last bit
-        chain = bh_ed.UnitFilling.build(sites, 4, periodic)
-        for basis in chain.bases.values():
-            for uj in (1.0, 3.3, 12.0):
-                h = build_hamiltonian(basis, 1.0, uj)
-                e0, vec = ground_energy(h)
-                with monkeypatch.context() as m:
-                    m.setattr(bh_ed, "_csr_product",
-                              lambda: bh_ed._matmul_product)
-                    got = ground_energy(h)
-                assert got[0] == e0 and np.array_equal(got[1], vec)
-
-    def test_direct_kernel_in_use(self, monkeypatch):
+    def test_direct_kernel_in_use(self, kernel_calls):
         # a scipy that moves or renames the private kernel fails here
-        # rather than silently running the `h @ v` fallback
-        from scipy.sparse import _sparsetools
-        calls = []
-        kernel = _sparsetools.csr_matvec
-
-        def spy(*args):
-            calls.append(args[:2])
-            return kernel(*args)
-
-        monkeypatch.setattr(_sparsetools, "csr_matvec", spy)
-        product = bh_ed._csr_product.__wrapped__()
-        assert product is not bh_ed._matmul_product
-        h = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-        out = product(h, np.array([1.0, 1.0]), np.empty(2))
-        assert calls == [(2, 2)] and out.tolist() == [3.0, 3.0]
+        # (and in every Lanczos solve) with an ImportError
+        chain = bh_ed.UnitFilling.build(8, 4)
+        e0, vec, gap = chain.solve(3.3)
+        assert math.isfinite(e0) and gap > 0
+        sizes = {(n, n) for n in (b.reps.size for b in chain.bases.values())}
+        assert kernel_calls and set(kernel_calls) == sizes
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
