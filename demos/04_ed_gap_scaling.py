@@ -11,6 +11,7 @@ spread is not an error bar.
 from itertools import combinations
 
 from polariton_phases import bh_ed
+from polariton_phases.errors import NoCrossing
 
 
 def main():
@@ -32,8 +33,13 @@ def main():
     print(f"\ncrossing estimate on U/J = 1, 1.25, ..., 8: (U/J)_c = "
           f"{est.mean:.3f} (spread {est.spread:.3f})")
     print("crossing of each size pair, drifting down with L:")
-    for (l1, l2), cross in zip(combinations(sizes, 2), est.crossings):
-        print(f"  L = {l1}, {l2}: {cross:.3f}")
+    for l1, l2 in combinations(sizes, 2):
+        try:
+            cross = bh_ed.estimate_critical_ratio([l1, l2], fine).mean
+        except NoCrossing:
+            print(f"  L = {l1}, {l2}: no crossing")
+        else:
+            print(f"  L = {l1}, {l2}: {cross:.3f}")
 
     print("\nlocal observables across the transition (L = 6):")
     for u in (1.0, 4.0, 8.0):

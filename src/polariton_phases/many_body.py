@@ -9,7 +9,7 @@ classification returns INDETERMINATE rather than extrapolating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -43,16 +43,8 @@ class RegimeFlags:
                               "windows cannot both hold")
 
     def label(self) -> str:
-        names = []
-        if self.sg_valid:
-            names.append("sg_valid")
-        if self.bh_valid:
-            names.append("bh_valid")
-        if self.k_formula_valid:
-            names.append("k_formula_valid")
-        if self.sign_warning:
-            names.append("sign_warning")
-        return ";".join(names)
+        """The names of the flags that hold, in field order, joined by ";"."""
+        return ";".join(f.name for f in fields(self) if getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -67,16 +59,10 @@ class ManyBodyPoint:
     flags: RegimeFlags
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_abs": self.gamma_abs,
-            "v1_over_er": self.v1_over_er,
-            "k_luttinger": self.k_luttinger,
-            "j_over_er": self.j_over_er,
-            "u_over_er": self.u_over_er,
-            "u_over_j": self.u_over_j,
-            "phase": self.phase.value,
-            "flags": self.flags.label(),
-        }
+        """Each field by name in field order; phase and flags as text."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["phase"], d["flags"] = self.phase.value, self.flags.label()
+        return d
 
 
 class BhParams(NamedTuple):
@@ -162,10 +148,8 @@ def make_point(gamma_abs: float, v1_over_er: float,
         raise DomainError(f"v1_over_er must be non-negative, got {v1_over_er}")
     flags = regime_flags(gamma_abs, v1_over_er, sign_warning)
     k = luttinger_k(gamma_abs) if flags.k_formula_valid else math.nan
-    if v1_over_er > 0 and gamma_abs >= 0:
-        j, u, uj = bh_params(v1_over_er, gamma_abs)
-    else:
-        j, u, uj = 0.0, 0.0, 0.0
+    j, u, uj = (bh_params(v1_over_er, gamma_abs) if v1_over_er > 0
+                else (0.0, 0.0, 0.0))
     point = ManyBodyPoint(
         gamma_abs=gamma_abs,
         v1_over_er=v1_over_er,

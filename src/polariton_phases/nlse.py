@@ -156,8 +156,9 @@ def _fft_kernels() -> tuple:
     rfft_n_even for an even n, rfft_n_odd for the one point of a period of
     a single grid point.  The private module they live in exists from
     numpy 2.0; where it or a kernel is missing, np.fft behind the same call
-    is used.  Resolved on first use: importing numpy.fft costs ~2 ms, which
-    the subcommands that take no FFT need not pay.
+    is used.  Resolved on first use, so on numpy >= 2.0 importing this
+    module loads no numpy.fft (~2 ms), and tests replace the seam with
+    monkeypatch.
     """
     try:
         from numpy.fft import _pocketfft_umath as pfu
@@ -249,13 +250,14 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     A step works in preallocated buffers: the spectrum and the field, which
     its two FFTs write, the real phase |psi|^2 (-g dt) + s cos^2 (-dt) and
     the rotation cos + i sin of that phase, times the loss factor only when
-    kappa != 0 (the bits of the complex exp times that factor).  s, g and
-    kappa come from the table of params.coefficients.  A one-row table's
-    step is formed once; a longer table is interpolated for a block of at
-    most max(1, 2^16 // m) steps at once, at midpoints accumulated as tau
-    is, and s cos^2 (-dt) of each step is one row of that block.  A record
-    copies the spectrum, its step and tau into a block of at most
-    max(1, 2^16 // m) rows of the m points the run takes (~1 MiB); a full
+    kappa != 0 (the bits of the complex exp times that factor).  One
+    function forms every step's coefficients from the table of
+    params.coefficients, at the steps' midpoints, accumulated as tau is:
+    a one-row table's step once for the run, a longer table's a block of
+    at most max(1, 2^16 // m) steps at a time, s cos^2 (-dt) of each step
+    one row of that block.  A record copies the spectrum, its step and tau
+    into a block of at most max(1, 2^16 // m) rows of the m points the run
+    takes (~1 MiB); a full
     block, and the last one, is transformed back in place in one batched
     inverse FFT, and its norms, energies (at the table's s and g) and
     contrasts are read along the rows.  The start is recorded from the
@@ -304,10 +306,10 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     row_tau, row_step = np.empty(block), np.empty(block, dtype=int)
     observed = []
 
-    def scheduled_steps(tau, count):
-        """(pot_dt, g_dt, kappa, loss) of the next `count` steps from tau,
-        interpolated at their midpoints in one call per column; the
-        midpoints accumulate dt as the loop accumulates tau."""
+    def step_coefficients(tau, count):
+        """(pot_dt, g_dt, kappa, loss) of each of the next `count` steps
+        from tau, the table interpolated at their midpoints in one call per
+        column; the midpoints accumulate dt as the loop accumulates tau."""
         mids = np.cumsum([tau] + [dt] * (count - 1)) + dt / 2
         s, g, kappa = (np.interp(mids, ts, col)
                        for col in (s_col, g_col, kappa_col))
@@ -351,14 +353,12 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
                               "(dt, s or g too large): its rounding alone "
                               "exceeds a radian")
         if not ramp:
-            s, g, kappa = params.coefficients(tau)
-            pot_dt, g_dt = (s * cos2) * -dt, g * -dt
-            loss = math.exp(-kappa * dt / 2)
+            pot_dt, g_dt, kappa, loss = next(step_coefficients(tau, 1))
         final, rows, kin = field, 0, half_kin
         for step in range(1, steps + 1):
             if ramp:
                 if (step - 1) % span == 0:
-                    ahead = scheduled_steps(tau, min(span, steps + 1 - step))
+                    ahead = step_coefficients(tau, min(span, steps + 1 - step))
                 pot_dt, g_dt, kappa, loss = next(ahead)
             # kin * spectrum, not spectrum * kin: the bits differ
             np.multiply(kin, spectrum, out=spectrum)

@@ -109,6 +109,10 @@ _SF, _MOTT_SG, _MOTT_BH, _INDETERMINATE = range(4)
 # both windows would hold, which the evaluator never reports).
 _FLAGS = [None if code & 3 == 3 else many_body.RegimeFlags(
     *(bool(code >> bit & 1) for bit in range(4))) for code in range(16)]
+# The text NodeFields.labels writes, by phase, flag and status code.
+_PHASE_TEXT = np.array([p.value for p in PHASES], dtype=object)
+_FLAG_TEXT = np.array([f.label() if f else "" for f in _FLAGS], dtype=object)
+_STATUS_TEXT = np.array(STATUS_NAMES, dtype=object)
 
 
 def _where(cond, a, b):
@@ -169,12 +173,9 @@ class NodeFields:
         """
         status = np.ravel(self.status)
         ok = status == OK
-        phase_names = np.array([p.value for p in PHASES], dtype=object)
-        flag_names = np.array([f.label() if f else "" for f in _FLAGS],
-                              dtype=object)
-        phases = np.where(ok, phase_names[np.ravel(self.phase)], "")
-        flags = np.where(ok, flag_names[np.ravel(self.flag_codes())],
-                         np.array(STATUS_NAMES, dtype=object)[status])
+        phases = np.where(ok, _PHASE_TEXT[np.ravel(self.phase)], "")
+        flags = np.where(ok, _FLAG_TEXT[np.ravel(self.flag_codes())],
+                         _STATUS_TEXT[status])
         return phases, flags
 
     def require_ok(self) -> None:

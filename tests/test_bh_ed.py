@@ -666,6 +666,16 @@ class TestGroundEnergy:
         sizes = {(n, n) for n in (b.reps.size for b in chain.bases.values())}
         assert kernel_calls and set(kernel_calls) == sizes
 
+    def test_lanczos_step_cap_is_no_convergence(self, monkeypatch):
+        # a solve that needs more Lanczos steps than the cap allows stops
+        # there with NoConvergence naming the cap (tests/test_cli.py: CLI
+        # ed exits 3)
+        monkeypatch.setattr(bh_ed, "LANCZOS_MAXITER", 6)
+        chain = bh_ed.UnitFilling.build(8, 4)
+        with pytest.raises(NoConvergence,
+                           match="Lanczos did not converge in 6 steps"):
+            chain.solve(3.3)
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
            split=st.floats(0.0, 1.0))

@@ -122,6 +122,25 @@ class TestConfigParsing:
         assert str(path) in lines[0]
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("name", ["absent.json", "a_directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, caplog, capsys, name):
+        # load_config's OSError branch in process, for a missing file and a
+        # directory: one ERROR record naming the path, no traceback, and
+        # no --out directory made
+        path = tmp_path / name
+        if name == "a_directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="polariton_phases"):
+            code = main(["map", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert errors[0].getMessage().startswith(
+            f"ParseError: cannot read config {path}: ")
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ed_unit_filling_cap_exits_2(self, tmp_path):
         # n_max = 1 leaves the N + 1 sector of the charge gap empty: refused
         # with its cause, before any basis is built, in a fresh process
@@ -498,6 +517,19 @@ class TestSubcommands:
         assert len(errors) == 1
         assert errors[0].startswith("NoConvergence: ")
         assert "info = 2" in errors[0]
+
+    def test_ed_lanczos_step_cap_exits_3(self, tmp_path, caplog,
+                                         monkeypatch):
+        # the Lanczos step cap reached at L = 8 (tests/test_bh_ed.py)
+        monkeypatch.setattr(bh_ed, "LANCZOS_MAXITER", 6)
+        with caplog.at_level(logging.INFO, logger="polariton_phases"):
+            code, _ = run(tmp_path, "ed", {"ed": {"sizes": [8],
+                                                  "ratios": [3.3]}})
+        assert code == 3
+        errors = [r.message for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["NoConvergence: Lanczos did not converge in 6 "
+                          "steps"]
 
     def test_strong_coupling_ground_state_exits_0(self, tmp_path):
         # g = 1e3, far past g dt ~ 1 for any explicit time step: the
@@ -1079,6 +1111,12 @@ def test_cli_import_and_config_load_leave_numpy_fft_out(tmp_path):
     code = ("from polariton_phases import cli\n"
             f"cli.load_config({str(config)!r})")
     assert _loaded_by(code, "numpy.fft") == []
+
+
+@_LAZY_NUMPY_FFT
+def test_nlse_import_leaves_numpy_fft_out():
+    # the FFT seam resolves on its first call, not at import
+    assert _loaded_after("polariton_phases.nlse", "numpy.fft") == []
 
 
 @_LAZY_NUMPY_FFT
