@@ -129,11 +129,8 @@ def _grid_table(nodes: NodeFields) -> tuple[list[str], list]:
 
 def _grid_spec(cfg: RunConfig) -> GridSpec:
     from . import sweep  # only sweep and phase use it
-    return sweep.GridSpec(
-        delta_p_range=tuple(cfg.sweep["delta_p_range"]),
-        omega_range=tuple(cfg.sweep["omega_range"]),
-        base=cfg.optics,
-    )
+    return sweep.GridSpec(**{key: tuple(r) for key, r in cfg.sweep.items()},
+                          base=cfg.optics)
 
 
 def cmd_map(cfg: RunConfig, out: Path) -> None:
@@ -199,7 +196,9 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
 def cmd_nlse(cfg: RunConfig, out: Path) -> None:
     from . import nlse  # only nlse uses it
     cfg_hash = cfg.hash()
-    nl = dict(cfg.nlse)
+    # the section's keys are NlseParams' fields and evolve's run lengths
+    nl = dict(cfg.nlse, schedule=tuple(map(tuple, cfg.nlse["schedule"])))
+    run = {key: nl.pop(key) for key in ("dt", "steps", "record_every")}
     if nl["v1_over_er"] is None or nl["g_int"] is None:
         optics.validate_config(cfg.optics)
     if nl["v1_over_er"] is None:
@@ -207,20 +206,12 @@ def cmd_nlse(cfg: RunConfig, out: Path) -> None:
     if nl["g_int"] is None:
         nl["g_int"] = nlse.interaction_strength(
             optics.lieb_liniger_gamma(cfg.optics).magnitude)
-    params = nlse.NlseParams(
-        v1_over_er=nl["v1_over_er"],
-        g_int=nl["g_int"],
-        kappa_dimless=nl["kappa_dimless"],
-        n_periods=nl["n_periods"],
-        grid_points=nl["grid_points"],
-        schedule=tuple(tuple(p) for p in nl["schedule"]),
-    )
+    params = nlse.NlseParams(**nl)
     lossless = dataclasses.replace(params, kappa_dimless=0.0, schedule=())
     state = nlse.ground_state(lossless)
     log.info("nlse: ground state in %d iterations, residual %.3g",
              state.iterations, state.residual)
-    final, obs = nlse.evolve(state, params, dt=nl["dt"], steps=nl["steps"],
-                             record_every=nl["record_every"])
+    final, obs = nlse.evolve(state, params, **run)
     _write_csv(out / "nlse_trajectory.csv",
                ["tau", "norm", "energy", "contrast"],
                [obs.tau, obs.norm, obs.energy, obs.contrast], cfg_hash)

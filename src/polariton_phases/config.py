@@ -94,13 +94,7 @@ class RunConfig:
     output: dict
 
     def resolved(self) -> dict:
-        return {
-            "optics": dataclasses.asdict(self.optics),
-            "sweep": self.sweep,
-            "nlse": self.nlse,
-            "ed": self.ed,
-            "output": self.output,
-        }
+        return {**vars(self), "optics": dataclasses.asdict(self.optics)}
 
     def hash(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True,
@@ -161,13 +155,9 @@ def from_dict(doc: dict) -> RunConfig:
     except DomainError as exc:
         raise ParseError(f"invalid optics section: {exc}") from exc
 
-    return RunConfig(
-        optics=optics,
-        sweep=_merge_section(doc, "sweep"),
-        nlse=_merge_section(doc, "nlse"),
-        ed=_merge_section(doc, "ed"),
-        output=_merge_section(doc, "output"),
-    )
+    # every section after optics, in the order SECTIONS lists them
+    return RunConfig(optics=optics, **{name: _merge_section(doc, name)
+                                       for name in list(SECTIONS)[1:]})
 
 
 def default_config() -> RunConfig:

@@ -25,6 +25,7 @@ from polariton_phases.errors import (
     DomainError,
     NoConvergence,
     NoCrossing,
+    PolaritonError,
 )
 
 
@@ -296,6 +297,15 @@ class TestBasis:
         monkeypatch.setattr(bh_ed, "BASIS_CAP", 100)
         with pytest.raises(DimensionOverflow):
             FockBasis.build(10, 10, 4)
+
+    def test_enumeration_checked_against_count(self, monkeypatch):
+        # an enumeration that disagrees with the combinatorial count is
+        # refused, both counts named
+        count = bh_ed.count_states
+        monkeypatch.setattr(bh_ed, "count_states", lambda *a: count(*a) + 1)
+        with pytest.raises(PolaritonError,
+                           match=r"enumerated 35 states, expected 36"):
+            FockBasis.build(4, 4, 4)
 
     def test_codes_rank_every_hop(self):
         basis = FockBasis.build(5, 5, 3, periodic=False)
@@ -932,6 +942,25 @@ class TestCriticalRatio:
         assert est.crossings == (2.665672191909702, 2.6481374259916852,
                                  2.626189147793155)
         assert est.mean == 2.6466662552315143
+
+    def test_exact_touch_is_a_crossing(self, monkeypatch):
+        # L * gap of L = 4 and 6 equal at U/J = 1, 2 and 3, the larger
+        # chain above past it: the last sample where they touch is the
+        # crossing
+        scaled = {4: [4, 2, 1, 2, 4], 6: [4, 2, 1, 1.6, 1.2]}
+
+        class Chain:
+            def __init__(self, sites):
+                self.sites = sites
+
+            def solve(self, u):
+                return 0.0, None, scaled[self.sites][int(u) - 1] / self.sites
+
+        monkeypatch.setattr(bh_ed.UnitFilling, "build",
+                            lambda sites, n_max, periodic: Chain(sites))
+        est = estimate_critical_ratio([4, 6], [1, 2, 3, 4, 5])
+        assert est.crossings == (3.0,)
+        assert (est.mean, est.spread) == (3.0, 0.0)
 
     def test_deep_mott_no_crossing(self):
         with pytest.raises(NoCrossing):

@@ -28,8 +28,10 @@ from polariton_phases.errors import (
     ModulationWarning,
     ParseError,
     PolaritonError,
+    SingularMass,
     UnknownKey,
 )
+from polariton_phases.optics import effective_params, validate_config
 
 from conftest import check_ground_residual
 
@@ -388,6 +390,24 @@ class TestSubcommands:
         code, _ = run(tmp_path, sub, {**SMALL_CONFIG, "optics": optics})
         reads_omega = sub in ("map", "nlse") or set(optics) != {"omega"}
         assert code == (2 if reads_omega else 0)
+
+    def test_singular_mass(self, tmp_path, caplog):
+        # v_g lies inside (0, v) but |Re m| = 1.25e-210 is below EPS_MASS:
+        # the config passes its checks, the scalar chain raises, the grid
+        # marks the node DOMAIN, and map exits 2 writing nothing
+        doc = {"optics": {"omega": 1e-100, "delta0": 1e100, "n0": 1e-150}}
+        cfg = from_dict(doc).optics
+        validate_config(cfg)
+        with pytest.raises(SingularMass):
+            effective_params(cfg)
+        assert sweep.evaluate(cfg, cfg.delta_p, cfg.omega).status \
+            == sweep.DOMAIN
+        with caplog.at_level(logging.INFO, logger="polariton_phases"):
+            code, out = run(tmp_path, "map", doc)
+        assert code == 2
+        errors = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("SingularMass: ")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("sub, nlse_keys, code", [
         ("map", {}, 2),

@@ -324,6 +324,26 @@ class TestFftKernels:
         assert calls == [("rfft_n_odd", 1), ("rfft_n_even", 2),
                          ("rfft_n_even", 4), ("rfft_n_even", 16)]
 
+    def test_missing_kernel_resolves_to_fallback(self, monkeypatch):
+        # a numpy without one of the direct kernels gets np.fft behind the
+        # same call; the cache is cleared before and after, so the next
+        # caller resolves the direct kernels again
+        fallback = [k.__qualname__ for k in nlse._np_fft_kernels()]
+        try:
+            with monkeypatch.context() as patch:
+                try:
+                    from numpy.fft import _pocketfft_umath as pfu
+                except ImportError:         # numpy < 2.0: no direct kernels
+                    pass
+                else:
+                    patch.delattr(pfu, "rfft_n_odd")
+                nlse._fft_kernels.cache_clear()
+                kernels = nlse._fft_kernels()
+        finally:
+            nlse._fft_kernels.cache_clear()
+        assert [k.__qualname__ for k in kernels] == fallback
+        assert fallback == ["_np_fft_kernels.<locals>.into.<locals>.kernel"] * 4
+
     @pytest.mark.parametrize("ramp", [False, True],
                              ids=["cli-default", "lossy-schedule"])
     def test_fallback_gives_the_same_bits(self, monkeypatch, ramp):
