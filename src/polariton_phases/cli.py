@@ -174,12 +174,9 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     from . import sweep  # only sweep, phase and crossing use it
     cfg_hash = cfg.hash()
     lo, hi, count = cfg.sweep["omega_range"]
-    sweep.check_node_count(count)
     base = cfg.optics
-    # the root finder checks the bracket before the table spans it
-    root, at_root = sweep._mott_crossing(base, base.delta_p, (lo, hi))
-    table = sweep.evaluate(base, base.delta_p,
-                           sweep.range_nodes(lo, hi, count))
+    # the table is the scan the root is refined from
+    root, at, table = sweep._mott_crossing(base, base.delta_p, (lo, hi), count)
     _write_csv(out / "crossing.csv",
                ["omega_over_gamma", "j_over_er", "u_over_er", "u_over_j"],
                [table.omega, table.j_over_er, table.u_over_er,
@@ -187,9 +184,9 @@ def cmd_crossing(cfg: RunConfig, out: Path) -> None:
     _write_json(out / "crossing_root.json", {
         "delta_p_over_gamma": base.delta_p,
         "omega_over_gamma": root,
-        "u_over_j": float(at_root.u_over_j),
+        "u_over_j": float(at.u_over_j),
         # False where the root lies outside |gamma| <= 1, V1/E_R >= 3
-        "bh_valid": bool(at_root.bh_valid),
+        "bh_valid": bool(at.bh_valid),
     }, cfg_hash)
 
 

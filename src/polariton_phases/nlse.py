@@ -33,6 +33,9 @@ from .errors import (
 # Largest grid: 2^20 points stays under the 2 000 000 states bh_ed.BASIS_CAP
 # allows an ED basis.
 MAX_GRID_POINTS = 2**20
+# Most records evolve may keep, the start's included: the rows
+# sweep.NODE_CAP allows any other CSV.
+MAX_RECORDS = 2_000_000
 # Iterations ground_state may take: ~3x the slowest of 1119 inputs tried
 # (s <= 1e4, g <= 1e5, 16 to 2^16 points), 720 at s = 1e4 on 16 points a
 # period.
@@ -268,6 +271,9 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     n_periods points, m = 1 included, and the returned psi is that period
     tiled to the box.  Any other start runs on the whole box.
 
+    A run of more than MAX_RECORDS records, ceil(steps / record_every)
+    plus the start, raises DimensionOverflow before any buffer is allocated.
+
     Every stage is unimodular or, with kappa >= 0, damping, so the norm
     never grows and max|psi|^2 <= n norm(psi_0) on the n points of the
     box.  A step's phase is then at most dt (k_max^2 + max s + max g n
@@ -286,6 +292,11 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     if steps < 0 or record_every < 1:
         raise DomainError(f"need steps >= 0 and record_every >= 1, got "
                           f"{steps} and {record_every}")
+    records = -(-steps // record_every)     # after the start
+    if records + 1 > MAX_RECORDS:
+        raise DimensionOverflow(f"{records + 1} records ({steps} steps, one "
+                                f"every {record_every}) exceed cap "
+                                f"{MAX_RECORDS}")
     cells = psi.reshape(params.n_periods, -1)
     periods = 1 if (cells == cells[0]).all() else params.n_periods
     field = (cells[0] if periods == 1 else psi).copy()
@@ -301,7 +312,7 @@ def evolve(state: FieldState, params: NlseParams, dt: float, steps: int,
     # block of rows at a time; a ramp's coefficients, a span of steps at a
     # time (~0.5 MiB)
     span = max(1, 2**16 // n)
-    block = min(-(-steps // record_every), span)
+    block = min(records, span)
     spectra = np.empty((block, n), dtype=complex)
     row_tau, row_step = np.empty(block), np.empty(block, dtype=int)
     observed = []

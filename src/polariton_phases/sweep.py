@@ -379,16 +379,18 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float,
 
 def _first_crossing(base: optics.OpticalConfig, delta_p: float,
                     bracket: tuple[float, float], field: Callable,
-                    what: str) -> tuple[float, NodeFields]:
-    """(Omega*, the chain at Omega*) for the first sign change of f between
-    two valid neighbours of a SCAN_POINTS-node scan of the bracket, refined
-    by Brent's method from their scan values; field(nodes) gives (f, valid)
-    and what names f in errors.
+                    what: str, count: int = SCAN_POINTS) -> tuple:
+    """(Omega*, the chain at Omega*, the scan) for the first sign change of
+    f between two valid neighbours of a `count`-node scan of the bracket,
+    refined by Brent's method from their scan values; field(nodes) gives
+    (f, valid) and what names f in errors.
 
-    Raises NoBracket for an empty or unbounded bracket or no such change,
-    PoleError for one that touches the Lambda pole, the chain's error for a
-    bad scan node and RegimeError when no scan node is valid.
+    Raises DimensionOverflow for more than NODE_CAP nodes, NoBracket for an
+    empty or unbounded bracket or no such change, PoleError for one that
+    touches the Lambda pole, the chain's error for a bad scan node and
+    RegimeError when no scan node is valid.
     """
+    check_node_count(count)
     lo, hi = bracket
     if not (0 < hi - lo < math.inf):
         raise NoBracket(f"bracket {bracket} needs lo < hi, a finite "
@@ -398,7 +400,7 @@ def _first_crossing(base: optics.OpticalConfig, delta_p: float,
             <= hi + optics.EPS_POLE:
         raise PoleError(f"bracket [{lo}, {hi}] touches the Lambda pole at "
                         f"Omega = {math.sqrt(pole_sq)}")
-    scan = evaluate(base, delta_p, range_nodes(lo, hi, SCAN_POINTS))
+    scan = evaluate(base, delta_p, range_nodes(lo, hi, count))
     scan.require_ok()
     f, valid = field(scan)
     if not valid.any():
@@ -422,7 +424,7 @@ def _first_crossing(base: optics.OpticalConfig, delta_p: float,
                    float(f[i]), float(f[i + 1]))
     if root not in nodes:
         nodes[root] = evaluate(base, delta_p, root)
-    return root, nodes[root]
+    return root, nodes[root], scan
 
 
 def _log_uj(nodes: NodeFields) -> tuple:
@@ -435,17 +437,18 @@ def _log_uj(nodes: NodeFields) -> tuple:
 
 
 def _mott_crossing(base: optics.OpticalConfig, delta_p: float,
-                   bracket: tuple[float, float]) -> tuple[float, NodeFields]:
-    """(Omega*, the chain at Omega*) of find_mott_crossing."""
-    root, at = _first_crossing(base, delta_p, bracket, _log_uj,
-                               f"U/J - {many_body.UJ_CRITICAL}")
+                   bracket: tuple[float, float],
+                   count: int = SCAN_POINTS) -> tuple:
+    """(Omega*, the chain at Omega*, the scan) of find_mott_crossing."""
+    root, at, scan = _first_crossing(base, delta_p, bracket, _log_uj,
+                                     f"U/J - {many_body.UJ_CRITICAL}", count)
     residual = abs(float(at.u_over_j) - many_body.UJ_CRITICAL)
     if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
             f"|U/J - {many_body.UJ_CRITICAL}| = {residual} at Omega = {root} "
             f"exceeds {RESIDUAL_TOL}"
         )
-    return root, at
+    return root, at, scan
 
 
 def find_mott_crossing(base: optics.OpticalConfig, delta_p: float,
@@ -461,7 +464,7 @@ def find_pinning_crossing(
     """(Omega*/Gamma, gamma, V1/E_R) at the first sign change of the
     sine-Gordon pinning criterion V1/E_R - V1c(gamma) inside the bracket
     and the sG validity window."""
-    root, at = _first_crossing(
+    root, at, _ = _first_crossing(
         base, delta_p, bracket, lambda nodes: (nodes.f_sg, nodes.sg_valid),
         "the sine-Gordon pinning criterion")
     return root, float(at.gamma_abs), float(at.v1_over_er)

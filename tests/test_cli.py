@@ -285,19 +285,44 @@ class TestSubcommands:
 
     def test_crossing_evaluates_table_and_root_finder_only(self, tmp_path,
                                                           monkeypatch):
-        # the fields at the root come from the root finder, not from a
-        # second evaluate
+        # one array call, the table the root is refined from; every other
+        # call is one Brent step, and the fields at the root come from it
         calls = []
         evaluate = sweep.evaluate
         monkeypatch.setattr(sweep, "evaluate",
                             lambda *a: calls.append(a) or evaluate(*a))
-        doc = {"sweep": {"omega_range": [0.9, 1.2, 20]}}
-        assert run(tmp_path, "crossing", doc)[0] == 0
-        cli_calls = len(calls)
-        calls.clear()
+        assert run(tmp_path, "crossing",
+                   {"sweep": {"omega_range": [0.9, 1.2, 20]}})[0] == 0
+        arrays = [om for _, _, om in calls if np.ndim(om)]
+        assert len(arrays) == 1 and np.shape(arrays[0]) == (20,)
+        scalars = [om for _, _, om in calls if not np.ndim(om)]
+        assert scalars and len(set(scalars)) == len(scalars)
+
+    @pytest.mark.parametrize("delta_p", [50.0, 5.0])
+    def test_crossing_root_between_straddling_rows(self, tmp_path, delta_p):
+        # the root lies between the first two adjacent rows, both with a
+        # lattice (U/J > 0), whose U/J straddle 3.85
+        code, out = run(tmp_path, "crossing", {
+            "optics": {"delta_p": delta_p},
+            "sweep": {"omega_range": [0.5, 3.0, 50]}})
+        assert code == 0
+        rows = np.loadtxt(out / "crossing.csv", delimiter=",", skiprows=2)
+        assert rows.shape == (50, 4)
+        om, uj = rows[:, 0], rows[:, 3]
+        i = np.flatnonzero((uj[:-1] > 0) & (uj[1:] > 0)
+                           & ((uj[:-1] < 3.85) != (uj[1:] < 3.85)))[0]
+        root = json.loads((out / "crossing_root.json").read_text())
+        assert om[i] <= root["omega_over_gamma"] <= om[i + 1]
+
+    def test_crossing_64_row_table_gives_library_root(self, tmp_path):
+        # a table of SCAN_POINTS rows is the library finder's own scan
+        doc = {"sweep": {"omega_range": [0.5, 3.0, sweep.SCAN_POINTS]}}
+        code, out = run(tmp_path, "crossing", doc)
+        assert code == 0
+        root = json.loads((out / "crossing_root.json").read_text())
         base = from_dict(doc).optics
-        sweep.find_mott_crossing(base, base.delta_p, (0.9, 1.2))
-        assert cli_calls == 1 + len(calls)
+        assert root["omega_over_gamma"] == sweep.find_mott_crossing(
+            base, base.delta_p, (0.5, 3.0))
 
     def test_crossing_root_outside_bh_window_is_flagged(self, tmp_path):
         # gamma = 2.03, V1/E_R = 2.78 at the root: reported, not raised
@@ -496,6 +521,19 @@ class TestSubcommands:
         levels = [r.levelname for r in caplog.records]
         errors = ["ERROR"] if code else []
         assert levels == ["INFO"] * (len(levels) - len(errors)) + errors
+
+    def test_nlse_records_cap_exits_2(self, tmp_path, caplog):
+        # 2^63 - 1 steps a record every 10 would hold ~9.2e17 records and
+        # never end: refused after the ground state, before the first step
+        with caplog.at_level(logging.INFO, logger="polariton_phases"):
+            code, out = run(tmp_path, "nlse",
+                            {"nlse": {"steps": 2**63 - 1}})
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("DimensionOverflow: ")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("grid_points", [16, 64])
     def test_nlse_every_period_count_exits_0(self, tmp_path, grid_points):
@@ -1031,11 +1069,9 @@ _PERTURBED = [
 @pytest.mark.parametrize("path", _PERTURBED,
                          ids=lambda path: ".".join(map(str, path)))
 def test_one_field_perturbed_contract(tmp_path, path):
-    # a run of 2^63 steps (or records that far apart) is valid and never
-    # ends, so those two counts stay small
-    values = [v for v in _EDGE_VALUES
-              if path[1] not in ("steps", "record_every") or abs(v) <= 1e4]
-    for k, value in enumerate(values):
+    # 2^63 and 10^30 steps exceed nlse.MAX_RECORDS and exit 2 at once;
+    # records that far apart are the start and the last step
+    for k, value in enumerate(_EDGE_VALUES):
         doc = json.loads(json.dumps(_PERTURB_BASE))
         *parents, last = path
         leaf = doc

@@ -707,6 +707,21 @@ class TestEvolve:
                 evolve(FieldState(np.ones(shape, dtype=complex)), p,
                        dt=1e-3, steps=1)
 
+    def test_records_cap(self, monkeypatch):
+        # ceil(steps / record_every) records plus the start: 40 steps a
+        # record every 10 keep 5 and run; 41 keep 6 and are refused before
+        # the first transform
+        monkeypatch.setattr(nlse, "MAX_RECORDS", 5)
+        p = NlseParams(v1_over_er=2.0, g_int=0.5, n_periods=4,
+                       grid_points=16)
+        state = _gaussian(p, 2.0)
+        _, obs = evolve(state, p, dt=1e-3, steps=40, record_every=10)
+        assert len(obs.tau) == 5
+        calls = _count_ffts(monkeypatch)
+        with pytest.raises(DimensionOverflow, match="6 records"):
+            evolve(state, p, dt=1e-3, steps=41, record_every=10)
+        assert calls == {"fft": 0}
+
     @pytest.mark.parametrize("record_every", [1, 3, 7, 50])
     def test_two_ffts_per_step(self, monkeypatch, record_every):
         # one FFT of the initial field, then two a step, and one more for
